@@ -42,6 +42,19 @@ class Perturbation:
     delta: int
 
 
+# the forms a Perturbation can reach, (certificate name, part) -> degree
+PERTURBABLE_FORMS = {
+    **{(f"2D{i}", "numerator"): 1 for i in range(4)},
+    ("conic", "numerator"): 2,
+    ("D1-D0", "numerator"): 2,
+    ("D1-D0", "denominator"): 2,
+    ("D2-D0", "numerator"): 3,
+    ("D2-D0", "denominator"): 3,
+    ("D3-D0", "numerator"): 2,
+    ("D3-D0", "denominator"): 2,
+}
+
+
 def _maybe_perturb(
     form: HomogPoly, name: str, part: str, perturb: Optional[Perturbation]
 ) -> HomogPoly:

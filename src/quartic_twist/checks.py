@@ -28,6 +28,7 @@ from .brauer import (
 )
 from .certificates import (
     MINUS_SQRT2,
+    PERTURBABLE_FORMS,
     Perturbation,
     bitangent_checks,
     cusp_relation_certificates,
@@ -55,6 +56,8 @@ from .mordell_weil import (
     CLASS_D3_MINUS_D0,
     CLASS_E,
     E_BASIS,
+    MODULI,
+    ORDER,
     CUSP_DICTIONARY,
     PRINTED_S3,
     PRINTED_S5,
@@ -63,11 +66,11 @@ from .mordell_weil import (
     ActionMatrix,
     Dictionary,
     ModElement,
-    all_elements,
     cusp_class,
     derive_action_matrix,
     fixed_submodule,
     image_submodule,
+    image_table,
     perturbed_dictionary,
     pic1_has_fixed_point,
     subgroup_generated,
@@ -115,31 +118,76 @@ class Fault:
     monomial: tuple[int, int, int] = (0, 0, 0)
 
 
+_FAULT_FIELDS = {
+    "dictionary": {"target", "entry", "index", "delta"},
+    "matrix": {"target", "matrix", "row", "col", "delta"},
+    "certificate": {"target", "certificate", "part", "monomial", "delta"},
+}
+_DICTIONARY_ENTRIES = tuple(
+    f"{family}{i}" for family in ("alpha", "beta", "gamma") for i in range(4)
+)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _coordinate(data: dict, key: str) -> int:
+    value = data[key]
+    if not _is_int(value) or not 0 <= value < 6:
+        raise ValueError(f"{key} must be an integer 0..5, not {value!r}")
+    return value
+
+
 def load_fault(path: str) -> Fault:
+    """Read a fault file.  A fault that is malformed, names nothing, or
+    leaves its constant unchanged raises ValueError."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    target = data["target"]
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    target = data.get("target")
+    if not isinstance(target, str) or target not in _FAULT_FIELDS:
+        raise ValueError(f"unknown fault target {target!r}")
+    fields = _FAULT_FIELDS[target]
+    if data.keys() != fields:
+        raise ValueError(
+            f"a {target} fault has exactly the fields {', '.join(sorted(fields))}"
+        )
+    delta = data["delta"]
+    if not _is_int(delta):
+        raise ValueError(f"delta must be an integer, not {delta!r}")
     if target == "dictionary":
-        return Fault(
-            target, data["entry"], int(data["delta"]), index=int(data["index"])
-        )
-    if target == "matrix":
-        return Fault(
-            target,
-            data["matrix"],
-            int(data["delta"]),
-            row=int(data["row"]),
-            col=int(data["col"]),
-        )
-    if target == "certificate":
-        return Fault(
-            target,
-            data["certificate"],
-            int(data["delta"]),
-            part=data["part"],
-            monomial=tuple(data["monomial"]),
-        )
-    raise ValueError(f"unknown fault target {target!r}")
+        if data["entry"] not in _DICTIONARY_ENTRIES:
+            raise ValueError(f"unknown dictionary entry {data['entry']!r}")
+        index = _coordinate(data, "index")
+        fault = Fault(target, data["entry"], delta, index=index)
+        unchanged = delta % MODULI[index] == 0
+    elif target == "matrix":
+        if data["matrix"] not in ("s3", "s5"):
+            raise ValueError(f"unknown matrix {data['matrix']!r}")
+        row, col = _coordinate(data, "row"), _coordinate(data, "col")
+        fault = Fault(target, data["matrix"], delta, row=row, col=col)
+        unchanged = delta % MODULI[row] == 0
+    else:
+        form = (data["certificate"], data["part"])
+        if not all(isinstance(x, str) for x in form) or form not in PERTURBABLE_FORMS:
+            raise ValueError(f"unknown certificate form {form!r}")
+        degree, monomial = PERTURBABLE_FORMS[form], data["monomial"]
+        if not (
+            isinstance(monomial, list)
+            and len(monomial) == 3
+            and all(_is_int(e) and e >= 0 for e in monomial)
+            and sum(monomial) == degree
+        ):
+            raise ValueError(
+                f"monomial must be 3 exponents >= 0 of degree {degree}, not {monomial!r}"
+            )
+        fault = Fault(target, form[0], delta, part=form[1], monomial=tuple(monomial))
+        unchanged = delta == 0
+    if unchanged:
+        raise ValueError(f"delta {delta} leaves the {target} unchanged")
+    return fault
 
 
 @dataclass(frozen=True)
@@ -498,7 +546,6 @@ def _galois_records(data: _RunData) -> list[CheckRecord]:
 
 def _fixed_records(data: _RunData) -> list[CheckRecord]:
     records = []
-    s3s5 = data.s3 * data.s5
     shift_rows = (
         (
             "shift-s5",
@@ -542,11 +589,10 @@ def _fixed_records(data: _RunData) -> list[CheckRecord]:
             )
         )
 
+    t3, t5 = image_table(data.s3), image_table(data.s5)
+    t35, t53 = image_table(data.s3 * data.s5), image_table(data.s5 * data.s3)
     involution = all(
-        data.s3(data.s3(m)) == m
-        and data.s5(data.s5(m)) == m
-        and s3s5(m) == (data.s5 * data.s3)(m)
-        for m in all_elements()
+        t3[t3[n]] == n and t5[t5[n]] == n and t35[n] == t53[n] for n in range(ORDER)
     )
     records.append(
         CheckRecord(
@@ -967,14 +1013,33 @@ def render_json(report: Report) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-_HEADER_BY_ID: dict[str, str] = {}
+_SECTION_HEADERS = {
+    "bitangents": HEADER_BITANGENTS,
+    "dictionary": HEADER_DICTIONARY,
+    "fixed": HEADER_FIXED,
+    "torsor": HEADER_TORSOR,
+    "brauer": HEADER_BRAUER,
+    "quadratic": HEADER_QUADRATIC,
+    "theorems": HEADER_THEOREMS,
+}
+
+_GALOIS_HEADERS = (
+    (("perm-s3-", "action-s3-"), HEADER_SIGMA3),
+    (("perm-s5-", "action-s5-"), HEADER_SIGMA5),
+    (("matrix-", "lift-"), HEADER_MATRICES),
+)
 
 
 def _header_for(check_id: str, section: str) -> str:
-    if not _HEADER_BY_ID:
-        for record in build_report().checks:
-            _HEADER_BY_ID[record.check_id] = record.header
-    return _HEADER_BY_ID.get(check_id, section)
+    """The header a record of this id and section is built with; a record
+    of a builder that could not run is headed by its section key."""
+    if section == "galois":
+        for prefixes, header in _GALOIS_HEADERS:
+            if check_id.startswith(prefixes):
+                return header
+    elif check_id != f"{section}-builder":
+        return _SECTION_HEADERS.get(section, section)
+    return section
 
 
 def parse_json(text: str) -> Report:

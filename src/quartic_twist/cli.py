@@ -72,7 +72,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.fault:
         try:
             fault = load_fault(args.fault)
-        except (OSError, ValueError, KeyError) as error:
+        except (OSError, ValueError) as error:
             print(f"quartic-twist: bad fault file: {error}", file=sys.stderr)
             return 2
 

@@ -8,11 +8,21 @@ an external Riemann-Roch computation and is cross-checked here only for
 internal consistency); everything downstream - action matrices, fixed
 submodules, images, torsor searches - is recomputed from scratch by
 brute-force enumeration of all 2048 elements.
+
+The enumerations run over integer codes: element n of `all_elements()` has
+code n, the coordinates packed as two-bit digits (one bit for e_6).  Each
+linear map gets one image table, the codes of the images of all 2048
+elements, built by linearity from the map's six columns and kept per
+matrix value.  Fixed points, images and twisted fixed-point searches are
+scans of these tables; codes become `ModElement`s only on return, by
+lookup in one cached pass of `all_elements()`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -85,6 +95,40 @@ def all_elements() -> Iterator[ModElement]:
     """All 2048 elements, in lexicographic coordinate order."""
     for coords in itertools.product(*(range(m) for m in MODULI)):
         yield ModElement(coords)
+
+
+ORDER = 2048
+
+# Bit offset of each coordinate in an element's code: a two-bit digit per
+# Z/4 coordinate and one bit for e_6, e_1 most significant, so that codes
+# count through `all_elements()` in order.
+_SHIFTS = (9, 7, 5, 3, 1, 0)
+_LOW_BITS = 0b01010101010  # the low bit of each Z/4 digit
+_HIGH_BITS = 0b10101010101  # the high bit of each Z/4 digit, and the e_6 bit
+
+
+def encode(m: ModElement) -> int:
+    """The code of m: its position in `all_elements()`."""
+    code = 0
+    for x, shift in zip(m.c, _SHIFTS):
+        code |= x << shift
+    return code
+
+
+@functools.cache
+def _elements() -> tuple[ModElement, ...]:
+    return tuple(all_elements())
+
+
+def decode(code: int) -> ModElement:
+    """The element of a code: entry `code` of `all_elements()`."""
+    return _elements()[code]
+
+
+def _add_codes(x: int, y: int) -> int:
+    """The code of the sum.  Adding the low bits of the digits carries at
+    most into each digit's own high bit; the high bits add modulo 2."""
+    return ((x & _LOW_BITS) + (y & _LOW_BITS)) ^ ((x ^ y) & _HIGH_BITS)
 
 
 class ActionMatrix:
@@ -270,29 +314,56 @@ def derive_action_matrix(
     return ActionMatrix.from_columns(columns)
 
 
-def fixed_submodule(matrices: Sequence[ActionMatrix]) -> tuple[ModElement, ...]:
-    """All elements fixed by every matrix, by enumeration of all 2048."""
-    return tuple(
-        m for m in all_elements() if all(s(m) == m for s in matrices)
+@functools.lru_cache(maxsize=32)
+def image_table(s: ActionMatrix) -> array:
+    """Codes of s(m) for all 2048 elements m, indexed by the code of m.
+
+    Built by linearity from the six column images on first use, and kept
+    per matrix value, so a corrupted matrix gets its own table.  Shared:
+    callers must not modify it.  An unsigned-short array, not a list, so
+    that the kept tables cost 4 KB each rather than one int object per
+    entry."""
+    columns = [sum(s.rows[i][j] << _SHIFTS[i] for i in range(6)) for j in range(6)]
+    # images of the one-bit codes, lowest bit first: e_6, e_5, 2e_5, ..., e_1, 2e_1
+    images = [columns[5]]
+    for column in reversed(columns[:5]):
+        images += [column, _add_codes(column, column)]
+    table = [0]
+    for image in images:
+        table += [_add_codes(code, image) for code in table]
+    return array("H", table)
+
+
+def _minus_identity(s: ActionMatrix) -> ActionMatrix:
+    return ActionMatrix(
+        tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(s.rows))
     )
 
 
+def fixed_submodule(matrices: Sequence[ActionMatrix]) -> tuple[ModElement, ...]:
+    """All elements fixed by every matrix, by a scan of all 2048 codes."""
+    codes: Iterable[int] = range(ORDER)
+    for s in matrices:
+        table = image_table(s)
+        codes = [n for n in codes if table[n] == n]
+    return tuple(map(decode, codes))
+
+
 def image_submodule(s: ActionMatrix) -> frozenset[ModElement]:
-    """The image of (s - 1), by enumeration."""
-    return frozenset(s(m) - m for m in all_elements())
+    """The image of (s - 1): the distinct entries of its table."""
+    return frozenset(map(decode, set(image_table(_minus_identity(s)))))
 
 
 def two_torsion_multiples() -> frozenset[ModElement]:
     """The subgroup 2M."""
-    return frozenset(2 * m for m in all_elements())
+    return frozenset(map(decode, {_add_codes(n, n) for n in range(ORDER)}))
 
 
 def pic1_has_fixed_point(s: ActionMatrix, shift: ModElement) -> bool:
     """Whether the twisted fixed-point equation (s - 1) m = -shift has a
-    solution; `shift` is the class of (sigma - 1) applied to the chosen
-    degree-1 base point."""
-    target = -shift
-    return any(s(m) - m == target for m in all_elements())
+    solution among all 2048 elements; `shift` is the class of
+    (sigma - 1) applied to the chosen degree-1 base point."""
+    return encode(-shift) in image_table(_minus_identity(s))
 
 
 def subgroup_generated(generators: Iterable[ModElement]) -> frozenset[ModElement]:

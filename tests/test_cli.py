@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from quartic_twist import checks
 from quartic_twist.checks import (
     build_report,
     list_check_ids,
@@ -51,6 +52,27 @@ def test_json_round_trip():
     assert set(payload["summary"]) == {"ok", "fail", "skipped"}
     for item in payload["checks"]:
         assert set(item) == {"id", "section", "label", "status", "detail"}
+
+
+def test_json_round_trip_needs_no_rebuild(monkeypatch):
+    reports = [
+        build_report(),
+        build_report(section="galois"),
+        # an odd dictionary corruption makes the derived matrices ill-defined,
+        # so the galois checks collapse into one builder record
+        build_report(
+            section="galois",
+            fault=checks.Fault("dictionary", "gamma3", 1, index=0),
+        ),
+    ]
+    assert reports[2].checks[0].check_id == "galois-builder"
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("parse_json rebuilt the report")
+
+    monkeypatch.setattr(checks, "build_report", no_rebuild)
+    for report in reports:
+        assert parse_json(render_json(report)) == report
 
 
 def test_check_ids_unique():
@@ -158,4 +180,54 @@ def test_bad_fault_file_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"target": "nonsense"}', encoding="utf-8")
     assert main(["--fault", str(bad)]) == 2
+    bad.write_text('{"target": "matrix",', encoding="utf-8")
+    assert main(["--fault", str(bad)]) == 2
     assert main(["--fault", str(tmp_path / "missing.json")]) == 2
+
+
+_CERTIFICATE_FAULT = {
+    "target": "certificate", "certificate": "D1-D0", "part": "numerator",
+    "monomial": [2, 0, 0], "delta": 1,
+}
+_DICTIONARY_FAULT = {"target": "dictionary", "entry": "gamma3", "index": 0, "delta": 2}
+_MATRIX_FAULT = {"target": "matrix", "matrix": "s3", "row": 0, "col": 0, "delta": 1}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param({**_CERTIFICATE_FAULT, "certificate": "D9-D0"}, id="unknown-certificate"),
+        pytest.param({**_CERTIFICATE_FAULT, "part": "middle"}, id="unknown-part"),
+        pytest.param({**_CERTIFICATE_FAULT, "certificate": ["D1-D0"]}, id="non-string-certificate"),
+        pytest.param({**_CERTIFICATE_FAULT, "monomial": "X^2"}, id="non-list-monomial"),
+        pytest.param({**_CERTIFICATE_FAULT, "monomial": [1, 1]}, id="short-monomial"),
+        pytest.param({**_CERTIFICATE_FAULT, "monomial": [1, 0, 0]}, id="monomial-degree"),
+        pytest.param({**_CERTIFICATE_FAULT, "monomial": [3, -1, 0]}, id="negative-exponent"),
+        pytest.param({**_CERTIFICATE_FAULT, "delta": 0}, id="certificate-zero-delta"),
+        pytest.param({**_DICTIONARY_FAULT, "entry": "delta0"}, id="unknown-entry"),
+        pytest.param({**_DICTIONARY_FAULT, "index": 6}, id="index-out-of-range"),
+        pytest.param({**_DICTIONARY_FAULT, "index": -1}, id="negative-index"),
+        pytest.param({**_DICTIONARY_FAULT, "delta": 4}, id="dictionary-delta-zero-mod-4"),
+        pytest.param({**_DICTIONARY_FAULT, "index": 5, "delta": 2}, id="dictionary-delta-zero-mod-2"),
+        pytest.param({**_DICTIONARY_FAULT, "delta": "2"}, id="string-delta"),
+        pytest.param({**_DICTIONARY_FAULT, "delta": 1.5}, id="float-delta"),
+        pytest.param({**_DICTIONARY_FAULT, "delta": True}, id="boolean-delta"),
+        pytest.param({**_MATRIX_FAULT, "matrix": "s7"}, id="unknown-matrix"),
+        pytest.param({**_MATRIX_FAULT, "row": 6}, id="row-out-of-range"),
+        pytest.param({**_MATRIX_FAULT, "col": 9}, id="col-out-of-range"),
+        pytest.param({**_MATRIX_FAULT, "delta": -4}, id="matrix-delta-zero-mod-4"),
+        pytest.param({**_MATRIX_FAULT, "row": 5, "delta": 2}, id="matrix-delta-zero-mod-2"),
+        pytest.param({**_MATRIX_FAULT, "colum": 0}, id="unknown-field"),
+        pytest.param({"target": "matrix", "matrix": "s3", "delta": 1}, id="missing-field"),
+        pytest.param({"target": ["matrix"]}, id="non-string-target"),
+        pytest.param([_MATRIX_FAULT], id="top-level-array"),
+    ],
+)
+def test_malformed_fault_is_usage_error(payload, tmp_path, capsys):
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["--fault", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("quartic-twist: bad fault file: ")
+    assert captured.err.count("\n") == 1

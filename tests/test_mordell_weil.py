@@ -1,6 +1,8 @@
 """The divisor-class module: dictionary consistency, derived matrices,
 fixed submodule, images, and the torsor searches."""
 
+import random
+
 import pytest
 
 from quartic_twist.curve import (
@@ -17,6 +19,7 @@ from quartic_twist.mordell_weil import (
     CLASS_E,
     E_BASIS,
     MODULI,
+    ORDER,
     CUSP_DICTIONARY,
     PRINTED_S3,
     PRINTED_S5,
@@ -26,9 +29,12 @@ from quartic_twist.mordell_weil import (
     ModElement,
     all_elements,
     cusp_class,
+    decode,
     derive_action_matrix,
+    encode,
     fixed_submodule,
     image_submodule,
+    image_table,
     perturbed_dictionary,
     pic1_has_fixed_point,
     subgroup_generated,
@@ -224,3 +230,64 @@ def test_perturbed_dictionary():
 
 def test_moduli():
     assert MODULI == (4, 4, 4, 4, 4, 2)
+
+
+# ---------------------------------------------------------------------------
+# the image tables against plain per-element application of the matrices
+
+ELEMENTS = tuple(all_elements())
+
+
+def _random_matrix(rng):
+    rows = [[rng.randrange(MODULI[i]) for _ in range(6)] for i in range(6)]
+    for i in range(5):
+        rows[i][5] = 2 * rng.randrange(2)  # e_6 goes to 2-torsion
+    return ActionMatrix(rows)
+
+
+def _differential_matrices():
+    rng = random.Random(20210712)
+    printed = [PRINTED_S3, PRINTED_S5, PRINTED_S3 * PRINTED_S5, ActionMatrix.identity()]
+    return printed + [_random_matrix(rng) for _ in range(16)]
+
+
+def test_codes_follow_the_enumeration():
+    assert [encode(m) for m in ELEMENTS] == list(range(ORDER))
+    assert tuple(decode(n) for n in range(ORDER)) == ELEMENTS
+
+
+@pytest.mark.parametrize("s", _differential_matrices())
+def test_tables_agree_with_per_element_maps(s):
+    assert list(image_table(s)) == [encode(s(m)) for m in ELEMENTS]
+    assert fixed_submodule([s]) == tuple(m for m in ELEMENTS if s(m) == m)
+    image = frozenset(s(m) - m for m in ELEMENTS)
+    assert image_submodule(s) == image
+    rng = random.Random(repr(s.rows))
+    shifts = list(PRINTED_SHIFTS.values()) + rng.sample(ELEMENTS, 8)
+    for shift in shifts:
+        assert pic1_has_fixed_point(s, shift) == (-shift in image)
+
+
+def test_joint_fixed_submodules_agree_with_per_element_maps():
+    matrices = _differential_matrices()
+    rng = random.Random(5)
+    for _ in range(8):
+        pair = rng.sample(matrices, 2)
+        expected = tuple(m for m in ELEMENTS if all(s(m) == m for s in pair))
+        assert fixed_submodule(pair) == expected
+    assert fixed_submodule([]) == ELEMENTS
+
+
+def test_two_torsion_multiples_agree_with_doubling():
+    assert two_torsion_multiples() == frozenset(2 * m for m in ELEMENTS)
+
+
+def test_tables_are_kept_per_matrix_value():
+    s3s5, s5s3 = PRINTED_S3 * PRINTED_S5, PRINTED_S5 * PRINTED_S3
+    assert s3s5 is not s5s3 and s3s5 == s5s3
+    assert image_table(s3s5) is image_table(s5s3)
+    rows = [list(row) for row in PRINTED_S3.rows]
+    rows[0][0] += 1
+    corrupted = ActionMatrix(rows)
+    assert image_table(corrupted) != image_table(PRINTED_S3)
+    assert list(image_table(corrupted)) == [encode(corrupted(m)) for m in ELEMENTS]
