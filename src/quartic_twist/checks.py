@@ -14,7 +14,8 @@ must produce at least one FAIL.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fnmatch import fnmatchcase
 from typing import Any, Callable, Optional
 
 from . import theorems
@@ -223,12 +224,36 @@ class Report:
 
 @dataclass
 class _RunData:
-    """Constants for one run, after fault application."""
+    """Constants for one run, after fault application, and the records of
+    each section once built."""
 
     dictionary: Dictionary
     s3: ActionMatrix
     s5: ActionMatrix
     perturbation: Optional[Perturbation]
+    sections: dict[str, list[CheckRecord]] = field(default_factory=dict)
+
+    def section(self, name: str) -> list[CheckRecord]:
+        """The records of one section, built at most once per run.  A
+        builder that raises (a corrupted constant may break a whole
+        section) leaves one FAIL record in place of its checks."""
+        if name not in self.sections:
+            builder = dict(_SECTION_BUILDERS)[name]
+            try:
+                records = builder(self)
+            except Exception as error:
+                records = [
+                    CheckRecord(
+                        f"{name}-builder",
+                        name,
+                        name,
+                        f"checks of section {name} could not run",
+                        STATUS_FAIL,
+                        {"error": str(error)},
+                    )
+                ]
+            self.sections[name] = records
+        return self.sections[name]
 
 
 def _apply_fault(fault: Optional[Fault]) -> _RunData:
@@ -878,17 +903,50 @@ def _quadratic_records(data: _RunData) -> list[CheckRecord]:
     return records
 
 
+# what each name in a theorem's `depends_on` stands for: the records of this
+# run, by section and id pattern, that must all be OK.  A section whose
+# builder could not run counts as failed.
+_THEOREM_DEPENDENCIES = {
+    "certificates": (
+        ("bitangents", ("bitangent-*", "relation-*", "e-support")),
+        ("brauer", ("brauer-2e", "brauer-e-plus", "brauer-e-minus",
+                    "brauer-sigma5-e", "brauer-tau-e")),
+    ),
+    "fixed-submodule": (("fixed", ("fixed-*",)),),
+    "brauer-cocycle": (("brauer", ("brauer-cocycle",)),),
+    "action-matrices": (("galois", ("matrix-s3", "matrix-s5")),),
+    "torsor-searches": (("torsor", ("torsor-*",)),),
+    "degree-two-classes": (("theorems", ("theorem-quadratic-points",)),),
+}
+
+
+def _dependency_holds(data: _RunData, name: str, earlier: list[CheckRecord]) -> bool:
+    for section, patterns in _THEOREM_DEPENDENCIES[name]:
+        records = earlier if section == "theorems" else data.section(section)
+        for record in records:
+            if record.status == STATUS_FAIL and (
+                record.check_id == f"{section}-builder"
+                or any(fnmatchcase(record.check_id, p) for p in patterns)
+            ):
+                return False
+    return True
+
+
 def _theorem_records(data: _RunData) -> list[CheckRecord]:
+    """The assembled results on this run's matrices and certificate
+    verdict; a theorem fails with a constituent or with any record its
+    `depends_on` names."""
+    certificates = _dependency_holds(data, "certificates", [])
     reports = (
         (
             "theorem-mordell-weil",
             "Pic^0 = (Z/2)[D_1 - D_0] + (Z/2)[D_2 - D_0]; the Mordell-Weil group adds (Z/2)[E]",
-            theorems.verify_mordell_weil_structure(),
+            theorems.verify_mordell_weil_structure(data.s3, data.s5, certificates),
         ),
         (
             "theorem-odd-torsors",
             "every odd-degree part of the Picard scheme has no rational point",
-            theorems.verify_odd_degree_torsors(),
+            theorems.verify_odd_degree_torsors(data.s3, data.s5),
         ),
         (
             "theorem-quadratic-points",
@@ -901,15 +959,18 @@ def _theorem_records(data: _RunData) -> list[CheckRecord]:
             theorems.verify_no_determinantal_representation(),
         ),
     )
-    records = []
+    records: list[CheckRecord] = []
     for check_id, label, report in reports:
+        holds = report.verdict and all(
+            _dependency_holds(data, name, records) for name in report.depends_on
+        )
         records.append(
             CheckRecord(
                 check_id,
                 "theorems",
                 HEADER_THEOREMS,
                 label,
-                STATUS_OK if report.verdict else STATUS_FAIL,
+                STATUS_OK if holds else STATUS_FAIL,
                 {
                     "constituents": [
                         {"id": c.check_id, "passed": c.passed}
@@ -944,22 +1005,9 @@ def build_report(
         raise ValueError(f"unknown section {section!r}")
     data = _apply_fault(fault)
     records: list[CheckRecord] = []
-    for name, builder in _SECTION_BUILDERS:
-        if section is not None and name != section:
-            continue
-        try:
-            records.extend(builder(data))
-        except Exception as error:  # a corrupted constant may break a whole builder
-            records.append(
-                CheckRecord(
-                    f"{name}-builder",
-                    name,
-                    name,
-                    f"checks of section {name} could not run",
-                    STATUS_FAIL,
-                    {"error": str(error)},
-                )
-            )
+    for name, _ in _SECTION_BUILDERS:
+        if section is None or name == section:
+            records.extend(data.section(name))
     return Report(tuple(records))
 
 

@@ -1,7 +1,10 @@
 """Formal Z-linear combinations of points on the quartic.
 
 Divisors are maps from normalized points to nonzero integers; support is
-restricted to points on the curve, so equality of divisors is exact.
+restricted to points on the curve, so equality of divisors is exact.  The
+constructor, `Divisor.point` and `galois` check that every support point
+lies on the curve; sums, differences and multiples combine supports that
+were already checked and skip the test.
 """
 
 from __future__ import annotations
@@ -25,6 +28,14 @@ class Divisor:
                     raise ValueError(f"support point {point} is not on the curve")
                 clean[point] = n
         self._coeffs = clean
+
+    @classmethod
+    def _checked_support(cls, coeffs: Mapping[ProjPoint, int]) -> Divisor:
+        """A divisor whose support points are already known to lie on the
+        curve; zero coefficients are dropped."""
+        self = object.__new__(cls)
+        self._coeffs = {p: n for p, n in coeffs.items() if n}
+        return self
 
     @classmethod
     def point(cls, point: ProjPoint, multiplicity: int = 1) -> Divisor:
@@ -63,10 +74,10 @@ class Divisor:
         coeffs = dict(self._coeffs)
         for point, n in other._coeffs.items():
             coeffs[point] = coeffs.get(point, 0) + n
-        return Divisor(coeffs)
+        return Divisor._checked_support(coeffs)
 
     def __neg__(self) -> Divisor:
-        return Divisor({p: -n for p, n in self._coeffs.items()})
+        return Divisor._checked_support({p: -n for p, n in self._coeffs.items()})
 
     def __sub__(self, other: Divisor) -> Divisor:
         return self + (-other)
@@ -74,7 +85,7 @@ class Divisor:
     def __mul__(self, n: int) -> Divisor:
         if not isinstance(n, int):
             return NotImplemented
-        return Divisor({p: n * m for p, m in self._coeffs.items()})
+        return Divisor._checked_support({p: n * m for p, m in self._coeffs.items()})
 
     __rmul__ = __mul__
 

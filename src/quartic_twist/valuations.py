@@ -11,11 +11,25 @@ the complete principal divisor of G: no zeros were missed.  That is the
 completeness criterion used by `verify_certificate` to check divisor
 identities of the shape  claimed = div(G) - div(H)  exactly, without any
 general linear-equivalence machinery.
+
+Cost model.  The curve is a sum of pure powers a X^d + b Y^d + c Z^d, so
+`expand_branch` keeps the coefficient lists of the powers 1..d of the
+dependent series and extends each by one O(n) convolution per order n;
+the new coefficient is linear in what those lists give, so the whole
+expansion to precision p costs O(d p^2) field products.  It then composes
+the curve with the finished expansion once, at the full precision, and
+raises unless every coefficient vanishes: that composition is the gate
+that certifies the series, independently of how it was solved.
+`valuation` asks only for the precision it needs: it composes with
+expansions of precision 1, 2, 4, 8, ... (capped at bound + 1) and stops
+at the first nonzero coefficient, so a form that does not vanish at the
+point costs one precision-1 expansion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from .cyclotomic import CycNum, ONE, ZERO
@@ -35,7 +49,7 @@ class OrderBoundExceeded(ArithmeticError):
 
 
 def _ser_add(a: Series, b: Series) -> Series:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple((x + y if x else y) if y else x for x, y in zip(a, b))
 
 
 def _ser_mul(a: Series, b: Series, order: int) -> Series:
@@ -52,7 +66,7 @@ def _ser_mul(a: Series, b: Series, order: int) -> Series:
 
 
 def _ser_scale(c: CycNum, a: Series) -> Series:
-    return tuple(c * x for x in a)
+    return tuple(c * x if x else ZERO for x in a)
 
 
 def _ser_const(c: CycNum, order: int) -> Series:
@@ -124,16 +138,10 @@ def expand_branch(point: ProjPoint, precision: int) -> BranchExpansion:
         # smoothness and Euler's relation force the other partial nonzero
         parameter, dependent = second, first
         dep_partial = CURVE.partial(first).evaluate(point)
-    dep_partial_inv = dep_partial.inv()
 
     series = [point.coords[dependent]]
-    for n in range(1, precision):
-        # one undetermined coefficient per order: with v correct mod t^n,
-        # [t^n] F(.., v + c t^n, ..) = [t^n] F(.., v, ..) + F_dep(P) * c
-        residual = _compose_branch(
-            CURVE, point, chart, parameter, dependent, tuple(series), n + 1
-        )
-        series.append(-(residual[n] * dep_partial_inv))
+    if precision > 1:
+        series = _solve_dependent(point, parameter, dependent, dep_partial, precision)
     expansion = BranchExpansion(
         center=point,
         chart=chart,
@@ -142,35 +150,66 @@ def expand_branch(point: ProjPoint, precision: int) -> BranchExpansion:
         series=tuple(series),
         precision=precision,
     )
-    check = _compose_branch(
-        CURVE, point, chart, parameter, dependent, expansion.series, precision
-    )
+    check = compose_with_branch(CURVE, expansion, precision)
     if any(check):
         raise AssertionError("branch expansion failed to satisfy the curve equation")
     _EXPANSION_CACHE[(point, precision)] = expansion
     return expansion
 
 
-def _compose_branch(
-    form: HomogPoly,
+def _solve_dependent(
     point: ProjPoint,
-    chart: int,
     parameter: int,
     dependent: int,
-    dep_series: Series,
-    order: int,
-) -> Series:
-    coords: list[Series] = [()] * 3
-    coords[chart] = _ser_const(ONE, order)
-    param = [ZERO] * order
-    param[0] = point.coords[parameter]
-    if order > 1:
-        param[1] = ONE
-    coords[parameter] = tuple(param)
-    dep = list(dep_series[:order])
-    dep += [ZERO] * (order - len(dep))
-    coords[dependent] = tuple(dep)
-    return compose(form, tuple(coords), order)
+    dep_partial: CycNum,
+    precision: int,
+) -> list[CycNum]:
+    """Coefficients v_0..v_(precision-1) of the dependent coordinate.
+
+    With F = sum of c_a * (coordinate a)^d, the chart coordinate is 1, the
+    parameter is p_0 + t, and [t^n] F is linear in v_n:
+        [t^n] F = c_dep * [t^n] (v_<n)^d + c_par * [t^n] (p_0 + t)^d
+                  + F_dep(P) * v_n,
+    where v_<n is the series truncated below t^n.  `powers[k]` holds the
+    coefficients of v^k; its entry at order n is first computed with
+    v_n = 0 (one convolution) and then corrected by k * v_0^(k-1) * v_n.
+    """
+    degree = CURVE.degree
+    if not all(max(e) == degree for e in CURVE.terms):
+        raise AssertionError("expand_branch needs a curve of pure powers")
+    coeff = [ZERO] * 3
+    for e, c in CURVE.terms.items():
+        coeff[e.index(degree)] = c
+    c_dep = coeff[dependent]
+    p0 = point.coords[parameter]
+    # [t^n] c_par * (p_0 + t)^d, nonzero only for n <= d
+    param_terms = [coeff[parameter] * comb(degree, n) * p0 ** (degree - n)
+                   for n in range(degree + 1)]
+    dep_partial_inv = dep_partial.inv()
+
+    v = [point.coords[dependent]]
+    powers: list[list[CycNum]] = [[ONE], [v[0]]]
+    for k in range(2, degree + 1):
+        powers.append([powers[k - 1][0] * v[0]])
+    slopes = [ZERO] + [k * powers[k - 1][0] for k in range(1, degree + 1)]
+    for n in range(1, precision):
+        powers[1].append(ZERO)
+        for k in range(2, degree + 1):
+            lower = powers[k - 1]
+            acc = ZERO
+            for j in range(n):
+                if v[j] and lower[n - j]:
+                    acc = acc + lower[n - j] * v[j]
+            powers[k].append(acc)
+        residual = c_dep * powers[degree][n]
+        if n <= degree:
+            residual = residual + param_terms[n]
+        vn = -(residual * dep_partial_inv)
+        v.append(vn)
+        if vn:
+            for k in range(1, degree + 1):
+                powers[k][n] = powers[k][n] + slopes[k] * vn
+    return v
 
 
 def compose(form: HomogPoly, coords: tuple[Series, Series, Series], order: int) -> Series:
@@ -186,9 +225,12 @@ def compose(form: HomogPoly, coords: tuple[Series, Series, Series], order: int) 
             row.append(_ser_mul(row[-1], coords[axis], order))
         powers.append(row)
     total = (ZERO,) * order
-    for (i, j, k), c in form.terms.items():
-        term = _ser_mul(powers[0][i], powers[1][j], order)
-        term = _ser_mul(term, powers[2][k], order)
+    for exponents, c in form.terms.items():
+        # factors with exponent 0 are the constant 1 and are skipped
+        factors = [powers[axis][e] for axis, e in enumerate(exponents) if e]
+        term = factors[0] if factors else powers[0][0]
+        for factor in factors[1:]:
+            term = _ser_mul(term, factor, order)
         total = _ser_add(total, _ser_scale(c, term))
     return total
 
@@ -202,18 +244,23 @@ def valuation(form: HomogPoly, point: ProjPoint, bound: int) -> int:
 
     Raises OrderBoundExceeded if every coefficient below the bound
     vanishes; callers pass bound = 4*deg(form) + 1, so that error means
-    the curve polynomial divides the form.
+    the curve polynomial divides the form.  The expansion precision grows
+    by doubling from 1 and stops at the first nonzero coefficient.
     """
     if not form:
         raise ValueError("valuation of the zero form")
-    expansion = expand_branch(point, bound + 1)
-    series = compose_with_branch(form, expansion, bound + 1)
-    for n in range(bound):
-        if series[n]:
-            return n
-    raise OrderBoundExceeded(
-        f"form vanishes to order >= {bound} at {point}"
-    )
+    precision = 1
+    while True:
+        order = min(precision, bound + 1)
+        series = compose_with_branch(form, expand_branch(point, order), order)
+        for n in range(min(order, bound)):
+            if series[n]:
+                return n
+        if order == bound + 1:
+            raise OrderBoundExceeded(
+                f"form vanishes to order >= {bound} at {point}"
+            )
+        precision *= 2
 
 
 def principal_divisor_on_support(

@@ -165,6 +165,9 @@ def test_fault_fixtures_fail(fixture, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert " : FAIL" in out
+    # the corruption reaches the assembled results
+    assembled = out.split(checks.HEADER_THEOREMS + "\n", 1)[1].split("\n\n", 1)[0]
+    assert " : FAIL" in assembled
 
 
 def test_fault_objects():
@@ -174,6 +177,36 @@ def test_fault_objects():
     assert report.exit_code == 1
     failing = {r.check_id for r in report.checks if r.status == "FAIL"}
     assert "matrix-s3" in failing
+
+
+def test_theorems_see_a_section_that_could_not_run():
+    # an odd dictionary corruption collapses the galois section into one
+    # builder record; the theorem that rests on the action matrices fails
+    report = build_report(fault=checks.Fault("dictionary", "gamma3", 1, index=0))
+    failing = {r.check_id for r in report.checks if r.status == "FAIL"}
+    assert failing == {"galois-builder", "theorem-odd-torsors"}
+
+
+def test_each_section_is_built_once_per_run(monkeypatch):
+    calls = []
+    original = checks.bitangent_checks
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    def rerun(*args, **kwargs):
+        raise AssertionError("the theorems re-ran the certificate suite")
+
+    monkeypatch.setattr(checks, "bitangent_checks", counted)
+    monkeypatch.setattr(checks.theorems, "certificate_suite_passes", rerun)
+    full = build_report()
+    assert len(calls) == 1
+    theorems_only = build_report(section="theorems")
+    assert len(calls) == 2
+    assert theorems_only.checks == tuple(
+        r for r in full.checks if r.section == "theorems"
+    )
 
 
 def test_bad_fault_file_is_usage_error(tmp_path, capsys):

@@ -109,3 +109,53 @@ def test_items_deterministic():
     d = named_divisor("D2") + 3 * named_divisor("E")
     assert d.items() == d.items()
     assert str(d) == str(d)
+
+
+def test_checked_entry_points_reject_off_curve_points(monkeypatch):
+    off = ProjPoint(1, 0, 0)
+    with pytest.raises(ValueError):
+        Divisor({catalog("B0"): 1, off: 2})
+    with pytest.raises(ValueError):
+        Divisor.point(off, 3)
+    # no automorphism moves a curve point off the curve, so make one that does
+    monkeypatch.setattr(ProjPoint, "galois", lambda self, sigma: off)
+    with pytest.raises(ValueError):
+        named_divisor("D0").galois(SIGMA3)
+
+
+def test_arithmetic_results_equal_constructed_divisors():
+    rng = random.Random(60606)
+    points = list(CATALOG.values())
+
+    def random_divisor():
+        support = rng.sample(points, rng.randint(0, 5))
+        return Divisor({p: rng.randint(-3, 3) for p in support})
+
+    for _ in range(200):
+        a, b = random_divisor(), random_divisor()
+        n = rng.randint(-3, 3)
+        union = set(a.support()) | set(b.support())
+        results = (
+            (a + b, {p: a.coefficient(p) + b.coefficient(p) for p in union}),
+            (a - b, {p: a.coefficient(p) - b.coefficient(p) for p in union}),
+            (-a, {p: -a.coefficient(p) for p in a.support()}),
+            (n * a, {p: n * a.coefficient(p) for p in a.support()}),
+            (a * n, {p: n * a.coefficient(p) for p in a.support()}),
+        )
+        for result, coeffs in results:
+            expected = Divisor(coeffs)
+            assert result == expected
+            assert hash(result) == hash(expected)
+            assert result.items() == expected.items()
+            assert all(m for _, m in result.items())
+
+
+def test_arithmetic_drops_zero_coefficients():
+    d = named_divisor("D2") + 3 * named_divisor("E")
+    for zero in (d - d, d + (-d), 0 * d, -d + d):
+        assert zero == Divisor.zero()
+        assert not zero
+        assert zero.items() == ()
+        assert hash(zero) == hash(Divisor.zero())
+    partial = d - Divisor.point(catalog("T20"))
+    assert catalog("T20") not in partial.support()

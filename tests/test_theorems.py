@@ -1,6 +1,6 @@
 """Assembled theorem reports."""
 
-from quartic_twist.mordell_weil import ModElement
+from quartic_twist.mordell_weil import PRINTED_S3, PRINTED_S5, ActionMatrix, ModElement
 from quartic_twist.theorems import (
     certificate_suite_passes,
     quadratic_point_pairs,
@@ -73,3 +73,19 @@ def test_reports_deterministic():
     a = verify_odd_degree_torsors()
     b = verify_odd_degree_torsors()
     assert a == b
+
+
+def test_reports_use_the_matrices_passed_in():
+    rows = [list(row) for row in PRINTED_S3.rows]
+    rows[0][0] += 1
+    s3 = ActionMatrix(rows)
+    report = verify_mordell_weil_structure(s3, PRINTED_S5, certificates_passed=True)
+    assert not report.verdict
+    assert "fixed-submodule" in report.failures()
+    assert verify_odd_degree_torsors(PRINTED_S3, PRINTED_S5) == verify_odd_degree_torsors()
+
+
+def test_certificate_verdict_passed_in():
+    report = verify_mordell_weil_structure(certificates_passed=False)
+    assert report.failures() == ("certificates",)
+    assert verify_mordell_weil_structure(certificates_passed=True).verdict

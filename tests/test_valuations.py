@@ -15,10 +15,13 @@ from quartic_twist.certificates import (
     e_divisor_equality,
     verify_principal_divisor,
 )
+from quartic_twist import valuations
+from quartic_twist.brauer import verify_e_identities
 from quartic_twist.cyclotomic import SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, TAU, d_power, rational, zeta
-from quartic_twist.curve import CATALOG, CURVE, X, Y, Z, catalog
+from quartic_twist.curve import CATALOG, CURVE, HomogPoly, X, Y, Z, catalog
 from quartic_twist.divisors import Divisor, named_divisor
 from quartic_twist.valuations import (
+    BranchExpansion,
     OrderBoundExceeded,
     compose_with_branch,
     expand_branch,
@@ -272,3 +275,119 @@ def test_expansion_cache_concurrent_use():
     for i, point in enumerate(points):
         column = results[i::len(points)]
         assert all(v == column[0] for v in column)
+
+
+# ---------------------------------------------------------------------------
+# reference oracles for the series layer
+
+
+def _reference_expansion(point, precision):
+    """The plain per-order solver: with the series correct mod t^n, compose
+    the whole curve equation once more and read off the next coefficient
+    from [t^n] F = [t^n] F(.., v, ..) + F_dep(P) * v_n."""
+    chart = next(i for i, c in enumerate(point.coords) if c)
+    first, second = [axis for axis in range(3) if axis != chart]
+    if CURVE.partial(second).evaluate(point):
+        parameter, dependent = first, second
+    else:
+        parameter, dependent = second, first
+    dep_partial_inv = CURVE.partial(dependent).evaluate(point).inv()
+    series = [point.coords[dependent]]
+    for n in range(1, precision):
+        partial = BranchExpansion(
+            point, chart, parameter, dependent, tuple(series), n + 1
+        )
+        residual = compose_with_branch(CURVE, partial, n + 1)
+        series.append(-(residual[n] * dep_partial_inv))
+    return BranchExpansion(point, chart, parameter, dependent, tuple(series), precision)
+
+
+def test_expansion_matches_per_order_reference():
+    assert len(CATALOG) == 22
+    for name, point in CATALOG.items():
+        valuations._EXPANSION_CACHE.pop((point, 17), None)
+        assert expand_branch(point, 17) == _reference_expansion(point, 17), name
+
+
+def _full_valuation(form, point, bound):
+    """First nonzero coefficient of one composition to order bound + 1, or
+    None where every coefficient below the bound vanishes."""
+    series = compose_with_branch(form, expand_branch(point, bound + 1), bound + 1)
+    return next((n for n in range(bound) if series[n]), None)
+
+
+def _assert_on_demand_matches(form, point):
+    bound = 4 * form.degree + 1
+    expected = _full_valuation(form, point, bound)
+    if expected is None:
+        with pytest.raises(OrderBoundExceeded):
+            valuation(form, point, bound)
+    else:
+        assert valuation(form, point, bound) == expected, (form, point)
+
+
+def test_on_demand_valuation_matches_full_composition_on_certificates():
+    cases = []
+    for _, check in bitangent_checks():
+        cases.extend((check.form, point) for point in check.support)
+    identities = verify_e_identities()
+    certificates = [check for _, check in cusp_relation_certificates()]
+    certificates += [
+        identities.double_e, identities.e_plus_sigma3, identities.e_minus_sigma3
+    ]
+    for check in certificates:
+        for form in (check.numerator, check.denominator):
+            cases.extend((form, point) for point in check.support)
+    assert len(cases) == 82
+    for form, point in cases:
+        _assert_on_demand_matches(form, point)
+
+
+def _random_form(rng, degree):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randint(0, degree)
+        j = rng.randint(0, degree - i)
+        terms[(i, j, degree - i - j)] = rng.randint(-3, 3) * d_power(rng.randrange(24))
+    return HomogPoly(degree, terms)
+
+
+def test_on_demand_valuation_matches_full_composition_random():
+    # random forms times 0..deg lines through the point, so that orders
+    # from 0 up to several precision doublings occur
+    rng = random.Random(20211)
+    lines = [X - z8 ** k * Z for k in (1, 3, 5, 7)] + list(BITANGENT_LINES.values())
+    lines += [X, Y, Z]
+    points = sorted(set(CATALOG.values()), key=lambda p: p.sort_key())
+    orders = set()
+    tested = 0
+    while tested < 120:
+        point = rng.choice(points)
+        through = [line for line in lines if not line.evaluate(point)]
+        degree = rng.randint(1, 3)
+        cut = rng.randint(0, degree)
+        form = HomogPoly(0, {(0, 0, 0): 1})
+        if cut < degree:
+            form = _random_form(rng, degree - cut)
+        for _ in range(cut):
+            form = form * rng.choice(through)
+        if not form:
+            continue
+        _assert_on_demand_matches(form, point)
+        orders.add(_full_valuation(form, point, 4 * degree + 1))
+        tested += 1
+    assert {0, 1, 2, 4, 8} <= orders
+
+
+def test_valuation_equal_to_bound_is_exceeded():
+    # X - z8 Z vanishes to order exactly 4 at B0
+    assert valuation(X - z8 * Z, catalog("B0"), 5) == 4
+    with pytest.raises(OrderBoundExceeded):
+        valuation(X - z8 * Z, catalog("B0"), 4)
+
+
+def test_order_bound_exceeded_for_curve_times_line():
+    for line, point in ((X + Y + Z, "T00"), (X - z8 * Z, "B0"), (Y, "A1")):
+        form = CURVE * line
+        with pytest.raises(OrderBoundExceeded):
+            valuation(form, catalog(point), 4 * form.degree + 1)
