@@ -7,6 +7,20 @@ expansions are data axioms (established by an external Riemann-Roch
 computation) and are reported as SKIPPED(data-axiom); their internal
 consistency and all of their downstream consequences are OK/FAIL checks.
 
+Ids, headers and labels come from static tables, one row per check
+(`SECTION_ROWS`), generated from the name tables: the cusp names, the
+dictionary entries, the printed action-table columns, the certificate
+names and the theorem table.  So listing the ids does no arithmetic.  A
+section builder computes its verdicts in the order of its rows and
+`_records` attaches them to the rows.
+
+A request is answered from its dependency cone only.  `_RunData.section`
+builds a section at most once per run, after the sections its builder
+reads (only the theorems read other sections), in canonical order:
+`--check ID` builds the section of ID and its cone, `--section S` the
+cone of S, and the full report every section.  A theorem is the
+conjunction of the run's records its table entry names (`theorems`).
+
 A Fault corrupts one constant for negative-control runs; a corrupted run
 must produce at least one FAIL.
 """
@@ -16,7 +30,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Any, Callable, Optional
+from functools import lru_cache
+from typing import Any, Callable, Iterable, Optional
 
 from . import theorems
 from .brauer import (
@@ -124,9 +139,6 @@ _FAULT_FIELDS = {
     "matrix": {"target", "matrix", "row", "col", "delta"},
     "certificate": {"target", "certificate", "part", "monomial", "delta"},
 }
-_DICTIONARY_ENTRIES = tuple(
-    f"{family}{i}" for family in ("alpha", "beta", "gamma") for i in range(4)
-)
 
 
 def _is_int(value: Any) -> bool:
@@ -159,7 +171,7 @@ def load_fault(path: str) -> Fault:
     if not _is_int(delta):
         raise ValueError(f"delta must be an integer, not {delta!r}")
     if target == "dictionary":
-        if data["entry"] not in _DICTIONARY_ENTRIES:
+        if not isinstance(data["entry"], str) or data["entry"] not in _DICTIONARY_LABELS:
             raise ValueError(f"unknown dictionary entry {data['entry']!r}")
         index = _coordinate(data, "index")
         fault = Fault(target, data["entry"], delta, index=index)
@@ -234,10 +246,13 @@ class _RunData:
     sections: dict[str, list[CheckRecord]] = field(default_factory=dict)
 
     def section(self, name: str) -> list[CheckRecord]:
-        """The records of one section, built at most once per run.  A
-        builder that raises (a corrupted constant may break a whole
-        section) leaves one FAIL record in place of its checks."""
+        """The records of one section, built at most once per run and after
+        the sections its builder reads.  A builder that raises (a corrupted
+        constant may break a whole section) leaves one FAIL record in place
+        of its checks."""
         if name not in self.sections:
+            for read in _reads(name):
+                self.section(read)
             builder = dict(_SECTION_BUILDERS)[name]
             try:
                 records = builder(self)
@@ -254,6 +269,21 @@ class _RunData:
                 ]
             self.sections[name] = records
         return self.sections[name]
+
+    def holds(
+        self, patterns: tuple[str, ...], earlier: Iterable[CheckRecord] = ()
+    ) -> bool:
+        """Whether no record of this run that the id patterns name failed; a
+        section that could not run counts as failed.  Theorem records come
+        from `earlier`, the ones assembled so far."""
+        for section, ids in _named(patterns):
+            records = earlier if section == "theorems" else self.section(section)
+            for record in records:
+                if record.status == STATUS_FAIL and (
+                    record.check_id in ids or record.check_id == f"{section}-builder"
+                ):
+                    return False
+        return True
 
 
 def _apply_fault(fault: Optional[Fault]) -> _RunData:
@@ -281,7 +311,32 @@ def _apply_fault(fault: Optional[Fault]) -> _RunData:
 
 
 # ---------------------------------------------------------------------------
-# check builders; each returns (passed, detail)
+# static tables, one row (check id, header, label) per check, and the section
+# builders; each builder returns its records in the order of its rows
+
+Row = tuple[str, str, str]
+
+
+def _rows(header: str, labelled: Iterable[tuple[str, str]]) -> tuple[Row, ...]:
+    return tuple((check_id, header, label) for check_id, label in labelled)
+
+
+def _record(section: str, row: Row, passed: Optional[bool], detail: Any) -> CheckRecord:
+    """`passed` is None for a data axiom."""
+    check_id, header, label = row
+    status = STATUS_SKIPPED if passed is None else STATUS_OK if passed else STATUS_FAIL
+    return CheckRecord(check_id, section, header, label, status, detail)
+
+
+def _records(
+    section: str, results: Iterable[tuple[Optional[bool], Any]]
+) -> list[CheckRecord]:
+    """The section's rows, in order, with the builder's (passed, detail)."""
+    return [
+        _record(section, row, passed, detail)
+        for row, (passed, detail) in zip(SECTION_ROWS[section], results, strict=True)
+    ]
+
 
 def _principal_detail(check) -> dict:
     return {
@@ -308,12 +363,11 @@ def _certificate_detail(check) -> dict:
     }
 
 
-_COORD_LABELS = (
-    ("coords-d1-d0", "D1-D0", "D1 - D0 = 2e_3 + 2e_4", CLASS_D1_MINUS_D0),
-    ("coords-d2-d0", "D2-D0", "D2 - D0 = 2e_1 + 2e_2 + 2e_3 + 2e_4", CLASS_D2_MINUS_D0),
-    ("coords-d3-d0", "D3-D0", "D3 - D0 = 2e_1 + 2e_2", CLASS_D3_MINUS_D0),
-)
+def _class_detail(computed: ModElement, expected: ModElement, certificate: str) -> dict:
+    return {"computed": str(computed), "expected": str(expected), "certificate": certificate}
 
+
+# certificate name -> label
 _BITANGENT_LABELS = {
     "2D0": "2 D_0 = div(x + y + z)",
     "2D1": "2 D_1 = div(x - y + z)",
@@ -321,27 +375,98 @@ _BITANGENT_LABELS = {
     "2D3": "2 D_3 = div(x - y - z)",
     "conic": "D_0 + D_1 + D_2 + D_3 = div(X^2 + Y^2 + Z^2)",
 }
-
 _RELATION_LABELS = {
     "D1-D0": "D_1 - D_0 = 2B_1 + 2B_2 - 4B_0 + div(...)",
     "D2-D0": "D_2 - D_0 = 2A_1 + 2A_2 + 2B_1 + 2B_2 - 8B_0 + div(...)",
     "D3-D0": "D_3 - D_0 = 2A1 + 2A2 - 4B0 + div(...)",
 }
-
-_DICTIONARY_LABELS = (
-    ("alpha0", "alpha_0 = 2e_1 + e_2 + 2e_3 + e_4"),
-    ("alpha1", "alpha_1 = e_1"),
-    ("alpha2", "alpha_2 = e_2"),
-    ("alpha3", "alpha_3 = e_1 + 2e_2 + 2e_3 + 3e_4"),
-    ("beta0", "beta_0 = 0"),
-    ("beta1", "beta_1 = e_3"),
-    ("beta2", "beta_2 = e_4"),
-    ("beta3", "beta_3 = 3e_3 + 3e_4"),
-    ("gamma0", "gamma_0 = 3e_1 + 3e_2 + e_3 + e_5 + e_6"),
-    ("gamma1", "gamma_1 = e_5"),
-    ("gamma2", "gamma_2 = 3e_1 + 3e_2 + 3e_3 + 3e_4 + 3e_5 + e_6"),
-    ("gamma3", "gamma_3 = 2e_1 + 2e_2 + e_4 + 3e_5"),
+_COORD_LABELS = {
+    "D1-D0": ("D1 - D0 = 2e_3 + 2e_4", CLASS_D1_MINUS_D0),
+    "D2-D0": ("D2 - D0 = 2e_1 + 2e_2 + 2e_3 + 2e_4", CLASS_D2_MINUS_D0),
+    "D3-D0": ("D3 - D0 = 2e_1 + 2e_2", CLASS_D3_MINUS_D0),
+}
+_BITANGENT_ROWS = _rows(
+    HEADER_BITANGENTS,
+    [(f"bitangent-{name.lower()}", label) for name, label in _BITANGENT_LABELS.items()]
+    + [(f"relation-{name.lower()}", label) for name, label in _RELATION_LABELS.items()]
+    + [("e-support", "E = 2B_2 - 2B_0")]
+    + [(f"coords-{name.lower()}", label) for name, (label, _) in _COORD_LABELS.items()]
+    + [("coords-e", "E = 2e_4")],
 )
+
+
+def _bitangent_records(data: _RunData) -> list[CheckRecord]:
+    bitangents = dict(bitangent_checks(data.perturbation))
+    relations = dict(cusp_relation_certificates(data.perturbation))
+    results = [
+        (bitangents[n].passed, _principal_detail(bitangents[n])) for n in _BITANGENT_LABELS
+    ]
+    results += [
+        (relations[n].passed, _certificate_detail(relations[n])) for n in _RELATION_LABELS
+    ]
+    results.append((e_divisor_equality(), {"divisor": str(named_divisor("E"))}))
+    for name, (_, expected) in _COORD_LABELS.items():
+        computed = cusp_class(cusp_representative(name), data.dictionary)
+        certificate = f"relation-{name.lower()}"
+        results.append((computed == expected, _class_detail(computed, expected, certificate)))
+    e_class = cusp_class(
+        2 * Divisor.point(catalog("B2")) - 2 * Divisor.point(catalog("B0")),
+        data.dictionary,
+    )
+    results.append((e_class == CLASS_E, _class_detail(e_class, CLASS_E, "e-support")))
+    return _records("bitangents", results)
+
+
+_DICTIONARY_LABELS = {
+    "alpha0": "alpha_0 = 2e_1 + e_2 + 2e_3 + e_4",
+    "alpha1": "alpha_1 = e_1",
+    "alpha2": "alpha_2 = e_2",
+    "alpha3": "alpha_3 = e_1 + 2e_2 + 2e_3 + 3e_4",
+    "beta0": "beta_0 = 0",
+    "beta1": "beta_1 = e_3",
+    "beta2": "beta_2 = e_4",
+    "beta3": "beta_3 = 3e_3 + 3e_4",
+    "gamma0": "gamma_0 = 3e_1 + 3e_2 + e_3 + e_5 + e_6",
+    "gamma1": "gamma_1 = e_5",
+    "gamma2": "gamma_2 = 3e_1 + 3e_2 + 3e_3 + 3e_4 + 3e_5 + e_6",
+    "gamma3": "gamma_3 = 2e_1 + 2e_2 + e_4 + 3e_5",
+}
+_DICTIONARY_ROWS = _rows(
+    HEADER_DICTIONARY,
+    [(f"dict-{entry}", label) for entry, label in _DICTIONARY_LABELS.items()]
+    + [
+        ("dict-basis", "alpha_1, alpha_2, beta_1, beta_2, gamma_1 are e_1..e_5 and beta_0 = 0"),
+        (
+            "dict-gamma2-e6",
+            "gamma_2 agrees with e_6 = alpha_1 + alpha_2 + beta_1 + beta_2 + gamma_1 + gamma_2",
+        ),
+        ("dict-orbit-beta3", "beta_3 = sigma_3(e_4) + e_3"),
+        ("dict-orbit-alpha3", "alpha_3 = sigma_5(e_1) + e_4"),
+    ],
+)
+
+
+def _dictionary_records(data: _RunData) -> list[CheckRecord]:
+    d = data.dictionary
+    e1, _, e3, e4 = E_BASIS[:4]
+    results: list[tuple[Optional[bool], Any]] = [
+        (
+            None,
+            {
+                "value": list(getattr(d, entry[:-1])[int(entry[-1])].c),
+                "note": "expansion taken as given; see the dict-consistency checks",
+            },
+        )
+        for entry in _DICTIONARY_LABELS
+    ]
+    results += [
+        (d.basis_consistent(), None),
+        (d.gamma2_consistent(), None),
+        (d.beta[3] == data.s3(e4) + e3, None),
+        (d.alpha[3] == data.s5(e1) + e4, None),
+    ]
+    return _records("dictionary", results)
+
 
 # printed action-table columns, one per basis vector
 _ACTION_TABLE = {
@@ -362,174 +487,56 @@ _ACTION_TABLE = {
         ("sigma_5(e6) = 2e_4 + e_6", (0, 0, 0, 2, 0, 1)),
     ),
 }
-
-_QUADRATIC_PAIR_LABELS = (
-    "[1 : zeta_3 : zeta_3^2] + [1 : zeta_3^2 : zeta_3] = D_0",
-    "[1 : -zeta_3 : zeta_3^2] + [1 : -zeta_3^2 : zeta_3] = D_1",
-    "[1 : zeta_3 : -zeta_3^2] + [1 : zeta_3^2 : -zeta_3] = D_2",
-    "[1 : -zeta_3 : -zeta_3^2] + [1 : -zeta_3^2 : -zeta_3] = D_3",
+# matrix key, name, the automorphism and its other lift, printed cusp table, header
+_GALOIS = (
+    ("s3", "sigma_3", SIGMA3, SIGMA3_ALT, SIGMA3_CUSP_TABLE, HEADER_SIGMA3),
+    ("s5", "sigma_5", SIGMA5, SIGMA5_ALT, SIGMA5_CUSP_TABLE, HEADER_SIGMA5),
+)
+_GALOIS_ROWS = (
+    tuple(
+        row
+        for key, text, _, _, table, header in _GALOIS
+        for row in _rows(
+            header,
+            [
+                (
+                    f"perm-{key}-{c.lower()}",
+                    f"{text}({c[0]}_{c[1]}) = {table[c][0]}_{table[c][1]}",
+                )
+                for c in CUSP_NAMES
+            ]
+            + [
+                (f"action-{key}-e{j + 1}", label)
+                for j, (label, _) in enumerate(_ACTION_TABLE[key])
+            ],
+        )
+    )
+    + _rows(
+        HEADER_MATRICES,
+        [(f"matrix-{key}", f"derived matrix of {text} equals its printed form")
+         for key, text, *_ in _GALOIS]
+        + [(f"lift-{key}", f"both lifts of {text} agree on the Q(zeta_8) catalog data")
+           for key, text, *_ in _GALOIS],
+    )
 )
 
 
-def _bitangent_records(data: _RunData) -> list[CheckRecord]:
-    records = []
-    for name, check in bitangent_checks(data.perturbation):
-        records.append(
-            CheckRecord(
-                f"bitangent-{name.lower()}",
-                "bitangents",
-                HEADER_BITANGENTS,
-                _BITANGENT_LABELS[name],
-                STATUS_OK if check.passed else STATUS_FAIL,
-                _principal_detail(check),
-            )
-        )
-    for name, check in cusp_relation_certificates(data.perturbation):
-        records.append(
-            CheckRecord(
-                f"relation-{name.lower()}",
-                "bitangents",
-                HEADER_BITANGENTS,
-                _RELATION_LABELS[name],
-                STATUS_OK if check.passed else STATUS_FAIL,
-                _certificate_detail(check),
-            )
-        )
-    equal = e_divisor_equality()
-    records.append(
-        CheckRecord(
-            "e-support",
-            "bitangents",
-            HEADER_BITANGENTS,
-            "E = 2B_2 - 2B_0",
-            STATUS_OK if equal else STATUS_FAIL,
-            {"divisor": str(named_divisor("E"))},
-        )
-    )
-    for check_id, name, label, expected in _COORD_LABELS:
-        computed = cusp_class(cusp_representative(name), data.dictionary)
-        records.append(
-            CheckRecord(
-                check_id,
-                "bitangents",
-                HEADER_BITANGENTS,
-                label,
-                STATUS_OK if computed == expected else STATUS_FAIL,
-                {
-                    "computed": str(computed),
-                    "expected": str(expected),
-                    "certificate": f"relation-{name.lower()}",
-                },
-            )
-        )
-    e_class = cusp_class(
-        2 * Divisor.point(catalog("B2")) - 2 * Divisor.point(catalog("B0")),
-        data.dictionary,
-    )
-    records.append(
-        CheckRecord(
-            "coords-e",
-            "bitangents",
-            HEADER_BITANGENTS,
-            "E = 2e_4",
-            STATUS_OK if e_class == CLASS_E else STATUS_FAIL,
-            {"computed": str(e_class), "expected": str(CLASS_E), "certificate": "e-support"},
-        )
-    )
-    return records
-
-
-def _dictionary_records(data: _RunData) -> list[CheckRecord]:
-    records = []
-    for entry, label in _DICTIONARY_LABELS:
-        family, i = entry.rstrip("0123"), int(entry[-1])
-        value = getattr(data.dictionary, family)[i]
-        records.append(
-            CheckRecord(
-                f"dict-{entry}",
-                "dictionary",
-                HEADER_DICTIONARY,
-                label,
-                STATUS_SKIPPED,
-                {
-                    "value": list(value.c),
-                    "note": "expansion taken as given; see the dict-consistency checks",
-                },
-            )
-        )
-    d = data.dictionary
-    e1, e2, e3, e4, e5, e6 = E_BASIS
-    consistency = [
-        (
-            "dict-basis",
-            "alpha_1, alpha_2, beta_1, beta_2, gamma_1 are e_1..e_5 and beta_0 = 0",
-            d.basis_consistent(),
-        ),
-        (
-            "dict-gamma2-e6",
-            "gamma_2 agrees with e_6 = alpha_1 + alpha_2 + beta_1 + beta_2 + gamma_1 + gamma_2",
-            d.gamma2_consistent(),
-        ),
-        (
-            "dict-orbit-beta3",
-            "beta_3 = sigma_3(e_4) + e_3",
-            d.beta[3] == data.s3(e4) + e3,
-        ),
-        (
-            "dict-orbit-alpha3",
-            "alpha_3 = sigma_5(e_1) + e_4",
-            d.alpha[3] == data.s5(e1) + e4,
-        ),
-    ]
-    for check_id, label, passed in consistency:
-        records.append(
-            CheckRecord(
-                check_id,
-                "dictionary",
-                HEADER_DICTIONARY,
-                label,
-                STATUS_OK if passed else STATUS_FAIL,
-                None,
-            )
-        )
-    return records
-
-
 def _galois_records(data: _RunData) -> list[CheckRecord]:
-    records = []
-    tables = (
-        ("s3", SIGMA3, SIGMA3_ALT, SIGMA3_CUSP_TABLE, HEADER_SIGMA3, "sigma_3"),
-        ("s5", SIGMA5, SIGMA5_ALT, SIGMA5_CUSP_TABLE, HEADER_SIGMA5, "sigma_5"),
-    )
-    for key, sigma, _, printed_table, header, text in tables:
+    results, matrices, lifts = [], [], []
+    names = CUSP_NAMES + ("E+", "E-")
+    for key, _, sigma, lift, table, _ in _GALOIS:
         computed = cusp_permutation(sigma)
-        for cusp in CUSP_NAMES:
-            expected = printed_table[cusp]
-            got = computed[cusp]
-            family, i = cusp[0], cusp[1]
-            records.append(
-                CheckRecord(
-                    f"perm-{key}-{cusp.lower()}",
-                    "galois",
-                    header,
-                    f"{text}({family}_{i}) = {expected[0]}_{expected[1]}",
-                    STATUS_OK if got == expected else STATUS_FAIL,
-                    {"computed": got, "expected": expected},
-                )
-            )
+        results += [
+            (computed[c] == table[c], {"computed": computed[c], "expected": table[c]})
+            for c in CUSP_NAMES
+        ]
         derived = derive_action_matrix(computed, data.dictionary)
-        printed = data.s3 if key == "s3" else data.s5
-        for j, (label, expected_coords) in enumerate(_ACTION_TABLE[key]):
-            expected = ModElement(expected_coords)
-            records.append(
-                CheckRecord(
-                    f"action-{key}-e{j + 1}",
-                    "galois",
-                    header,
-                    label,
-                    STATUS_OK
-                    if derived.column(j) == expected == printed.column(j)
-                    else STATUS_FAIL,
+        printed = getattr(data, key)
+        for j, (_, coords) in enumerate(_ACTION_TABLE[key]):
+            expected = ModElement(coords)
+            results.append(
+                (
+                    derived.column(j) == expected == printed.column(j),
                     {
                         "derived": str(derived.column(j)),
                         "printed": str(printed.column(j)),
@@ -537,75 +544,61 @@ def _galois_records(data: _RunData) -> list[CheckRecord]:
                     },
                 )
             )
-    for key, sigma, lift, printed_table, _, text in tables:
-        derived = derive_action_matrix(cusp_permutation(sigma), data.dictionary)
-        printed = data.s3 if key == "s3" else data.s5
-        records.append(
-            CheckRecord(
-                f"matrix-{key}",
-                "galois",
-                HEADER_MATRICES,
-                f"derived matrix of {text} equals its printed form",
-                STATUS_OK if derived == printed else STATUS_FAIL,
+        matrices.append(
+            (
+                derived == printed,
                 {"derived": [list(r) for r in derived.rows],
                  "printed": [list(r) for r in printed.rows]},
             )
         )
-    for key, sigma, lift, printed_table, _, text in tables:
-        names = CUSP_NAMES + ("E+", "E-")
         agree = all(
             catalog(n).galois(sigma) == catalog(n).galois(lift) for n in names
         ) and sigma(MINUS_SQRT2) == lift(MINUS_SQRT2)
-        records.append(
-            CheckRecord(
-                f"lift-{key}",
-                "galois",
-                HEADER_MATRICES,
-                f"both lifts of {text} agree on the Q(zeta_8) catalog data",
-                STATUS_OK if agree else STATUS_FAIL,
-                {"lifts": [sigma.exponent, lift.exponent]},
-            )
-        )
-    return records
+        lifts.append((agree, {"lifts": [sigma.exponent, lift.exponent]}))
+    return _records("galois", results + matrices + lifts)
+
+
+# the automorphisms whose classes the fixed and torsor sections test:
+# matrix key, name, automorphism
+_AUTOMORPHISMS = (
+    ("s5", "sigma_5", SIGMA5),
+    ("s3", "sigma_3", SIGMA3),
+    ("s3s5", "sigma_3 sigma_5", SIGMA3 * SIGMA5),
+)
+# matrix key -> (label, index i of the cusp A_i the automorphism sends A_0 to)
+_SHIFT_LABELS = {
+    "s5": ("(sigma_5 - 1)[A0] = 2e_1 + 2e_3 + 3e_4", 2),
+    "s3": ("(sigma_3 - 1)[A0] = 3e_1 + 3e_2 + 2e_3 + 3e_4", 1),
+    "s3s5": ("(sigma_3 sigma_5 - 1)[A0] = 3e_1 + e_2 + 2e_4", 3),
+}
+_FIXED_ROWS = _rows(
+    HEADER_FIXED,
+    [(f"shift-{key}", _SHIFT_LABELS[key][0]) for key, _, _ in _AUTOMORPHISMS]
+    + [
+        ("involution", "s_3^2 = s_5^2 = 1 and s_3 s_5 = s_5 s_3 on all 2048 elements"),
+        ("fixed-size", "fixed classes of s_3 and s_5: exactly 8 elements, all killed by 2"),
+        ("fixed-generators", "fixed classes = <2e_1 + 2e_2, 2e_3, 2e_4>"),
+        ("fixed-mw-generators", "fixed classes = <[D_1 - D_0], [D_2 - D_0], [E]>"),
+        ("pic0-relation", "[D_1 - D_0] + [D_2 - D_0] = [D_3 - D_0]"),
+        (
+            "pic0-subgroup",
+            "{0, [D_1 - D_0], [D_2 - D_0], [D_3 - D_0]} has index 2; [E] represents the other coset",
+        ),
+    ],
+)
 
 
 def _fixed_records(data: _RunData) -> list[CheckRecord]:
-    records = []
-    shift_rows = (
-        (
-            "shift-s5",
-            "(sigma_5 - 1)[A0] = 2e_1 + 2e_3 + 3e_4",
-            SIGMA5,
-            data.dictionary.alpha[2] - data.dictionary.alpha[0],
-            PRINTED_SHIFTS["sigma_5"],
-        ),
-        (
-            "shift-s3",
-            "(sigma_3 - 1)[A0] = 3e_1 + 3e_2 + 2e_3 + 3e_4",
-            SIGMA3,
-            data.dictionary.alpha[1] - data.dictionary.alpha[0],
-            PRINTED_SHIFTS["sigma_3"],
-        ),
-        (
-            "shift-s3s5",
-            "(sigma_3 sigma_5 - 1)[A0] = 3e_1 + e_2 + 2e_4",
-            SIGMA3 * SIGMA5,
-            data.dictionary.alpha[3] - data.dictionary.alpha[0],
-            PRINTED_SHIFTS["sigma_3 sigma_5"],
-        ),
-    )
+    results = []
+    alpha = data.dictionary.alpha
     a0 = Divisor.point(catalog("A0"))
-    for check_id, label, sigma, from_dictionary, printed in shift_rows:
-        moved = a0.galois(sigma) - a0
-        from_points = cusp_class(moved, data.dictionary)
-        passed = from_dictionary == printed == from_points
-        records.append(
-            CheckRecord(
-                check_id,
-                "fixed",
-                HEADER_FIXED,
-                label,
-                STATUS_OK if passed else STATUS_FAIL,
+    for key, text, sigma in _AUTOMORPHISMS:
+        from_dictionary = alpha[_SHIFT_LABELS[key][1]] - alpha[0]
+        from_points = cusp_class(a0.galois(sigma) - a0, data.dictionary)
+        printed = PRINTED_SHIFTS[text]
+        results.append(
+            (
+                from_dictionary == printed == from_points,
                 {
                     "from_dictionary": str(from_dictionary),
                     "from_points": str(from_points),
@@ -619,371 +612,173 @@ def _fixed_records(data: _RunData) -> list[CheckRecord]:
     involution = all(
         t3[t3[n]] == n and t5[t5[n]] == n and t35[n] == t53[n] for n in range(ORDER)
     )
-    records.append(
-        CheckRecord(
-            "involution",
-            "fixed",
-            HEADER_FIXED,
-            "s_3^2 = s_5^2 = 1 and s_3 s_5 = s_5 s_3 on all 2048 elements",
-            STATUS_OK if involution else STATUS_FAIL,
-            None,
-        )
-    )
-
     fixed = fixed_submodule([data.s3, data.s5])
     fixed_set = set(fixed)
-    records.append(
-        CheckRecord(
-            "fixed-size",
-            "fixed",
-            HEADER_FIXED,
-            "fixed classes of s_3 and s_5: exactly 8 elements, all killed by 2",
-            STATUS_OK
-            if len(fixed) == 8 and all(2 * m == ZERO_ELEMENT for m in fixed)
-            else STATUS_FAIL,
-            {"elements": [str(m) for m in fixed]},
-        )
-    )
     e1, e2, e3, e4 = E_BASIS[:4]
-    records.append(
-        CheckRecord(
-            "fixed-generators",
-            "fixed",
-            HEADER_FIXED,
-            "fixed classes = <2e_1 + 2e_2, 2e_3, 2e_4>",
-            STATUS_OK
-            if fixed_set == subgroup_generated([2 * e1 + 2 * e2, 2 * e3, 2 * e4])
-            else STATUS_FAIL,
-            None,
-        )
-    )
-    records.append(
-        CheckRecord(
-            "fixed-mw-generators",
-            "fixed",
-            HEADER_FIXED,
-            "fixed classes = <[D_1 - D_0], [D_2 - D_0], [E]>",
-            STATUS_OK
-            if fixed_set
-            == subgroup_generated([CLASS_D1_MINUS_D0, CLASS_D2_MINUS_D0, CLASS_E])
-            else STATUS_FAIL,
-            None,
-        )
-    )
-    records.append(
-        CheckRecord(
-            "pic0-relation",
-            "fixed",
-            HEADER_FIXED,
-            "[D_1 - D_0] + [D_2 - D_0] = [D_3 - D_0]",
-            STATUS_OK
-            if CLASS_D1_MINUS_D0 + CLASS_D2_MINUS_D0 == CLASS_D3_MINUS_D0
-            else STATUS_FAIL,
-            None,
-        )
-    )
     pic0 = subgroup_generated([CLASS_D1_MINUS_D0, CLASS_D2_MINUS_D0])
-    records.append(
-        CheckRecord(
-            "pic0-subgroup",
-            "fixed",
-            HEADER_FIXED,
-            "{0, [D_1 - D_0], [D_2 - D_0], [D_3 - D_0]} has index 2; [E] represents the other coset",
-            STATUS_OK
-            if len(pic0) == 4
-            and CLASS_E not in pic0
-            and fixed_set == pic0 | {m + CLASS_E for m in pic0}
-            else STATUS_FAIL,
+    results += [
+        (involution, None),
+        (
+            len(fixed) == 8 and all(2 * m == ZERO_ELEMENT for m in fixed),
+            {"elements": [str(m) for m in fixed]},
+        ),
+        (fixed_set == subgroup_generated([2 * e1 + 2 * e2, 2 * e3, 2 * e4]), None),
+        (
+            fixed_set
+            == subgroup_generated([CLASS_D1_MINUS_D0, CLASS_D2_MINUS_D0, CLASS_E]),
             None,
+        ),
+        (CLASS_D1_MINUS_D0 + CLASS_D2_MINUS_D0 == CLASS_D3_MINUS_D0, None),
+        (
+            len(pic0) == 4
+            and CLASS_E not in pic0
+            and fixed_set == pic0 | {m + CLASS_E for m in pic0},
+            None,
+        ),
+    ]
+    return _records("fixed", results)
+
+
+_TORSOR_ROWS = _rows(
+    HEADER_TORSOR,
+    [("image-s5", "(sigma_5 - 1)M = 2M (32 elements)")]
+    + [
+        (
+            f"image-congruence-{key}",
+            f"every element of ({text} - 1)M satisfies a_2 + a_3 + a_6 = 0 mod 2",
         )
-    )
-    return records
+        for key, text, _ in _AUTOMORPHISMS[1:]
+    ]
+    + [
+        (f"torsor-{key}", f"{text} fixed-point search in degree 1: no solution among 2048")
+        for key, text, _ in _AUTOMORPHISMS
+    ],
+)
 
 
 def _torsor_records(data: _RunData) -> list[CheckRecord]:
-    records = []
-    s3s5 = data.s3 * data.s5
+    matrices = {"s3": data.s3, "s5": data.s5, "s3s5": data.s3 * data.s5}
     image5 = image_submodule(data.s5)
-    records.append(
-        CheckRecord(
-            "image-s5",
-            "torsor",
-            HEADER_TORSOR,
-            "(sigma_5 - 1)M = 2M (32 elements)",
-            STATUS_OK
-            if image5 == two_torsion_multiples() and len(image5) == 32
-            else STATUS_FAIL,
-            {"image_size": len(image5)},
-        )
-    )
-    for check_id, label, matrix in (
-        (
-            "image-congruence-s3",
-            "every element of (sigma_3 - 1)M satisfies a_2 + a_3 + a_6 = 0 mod 2",
-            data.s3,
-        ),
-        (
-            "image-congruence-s3s5",
-            "every element of (sigma_3 sigma_5 - 1)M satisfies a_2 + a_3 + a_6 = 0 mod 2",
-            s3s5,
-        ),
-    ):
-        holds = all(
-            (a.c[1] + a.c[2] + a.c[5]) % 2 == 0 for a in image_submodule(matrix)
-        )
-        records.append(
-            CheckRecord(
-                check_id,
-                "torsor",
-                HEADER_TORSOR,
-                label,
-                STATUS_OK if holds else STATUS_FAIL,
-                None,
-            )
-        )
-    searches = (
-        ("torsor-s5", "sigma_5", data.s5, PRINTED_SHIFTS["sigma_5"]),
-        ("torsor-s3", "sigma_3", data.s3, PRINTED_SHIFTS["sigma_3"]),
-        ("torsor-s3s5", "sigma_3 sigma_5", s3s5, PRINTED_SHIFTS["sigma_3 sigma_5"]),
-    )
-    for check_id, text, matrix, shift in searches:
-        found = pic1_has_fixed_point(matrix, shift)
-        records.append(
-            CheckRecord(
-                check_id,
-                "torsor",
-                HEADER_TORSOR,
-                f"{text} fixed-point search in degree 1: no solution among 2048",
-                STATUS_OK if not found else STATUS_FAIL,
-                {"shift": str(shift)},
-            )
-        )
-    return records
+    results = [
+        (image5 == two_torsion_multiples() and len(image5) == 32, {"image_size": len(image5)})
+    ]
+    for key, _, _ in _AUTOMORPHISMS[1:]:
+        image = image_submodule(matrices[key])
+        results.append((all((a.c[1] + a.c[2] + a.c[5]) % 2 == 0 for a in image), None))
+    for key, text, _ in _AUTOMORPHISMS:
+        shift = PRINTED_SHIFTS[text]
+        results.append((not pic1_has_fixed_point(matrices[key], shift), {"shift": str(shift)}))
+    return _records("torsor", results)
+
+
+_BRAUER_ROWS = _rows(
+    HEADER_BRAUER,
+    [
+        ("brauer-2e", "2E = div((X - z8^5 * Z)/(X - z8 * Z)"),
+        ("brauer-e-plus", "E + sigma_3(E) = div(Y^2/((X - z8 * Z) * (X - z8^3 * Z)))"),
+        ("brauer-e-minus", "E - sigma_3(E) = div(Y^2/((X - z8 * Z) * (X - z8^7 * Z)))"),
+        ("brauer-sigma5-e", "sigma_5(E) = -E"),
+        ("brauer-tau-e", "sigma_3 sigma_5(E) = -sigma_3(E)"),
+        ("brauer-product", "(X - z8 Z)(X - z8^3 Z)(X - z8^5 Z)(X - z8^7 Z) = X^4 + Z^4"),
+        ("brauer-cocycle", "u_tau * tau(u_tau) = Y^4/(X^4 + Z^4) = -1 on the curve"),
+        ("brauer-trivial-unit", "the unit u = 1 gives the trivial cocycle"),
+        ("brauer-cocycle-identity", "the 2-cocycle identity holds on {1, tau}"),
+    ],
+)
 
 
 def _brauer_records(data: _RunData) -> list[CheckRecord]:
-    records = []
     identities = verify_e_identities()
-    for check_id, label, check in (
-        ("brauer-2e", "2E = div((X - z8^5 * Z)/(X - z8 * Z)", identities.double_e),
-        (
-            "brauer-e-plus",
-            "E + sigma_3(E) = div(Y^2/((X - z8 * Z) * (X - z8^3 * Z)))",
-            identities.e_plus_sigma3,
-        ),
-        (
-            "brauer-e-minus",
-            "E - sigma_3(E) = div(Y^2/((X - z8 * Z) * (X - z8^7 * Z)))",
-            identities.e_minus_sigma3,
-        ),
-    ):
-        records.append(
-            CheckRecord(
-                check_id,
-                "brauer",
-                HEADER_BRAUER,
-                label,
-                STATUS_OK if check.passed else STATUS_FAIL,
-                _certificate_detail(check),
-            )
-        )
-    records.append(
-        CheckRecord(
-            "brauer-sigma5-e",
-            "brauer",
-            HEADER_BRAUER,
-            "sigma_5(E) = -E",
-            STATUS_OK if identities.sigma5_negates_e else STATUS_FAIL,
-            None,
-        )
-    )
-    records.append(
-        CheckRecord(
-            "brauer-tau-e",
-            "brauer",
-            HEADER_BRAUER,
-            "sigma_3 sigma_5(E) = -sigma_3(E)",
-            STATUS_OK if identities.tau_negates_sigma3_e else STATUS_FAIL,
-            None,
-        )
-    )
-    product_ok = product_of_linear_forms() == X ** 4 + Z ** 4
-    records.append(
-        CheckRecord(
-            "brauer-product",
-            "brauer",
-            HEADER_BRAUER,
-            "(X - z8 Z)(X - z8^3 Z)(X - z8^5 Z)(X - z8^7 Z) = X^4 + Z^4",
-            STATUS_OK if product_ok else STATUS_FAIL,
-            None,
-        )
-    )
+    results = [
+        (check.passed, _certificate_detail(check))
+        for check in (identities.double_e, identities.e_plus_sigma3, identities.e_minus_sigma3)
+    ]
+    results += [
+        (identities.sigma5_negates_e, None),
+        (identities.tau_negates_sigma3_e, None),
+        (product_of_linear_forms() == X ** 4 + Z ** 4, None),
+    ]
     value = cocycle_tau_tau()
-    records.append(
-        CheckRecord(
-            "brauer-cocycle",
-            "brauer",
-            HEADER_BRAUER,
-            "u_tau * tau(u_tau) = Y^4/(X^4 + Z^4) = -1 on the curve",
-            STATUS_OK if value == rational(-1) else STATUS_FAIL,
-            {"value": str(value)},
-        )
-    )
-    trivial = trivial_unit_cocycle_table()
-    records.append(
-        CheckRecord(
-            "brauer-trivial-unit",
-            "brauer",
-            HEADER_BRAUER,
-            "the unit u = 1 gives the trivial cocycle",
-            STATUS_OK if all(v == ONE for v in trivial.values()) else STATUS_FAIL,
-            None,
-        )
-    )
-    records.append(
-        CheckRecord(
-            "brauer-cocycle-identity",
-            "brauer",
-            HEADER_BRAUER,
-            "the 2-cocycle identity holds on {1, tau}",
-            STATUS_OK if cocycle_identity_holds(cocycle_table()) else STATUS_FAIL,
-            None,
-        )
-    )
-    return records
+    results += [
+        (value == rational(-1), {"value": str(value)}),
+        (all(v == ONE for v in trivial_unit_cocycle_table().values()), None),
+        (cocycle_identity_holds(cocycle_table()), None),
+    ]
+    return _records("brauer", results)
+
+
+_QUADRATIC_ROWS = _rows(
+    HEADER_QUADRATIC,
+    [
+        ("quadratic-on-curve", "all 8 quadratic points lie on the curve"),
+        ("quadratic-field", "all 8 quadratic points are rational over Q(zeta_3)"),
+        ("quadratic-pair-d0", "[1 : zeta_3 : zeta_3^2] + [1 : zeta_3^2 : zeta_3] = D_0"),
+        ("quadratic-pair-d1", "[1 : -zeta_3 : zeta_3^2] + [1 : -zeta_3^2 : zeta_3] = D_1"),
+        ("quadratic-pair-d2", "[1 : zeta_3 : -zeta_3^2] + [1 : zeta_3^2 : -zeta_3] = D_2"),
+        ("quadratic-pair-d3", "[1 : -zeta_3 : -zeta_3^2] + [1 : -zeta_3^2 : -zeta_3] = D_3"),
+        ("pic2-distinct", "[D_0], [D_1], [D_2], [D_3] are pairwise distinct"),
+    ],
+)
 
 
 def _quadratic_records(data: _RunData) -> list[CheckRecord]:
-    records = []
     points = quadratic_points()
-    records.append(
-        CheckRecord(
-            "quadratic-on-curve",
-            "quadratic",
-            HEADER_QUADRATIC,
-            "all 8 quadratic points lie on the curve",
-            STATUS_OK
-            if len(set(points)) == 8 and all(on_curve(p) for p in points)
-            else STATUS_FAIL,
+    results = [
+        (
+            len(set(points)) == 8 and all(on_curve(p) for p in points),
             {"points": [str(p) for p in points]},
-        )
-    )
-    records.append(
-        CheckRecord(
-            "quadratic-field",
-            "quadratic",
-            HEADER_QUADRATIC,
-            "all 8 quadratic points are rational over Q(zeta_3)",
-            STATUS_OK if all(is_zeta3_rational(p) for p in points) else STATUS_FAIL,
-            None,
-        )
-    )
-    for i, (name, pair_sum, target) in enumerate(theorems.quadratic_point_pairs()):
-        records.append(
-            CheckRecord(
-                f"quadratic-pair-d{i}",
-                "quadratic",
-                HEADER_QUADRATIC,
-                _QUADRATIC_PAIR_LABELS[i],
-                STATUS_OK if pair_sum == target else STATUS_FAIL,
-                {"pair": str(pair_sum), "target": str(target)},
-            )
-        )
-    classes = [ZERO_ELEMENT, CLASS_D1_MINUS_D0, CLASS_D2_MINUS_D0, CLASS_D3_MINUS_D0]
-    records.append(
-        CheckRecord(
-            "pic2-distinct",
-            "quadratic",
-            HEADER_QUADRATIC,
-            "[D_0], [D_1], [D_2], [D_3] are pairwise distinct",
-            STATUS_OK if len(set(classes)) == 4 else STATUS_FAIL,
-            None,
-        )
-    )
-    return records
+        ),
+        (all(is_zeta3_rational(p) for p in points), None),
+    ]
+    results += [
+        (pair_sum == target, {"pair": str(pair_sum), "target": str(target)})
+        for _, pair_sum, target in theorems.quadratic_point_pairs()
+    ]
+    classes = {ZERO_ELEMENT, CLASS_D1_MINUS_D0, CLASS_D2_MINUS_D0, CLASS_D3_MINUS_D0}
+    results.append((len(classes) == 4, None))
+    return _records("quadratic", results)
 
 
-# what each name in a theorem's `depends_on` stands for: the records of this
-# run, by section and id pattern, that must all be OK.  A section whose
-# builder could not run counts as failed.
-_THEOREM_DEPENDENCIES = {
-    "certificates": (
-        ("bitangents", ("bitangent-*", "relation-*", "e-support")),
-        ("brauer", ("brauer-2e", "brauer-e-plus", "brauer-e-minus",
-                    "brauer-sigma5-e", "brauer-tau-e")),
-    ),
-    "fixed-submodule": (("fixed", ("fixed-*",)),),
-    "brauer-cocycle": (("brauer", ("brauer-cocycle",)),),
-    "action-matrices": (("galois", ("matrix-s3", "matrix-s5")),),
-    "torsor-searches": (("torsor", ("torsor-*",)),),
-    "degree-two-classes": (("theorems", ("theorem-quadratic-points",)),),
-}
-
-
-def _dependency_holds(data: _RunData, name: str, earlier: list[CheckRecord]) -> bool:
-    for section, patterns in _THEOREM_DEPENDENCIES[name]:
-        records = earlier if section == "theorems" else data.section(section)
-        for record in records:
-            if record.status == STATUS_FAIL and (
-                record.check_id == f"{section}-builder"
-                or any(fnmatchcase(record.check_id, p) for p in patterns)
-            ):
-                return False
-    return True
+_THEOREM_ROWS = tuple((t.check_id, HEADER_THEOREMS, t.label) for t in theorems.THEOREMS)
 
 
 def _theorem_records(data: _RunData) -> list[CheckRecord]:
-    """The assembled results on this run's matrices and certificate
-    verdict; a theorem fails with a constituent or with any record its
-    `depends_on` names."""
-    certificates = _dependency_holds(data, "certificates", [])
-    reports = (
-        (
-            "theorem-mordell-weil",
-            "Pic^0 = (Z/2)[D_1 - D_0] + (Z/2)[D_2 - D_0]; the Mordell-Weil group adds (Z/2)[E]",
-            theorems.verify_mordell_weil_structure(data.s3, data.s5, certificates),
-        ),
-        (
-            "theorem-odd-torsors",
-            "every odd-degree part of the Picard scheme has no rational point",
-            theorems.verify_odd_degree_torsors(data.s3, data.s5),
-        ),
-        (
-            "theorem-quadratic-points",
-            "Pic^2 = {[D_0], [D_1], [D_2], [D_3]}; the quadratic points are the bitangent contacts",
-            theorems.verify_degree_two_classes_and_quadratic_points(),
-        ),
-        (
-            "theorem-determinantal",
-            "no linear determinantal representation exists over Q",
-            theorems.verify_no_determinantal_representation(),
-        ),
-    )
+    """Each theorem on this run's records: it fails with a constituent or
+    with any record its `depends_on` names."""
     records: list[CheckRecord] = []
-    for check_id, label, report in reports:
-        holds = report.verdict and all(
-            _dependency_holds(data, name, records) for name in report.depends_on
+
+    def holds(patterns: tuple[str, ...]) -> bool:
+        return data.holds(patterns, records)
+
+    for row, theorem in zip(_THEOREM_ROWS, theorems.THEOREMS):
+        report = theorems.assemble(theorem, holds)
+        passed = report.verdict and all(
+            holds(theorems.DEPENDENCIES[name]) for name in report.depends_on
         )
-        records.append(
-            CheckRecord(
-                check_id,
-                "theorems",
-                HEADER_THEOREMS,
-                label,
-                STATUS_OK if holds else STATUS_FAIL,
-                {
-                    "constituents": [
-                        {"id": c.check_id, "passed": c.passed}
-                        for c in report.constituents
-                    ],
-                    "assumptions": list(report.assumptions),
-                    "depends_on": list(report.depends_on),
-                    "notes": list(report.notes),
-                },
-            )
-        )
+        detail = {
+            "constituents": [
+                {"id": c.check_id, "passed": c.passed} for c in report.constituents
+            ],
+            "assumptions": list(report.assumptions),
+            "depends_on": list(report.depends_on),
+            "notes": list(report.notes),
+        }
+        records.append(_record("theorems", row, passed, detail))
     return records
 
+
+SECTION_ROWS: dict[str, tuple[Row, ...]] = {
+    "bitangents": _BITANGENT_ROWS,
+    "dictionary": _DICTIONARY_ROWS,
+    "galois": _GALOIS_ROWS,
+    "fixed": _FIXED_ROWS,
+    "torsor": _TORSOR_ROWS,
+    "brauer": _BRAUER_ROWS,
+    "quadratic": _QUADRATIC_ROWS,
+    "theorems": _THEOREM_ROWS,
+}
+_SECTION_OF = {row[0]: section for section, rows in SECTION_ROWS.items() for row in rows}
+_HEADER_OF = {row[0]: row[1] for rows in SECTION_ROWS.values() for row in rows}
 
 _SECTION_BUILDERS: tuple[tuple[str, Callable[[_RunData], list[CheckRecord]]], ...] = (
     ("bitangents", _bitangent_records),
@@ -997,30 +792,67 @@ _SECTION_BUILDERS: tuple[tuple[str, Callable[[_RunData], list[CheckRecord]]], ..
 )
 
 
+@lru_cache(maxsize=None)
+def _named(patterns: tuple[str, ...]) -> tuple[tuple[str, frozenset[str]], ...]:
+    """The ids the patterns match, by section in canonical order."""
+    named = []
+    for section in SECTIONS:
+        ids = frozenset(
+            check_id
+            for check_id, _, _ in SECTION_ROWS[section]
+            if any(fnmatchcase(check_id, p) for p in patterns)
+        )
+        if ids:
+            named.append((section, ids))
+    return tuple(named)
+
+
+@lru_cache(maxsize=None)
+def _reads(section: str) -> tuple[str, ...]:
+    """The other sections whose records the section's builder reads, in
+    canonical order: those the theorem table names, for the theorems."""
+    if section != "theorems":
+        return ()
+    patterns = [p for t in theorems.THEOREMS for c in t.constituents for p in c.records]
+    patterns += [p for names in theorems.DEPENDENCIES.values() for p in names]
+    return tuple(s for s, _ in _named(tuple(patterns)) if s != section)
+
+
 def build_report(
     section: Optional[str] = None, fault: Optional[Fault] = None
 ) -> Report:
-    """Run the checks in canonical order; failures are data, not errors."""
+    """Run the checks of one section (and its cone) or of all, in canonical
+    order; failures are data, not errors."""
     if section is not None and section not in SECTIONS:
         raise ValueError(f"unknown section {section!r}")
     data = _apply_fault(fault)
-    records: list[CheckRecord] = []
-    for name, _ in _SECTION_BUILDERS:
-        if section is None or name == section:
-            records.extend(data.section(name))
-    return Report(tuple(records))
+    names = SECTIONS if section is None else (section,)
+    return Report(tuple(record for name in names for record in data.section(name)))
 
 
 def run_single(check_id: str, fault: Optional[Fault] = None) -> Report:
-    report = build_report(fault=fault)
-    matches = tuple(r for r in report.checks if r.check_id == check_id)
-    if not matches:
+    """The record of one check, built from its section's cone.  If the
+    section could not run, its builder record stands in for the check."""
+    section = _SECTION_OF.get(check_id)
+    if section is None:
         raise ValueError(f"unknown check id {check_id!r}")
-    return Report(matches)
+    records = _apply_fault(fault).section(section)
+    return Report(
+        tuple(r for r in records if r.check_id in (check_id, f"{section}-builder"))
+    )
 
 
 def list_check_ids() -> list[str]:
-    return [record.check_id for record in build_report().checks]
+    """Every check id in canonical order, from the static tables."""
+    return list(_SECTION_OF)
+
+
+def run_holds(
+    s3: ActionMatrix = PRINTED_S3, s5: ActionMatrix = PRINTED_S5
+) -> Callable[[tuple[str, ...]], bool]:
+    """`holds(patterns)` over a clean run with these action matrices: the
+    view that `theorems.verify_*` take of the registry."""
+    return _RunData(CUSP_DICTIONARY, s3, s5, None).holds
 
 
 # ---------------------------------------------------------------------------
@@ -1061,35 +893,6 @@ def render_json(report: Report) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-_SECTION_HEADERS = {
-    "bitangents": HEADER_BITANGENTS,
-    "dictionary": HEADER_DICTIONARY,
-    "fixed": HEADER_FIXED,
-    "torsor": HEADER_TORSOR,
-    "brauer": HEADER_BRAUER,
-    "quadratic": HEADER_QUADRATIC,
-    "theorems": HEADER_THEOREMS,
-}
-
-_GALOIS_HEADERS = (
-    (("perm-s3-", "action-s3-"), HEADER_SIGMA3),
-    (("perm-s5-", "action-s5-"), HEADER_SIGMA5),
-    (("matrix-", "lift-"), HEADER_MATRICES),
-)
-
-
-def _header_for(check_id: str, section: str) -> str:
-    """The header a record of this id and section is built with; a record
-    of a builder that could not run is headed by its section key."""
-    if section == "galois":
-        for prefixes, header in _GALOIS_HEADERS:
-            if check_id.startswith(prefixes):
-                return header
-    elif check_id != f"{section}-builder":
-        return _SECTION_HEADERS.get(section, section)
-    return section
-
-
 def parse_json(text: str) -> Report:
     payload = json.loads(text)
     records = []
@@ -1098,7 +901,8 @@ def parse_json(text: str) -> Report:
             CheckRecord(
                 check_id=item["id"],
                 section=item["section"],
-                header=_header_for(item["id"], item["section"]),
+                # a record of a builder that could not run is headed by its section key
+                header=_HEADER_OF.get(item["id"], item["section"]),
                 label=item["label"],
                 status=item["status"],
                 detail=item["detail"],

@@ -191,8 +191,17 @@ class ProjPoint:
         return f"ProjPoint{self}"
 
 
+# points already found on the curve: each distinct point is evaluated once
+_ON_CURVE: set[ProjPoint] = set()
+
+
 def on_curve(point: ProjPoint) -> bool:
-    return not CURVE.evaluate(point)
+    if point in _ON_CURVE:
+        return True
+    if CURVE.evaluate(point):
+        return False
+    _ON_CURVE.add(point)
+    return True
 
 
 def curve_is_smooth_at(point: ProjPoint) -> bool:

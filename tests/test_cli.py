@@ -84,7 +84,11 @@ def test_theorem_details_carry_dependencies():
     report = build_report(section="theorems")
     by_id = {r.check_id: r for r in report.checks}
     detail = by_id["theorem-mordell-weil"].detail
-    assert detail["depends_on"] == ["certificates", "fixed-submodule", "brauer-cocycle"]
+    assert detail["depends_on"] == [
+        "certificates", "fixed-submodule", "brauer-cocycle", "dictionary"
+    ]
+    quadratic = by_id["theorem-quadratic-points"].detail
+    assert quadratic["depends_on"] == ["certificates", "fixed-submodule", "dictionary"]
     assert detail["assumptions"]
     torsors = by_id["theorem-odd-torsors"].detail
     assert any("sqrt" in note for note in torsors["notes"])
@@ -238,6 +242,7 @@ _MATRIX_FAULT = {"target": "matrix", "matrix": "s3", "row": 0, "col": 0, "delta"
         pytest.param({**_CERTIFICATE_FAULT, "monomial": [3, -1, 0]}, id="negative-exponent"),
         pytest.param({**_CERTIFICATE_FAULT, "delta": 0}, id="certificate-zero-delta"),
         pytest.param({**_DICTIONARY_FAULT, "entry": "delta0"}, id="unknown-entry"),
+        pytest.param({**_DICTIONARY_FAULT, "entry": ["alpha0"]}, id="non-string-entry"),
         pytest.param({**_DICTIONARY_FAULT, "index": 6}, id="index-out-of-range"),
         pytest.param({**_DICTIONARY_FAULT, "index": -1}, id="negative-index"),
         pytest.param({**_DICTIONARY_FAULT, "delta": 4}, id="dictionary-delta-zero-mod-4"),
@@ -264,3 +269,42 @@ def test_malformed_fault_is_usage_error(payload, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("quartic-twist: bad fault file: ")
     assert captured.err.count("\n") == 1
+
+
+def test_known_id_in_collapsed_section_reports_its_builder(tmp_path, capsys):
+    # an odd delta in alpha_0 makes the derived matrices ill-defined, so the
+    # galois section collapses into its builder record
+    path = tmp_path / "fault.json"
+    path.write_text(
+        json.dumps({"target": "dictionary", "entry": "alpha0", "index": 0, "delta": 1}),
+        encoding="utf-8",
+    )
+    assert main(["--fault", str(path), "--check", "action-s3-e1"]) == 1
+    out = capsys.readouterr().out
+    assert out == (
+        "galois\nchecks of section galois could not run : FAIL\n\n"
+        "Summary: 0 OK, 1 FAIL, 0 SKIPPED\n"
+    )
+    assert main(["--fault", str(path), "--check", "no-such-check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "quartic-twist: unknown check id 'no-such-check'\n"
+
+
+# one generated corruption per dictionary entry that no theorem used to
+# depend on, with the checks upstream of the theorems that it fails
+@pytest.mark.parametrize(
+    "entry, delta, upstream",
+    [
+        ("alpha1", 1, {"coords-d2-d0", "coords-d3-d0", "dict-basis", "dict-gamma2-e6",
+                       "shift-s3"}),
+        ("alpha2", 2, {"dict-basis", "dict-gamma2-e6", "shift-s5"}),
+        ("gamma1", 1, {"dict-basis", "dict-gamma2-e6"}),
+        ("gamma2", 1, {"dict-gamma2-e6"}),
+    ],
+)
+def test_dictionary_faults_reach_the_theorems(entry, delta, upstream):
+    report = build_report(fault=checks.Fault("dictionary", entry, delta, index=0))
+    failing = {r.check_id for r in report.checks if r.status == "FAIL"}
+    assert {i for i in failing if not i.startswith("theorem-")} == upstream
+    assert {"theorem-mordell-weil", "theorem-quadratic-points"} <= failing

@@ -20,7 +20,9 @@ def test_mordell_weil_structure():
     assert report.verdict, report.failures()
     assert len(report.constituents) == 4
     # the verdict rests on exactly these computations
-    assert report.depends_on == ("certificates", "fixed-submodule", "brauer-cocycle")
+    assert report.depends_on == (
+        "certificates", "fixed-submodule", "brauer-cocycle", "dictionary"
+    )
     assert report.assumptions
 
 
