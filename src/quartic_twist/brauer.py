@@ -10,7 +10,7 @@ value comes out of exact polynomial normal forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclotomic import CycNum, ONE, SIGMA3, SIGMA5, TAU, zeta
 from .curve import HomogPoly, X, Y, Z, catalog
@@ -133,8 +133,7 @@ def cocycle_identity_holds(
     return True
 
 
-@dataclass(frozen=True)
-class EIdentityResult:
+class EIdentityResult(NamedTuple):
     """The three certified principal-divisor identities for E together with
     the divisor-level conjugation facts."""
 

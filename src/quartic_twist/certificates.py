@@ -14,8 +14,7 @@ enough to be Bezout-complete, so every check is an exact computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import d_power, zeta
 from .curve import HomogPoly, ProjPoint, X, Y, Z, catalog
@@ -30,8 +29,7 @@ from .valuations import (
 MINUS_SQRT2 = d_power(5) - d_power(3) - d_power(1)
 
 
-@dataclass(frozen=True)
-class Perturbation:
+class Perturbation(NamedTuple):
     """Additive corruption of one certificate coefficient (for negative
     controls): add `delta` to the coefficient of `monomial` in the named
     certificate's numerator or denominator."""
@@ -64,8 +62,7 @@ def _maybe_perturb(
     return form + bump
 
 
-@dataclass(frozen=True)
-class PrincipalDivisorCheck:
+class PrincipalDivisorCheck(NamedTuple):
     """Outcome of checking  claimed = div(form)  over a support set."""
 
     claimed: Divisor

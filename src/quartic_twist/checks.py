@@ -28,10 +28,8 @@ must produce at least one FAIL.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fnmatch import fnmatchcase
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from . import theorems
 from .brauer import (
@@ -120,8 +118,7 @@ STATUS_FAIL = "FAIL"
 STATUS_SKIPPED = "SKIPPED(data-axiom)"
 
 
-@dataclass(frozen=True)
-class Fault:
+class Fault(NamedTuple):
     """One corrupted constant, for negative-control runs."""
 
     target: str  # "dictionary" | "matrix" | "certificate"
@@ -203,8 +200,7 @@ def load_fault(path: str) -> Fault:
     return fault
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check_id: str
     section: str
     header: str
@@ -213,8 +209,7 @@ class CheckRecord:
     detail: Any = None
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     checks: tuple[CheckRecord, ...]
 
     @property
@@ -234,16 +229,24 @@ class Report:
         return 1 if self.summary["fail"] else 0
 
 
-@dataclass
 class _RunData:
     """Constants for one run, after fault application, and the records of
     each section once built."""
 
-    dictionary: Dictionary
-    s3: ActionMatrix
-    s5: ActionMatrix
-    perturbation: Optional[Perturbation]
-    sections: dict[str, list[CheckRecord]] = field(default_factory=dict)
+    __slots__ = ("dictionary", "s3", "s5", "perturbation", "sections")
+
+    def __init__(
+        self,
+        dictionary: Dictionary,
+        s3: ActionMatrix,
+        s5: ActionMatrix,
+        perturbation: Optional[Perturbation],
+    ):
+        self.dictionary = dictionary
+        self.s3 = s3
+        self.s5 = s5
+        self.perturbation = perturbation
+        self.sections: dict[str, list[CheckRecord]] = {}
 
     def section(self, name: str) -> list[CheckRecord]:
         """The records of one section, built at most once per run and after
@@ -792,15 +795,31 @@ _SECTION_BUILDERS: tuple[tuple[str, Callable[[_RunData], list[CheckRecord]]], ..
 )
 
 
+def _id_matcher(patterns: Iterable[str]) -> Callable[[str], bool]:
+    """Whether an id matches any of the patterns.  A pattern is an exact id
+    or a prefix followed by one `*`; any other wildcard is rejected."""
+    exact, prefixes = set(), []
+    for pattern in patterns:
+        is_prefix = pattern.endswith("*")
+        body = pattern[:-1] if is_prefix else pattern
+        if any(ch in body for ch in "*?["):
+            raise ValueError(f"id pattern {pattern!r} is not an id or a prefix ending in '*'")
+        if is_prefix:
+            prefixes.append(body)
+        else:
+            exact.add(body)
+    starts = tuple(prefixes)
+    return lambda check_id: check_id in exact or check_id.startswith(starts)
+
+
 @lru_cache(maxsize=None)
 def _named(patterns: tuple[str, ...]) -> tuple[tuple[str, frozenset[str]], ...]:
     """The ids the patterns match, by section in canonical order."""
+    matches = _id_matcher(patterns)
     named = []
     for section in SECTIONS:
         ids = frozenset(
-            check_id
-            for check_id, _, _ in SECTION_ROWS[section]
-            if any(fnmatchcase(check_id, p) for p in patterns)
+            check_id for check_id, _, _ in SECTION_ROWS[section] if matches(check_id)
         )
         if ids:
             named.append((section, ids))

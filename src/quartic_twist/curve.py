@@ -159,7 +159,7 @@ class ProjPoint:
     """Projective point with coordinates in Q(zeta_24), stored normalized
     so that the first nonzero coordinate (X, Y, Z order) equals 1."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_hash")
 
     def __init__(self, x: Coefficient, y: Coefficient, z: Coefficient):
         raw = (_as_cyc(x), _as_cyc(y), _as_cyc(z))
@@ -176,7 +176,12 @@ class ProjPoint:
         return self.coords == other.coords
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        # computed on first use: most points are never hashed
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.coords)
+            return self._hash
 
     def sort_key(self):
         return tuple((c.nums, c.den) for c in self.coords)

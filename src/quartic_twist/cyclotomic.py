@@ -18,7 +18,6 @@ shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Union
@@ -312,7 +311,6 @@ def zeta(order: int, power: int = 1) -> CycNum:
 # ---------------------------------------------------------------------------
 # Galois automorphisms
 
-@dataclass(frozen=True)
 class Automorphism:
     """Field automorphism of Q(zeta_24) sending d to d^exponent.
 
@@ -320,13 +318,24 @@ class Automorphism:
     multiplies exponents.  Rationals are fixed pointwise.
     """
 
-    exponent: int
+    __slots__ = ("exponent",)
 
-    def __post_init__(self):
-        k = self.exponent % 24
+    def __init__(self, exponent: int):
+        k = exponent % 24
         if gcd(k, 24) != 1:
-            raise ValueError(f"exponent {self.exponent} is not a unit mod 24")
-        object.__setattr__(self, "exponent", k)
+            raise ValueError(f"exponent {exponent} is not a unit mod 24")
+        self.exponent = k
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Automorphism):
+            return NotImplemented
+        return self.exponent == other.exponent
+
+    def __hash__(self) -> int:
+        return hash(self.exponent)
+
+    def __repr__(self) -> str:
+        return f"Automorphism(exponent={self.exponent})"
 
     def __call__(self, value: Scalar) -> CycNum:
         a = _lift(value)

@@ -23,8 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .curve import CUSP_BY_POINT
 from .divisors import BASIS_CUSP_SUPPORT, Divisor
@@ -208,8 +207,7 @@ PRINTED_S5 = ActionMatrix((
 ))
 
 
-@dataclass(frozen=True)
-class Dictionary:
+class Dictionary(NamedTuple):
     """Expansions of the cusp differences alpha_i = [A_i - B_0],
     beta_i = [B_i - B_0], gamma_i = [C_i - B_0] in the basis e_1..e_6."""
 

@@ -16,8 +16,7 @@ matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .cyclotomic import CONJ_ZETA3
 from .curve import catalog
@@ -36,15 +35,13 @@ from .mordell_weil import (
 )
 
 
-@dataclass(frozen=True)
-class ConstituentCheck:
+class ConstituentCheck(NamedTuple):
     check_id: str
     label: str
     passed: bool
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     theorem_id: str
     constituents: tuple[ConstituentCheck, ...]
     assumptions: tuple[str, ...] = ()
@@ -59,8 +56,7 @@ class TheoremReport:
         return tuple(c.check_id for c in self.constituents if not c.passed)
 
 
-@dataclass(frozen=True)
-class Constituent:
+class Constituent(NamedTuple):
     """One step of a theorem: the records it rests on, or a control that
     does not depend on the run."""
 
@@ -70,8 +66,7 @@ class Constituent:
     control: Optional[Callable[[], bool]] = None
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     check_id: str
     label: str
     theorem_id: str

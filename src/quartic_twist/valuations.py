@@ -12,31 +12,55 @@ completeness criterion used by `verify_certificate` to check divisor
 identities of the shape  claimed = div(G) - div(H)  exactly, without any
 general linear-equivalence machinery.
 
-Cost model.  The curve is a sum of pure powers a X^d + b Y^d + c Z^d, so
-`expand_branch` keeps the coefficient lists of the powers 1..d of the
-dependent series and extends each by one O(n) convolution per order n;
-the new coefficient is linear in what those lists give, so the whole
-expansion to precision p costs O(d p^2) field products.  It then composes
-the curve with the finished expansion once, at the full precision, and
-raises unless every coefficient vanishes: that composition is the gate
-that certifies the series, independently of how it was solved.
-`valuation` asks only for the precision it needs: it composes with
+Cost model.  A series along a branch is a list of integer rows over one
+positive denominator: row n holds the 8 power-basis numerators of the
+t^n coefficient, or None when that coefficient is 0.  The reduced
+8-vector is canonical and the denominator positive, so a coefficient
+vanishes exactly when its row is None, and a row is tested for zero
+without building a field element.  `_series_mul` multiplies two row
+series: it sums the unreduced products of every pair of rows that lands
+on one output coefficient and reduces d^8 = d^4 - 1 once for that
+coefficient; it takes no gcd and builds no CycNum.
+
+`expand_branch` solves the dependent coordinate order by order on CycNum
+(`_solve_dependent`): the curve is a sum of pure powers a X^d + b Y^d +
+c Z^d, so it keeps the powers 1..d of the series and extends each by one
+O(n) convolution per order n, O(d p^2) field products to precision p.
+Each finished expansion keeps one coordinate power table: the chart,
+parameter and dependent coordinates scaled by a common denominator D,
+and the powers of the latter two, built by plain row-series products of
+the finished series (never from the solver's internal powers) and
+extended on demand.  The gate composes the curve with the expansion
+through that table, at the full precision, and raises unless every row
+is None: it certifies the series independently of how it was solved.
+The table is shared by the gate and every later composition at that
+point and precision, and it lives on the expansion, so clearing
+`_EXPANSION_CACHE` drops it too.
+
+`compose` substitutes the table into a form of degree m: every monomial
+has denominator D^m, so after scaling the coefficients to their common
+denominator L the whole result is one row series over D^m L.
+`valuation` reads the rows of such compositions: it composes with
 expansions of precision 1, 2, 4, 8, ... (capped at bound + 1) and stops
-at the first nonzero coefficient, so a form that does not vanish at the
-point costs one precision-1 expansion.
+at the first nonzero row, so a form that does not vanish at the point
+costs one precision-1 expansion.  Only what a caller reads is normalised
+to CycNum: the coefficients `compose_with_branch` returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
-from typing import Sequence
+from math import comb, gcd
+from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import CycNum, ONE, ZERO
 from .curve import CURVE, HomogPoly, ProjPoint, curve_is_smooth_at, on_curve
 from .divisors import Divisor
 
 Series = tuple[CycNum, ...]
+# the 8 power-basis numerators of one coefficient, None for 0
+Row = Optional[tuple[int, ...]]
+# the coefficients of t^0, t^1, ... as rows over one denominator
+RowSeries = list[Row]
 
 
 class OrderBoundExceeded(ArithmeticError):
@@ -48,32 +72,88 @@ class OrderBoundExceeded(ArithmeticError):
     """
 
 
-def _ser_add(a: Series, b: Series) -> Series:
-    return tuple((x + y if x else y) if y else x for x, y in zip(a, b))
+def _sparse(series: RowSeries, order: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """(n, nonzero (power, numerator) pairs) for each nonzero row below the order."""
+    return [
+        (n, [(p, v) for p, v in enumerate(row) if v])
+        for n, row in enumerate(series[:order])
+        if row
+    ]
 
 
-def _ser_mul(a: Series, b: Series, order: int) -> Series:
-    out = [ZERO] * order
-    for i, ai in enumerate(a):
-        if i >= order:
-            break
-        if ai:
-            top = order - i
-            for j, bj in enumerate(b[:top]):
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-    return tuple(out)
+def _reduce(s: list[int]) -> Row:
+    """The canonical row of a product vector of d^0..d^14, by d^8 = d^4 - 1
+    (so d^12 = -1): None when every numerator vanishes."""
+    s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14 = s
+    row = (s0 - s8 - s12, s1 - s9 - s13, s2 - s10 - s14, s3 - s11,
+           s4 + s8, s5 + s9, s6 + s10, s7 + s11)
+    return row if any(row) else None
 
 
-def _ser_scale(c: CycNum, a: Series) -> Series:
-    return tuple(c * x if x else ZERO for x in a)
+def _series_mul(a: RowSeries, b: RowSeries, order: int) -> RowSeries:
+    """Product of two row series, truncated at the order, over the product
+    of their denominators."""
+    acc: list[Optional[list[int]]] = [None] * order
+    right = _sparse(b, order)
+    for i, xs in _sparse(a, order):
+        for j, ys in right:
+            n = i + j
+            if n >= order:
+                break
+            s = acc[n]
+            if s is None:
+                s = acc[n] = [0] * 15
+            for p, x in xs:
+                for q, y in ys:
+                    s[p + q] += x * y
+    return [None if s is None else _reduce(s) for s in acc]
 
 
-def _ser_const(c: CycNum, order: int) -> Series:
-    return (c,) + (ZERO,) * (order - 1)
+def _row(c: CycNum, den: int) -> Row:
+    """The numerators of c over a multiple of its denominator."""
+    if not c:
+        return None
+    scale = den // c.den
+    return tuple(n * scale for n in c.nums)
 
 
-@dataclass(frozen=True)
+class _PowerTable:
+    """Powers of the coordinate series along one expansion, each coordinate
+    scaled by the common denominator `den`: the chart coordinate is the
+    constant den, and `powers[axis][k]` is the row series of
+    (den * coordinate)^k for the parameter and the dependent axis.
+
+    Powers are appended on demand by copy-on-write, so a concurrent reader
+    sees a complete tuple and a duplicate extension is an equal one.
+    """
+
+    __slots__ = ("den", "order", "powers")
+
+    def __init__(self, expansion: BranchExpansion):
+        order = expansion.precision
+        p0 = expansion.center.coords[expansion.parameter]
+        den = p0.den
+        for c in expansion.series:
+            den = den * c.den // gcd(den, c.den)
+        one: RowSeries = [(1, 0, 0, 0, 0, 0, 0, 0)] + [None] * (order - 1)
+        param = [_row(p0, den)] + [None] * (order - 1)
+        if order > 1:
+            param[1] = (den, 0, 0, 0, 0, 0, 0, 0)
+        dependent = [_row(c, den) for c in expansion.series]
+        self.den = den
+        self.order = order
+        self.powers: list[tuple[RowSeries, ...]] = [(), (), ()]
+        self.powers[expansion.parameter] = (one, param)
+        self.powers[expansion.dependent] = (one, dependent)
+
+    def power(self, axis: int, k: int) -> RowSeries:
+        powers = self.powers[axis]
+        while k >= len(powers):
+            powers += (_series_mul(powers[-1], powers[1], self.order),)
+        self.powers[axis] = powers
+        return powers[k]
+
+
 class BranchExpansion:
     """Truncated local parametrization of the curve at a smooth point.
 
@@ -81,32 +161,53 @@ class BranchExpansion:
     parameter coordinate runs as t around its value at the center; the
     series gives the dependent coordinate to the stated precision, i.e.
     the curve equation composed with the parametrization vanishes
-    mod t^precision.
+    mod t^precision.  The coordinate power table is built on the first
+    composition and kept with the expansion; it takes no part in equality.
     """
 
-    center: ProjPoint
-    chart: int
-    parameter: int
-    dependent: int
-    series: Series
-    precision: int
+    __slots__ = ("center", "chart", "parameter", "dependent", "series", "precision",
+                 "_table")
 
-    def coordinate_series(self, order: int) -> tuple[Series, Series, Series]:
-        """Series for (X, Y, Z) along the branch, truncated at the order."""
-        if order > self.precision:
-            raise ValueError("requested order exceeds the expansion precision")
-        coords: list[Series] = [()] * 3
-        coords[self.chart] = _ser_const(ONE, order)
-        param_start = self.center.coords[self.parameter]
-        param = [ZERO] * order
-        param[0] = param_start
-        if order > 1:
-            param[1] = ONE
-        coords[self.parameter] = tuple(param)
-        dep = list(self.series[:order])
-        dep += [ZERO] * (order - len(dep))
-        coords[self.dependent] = tuple(dep)
-        return tuple(coords)
+    def __init__(
+        self,
+        center: ProjPoint,
+        chart: int,
+        parameter: int,
+        dependent: int,
+        series: Series,
+        precision: int,
+    ):
+        self.center = center
+        self.chart = chart
+        self.parameter = parameter
+        self.dependent = dependent
+        self.series = series
+        self.precision = precision
+        self._table: Optional[_PowerTable] = None
+
+    def _fields(self) -> tuple:
+        return (self.center, self.chart, self.parameter, self.dependent,
+                self.series, self.precision)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BranchExpansion):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"BranchExpansion(center={self.center!r}, chart={self.chart}, "
+                f"parameter={self.parameter}, dependent={self.dependent}, "
+                f"series={self.series!r}, precision={self.precision})")
+
+    def power_table(self) -> _PowerTable:
+        """The coordinate power table, built once from the finished series."""
+        table = self._table
+        if table is None:
+            table = self._table = _PowerTable(self)
+        return table
 
 
 _EXPANSION_CACHE: dict[tuple[ProjPoint, int], BranchExpansion] = {}
@@ -150,8 +251,8 @@ def expand_branch(point: ProjPoint, precision: int) -> BranchExpansion:
         series=tuple(series),
         precision=precision,
     )
-    check = compose_with_branch(CURVE, expansion, precision)
-    if any(check):
+    residual, _ = compose(CURVE, expansion, precision)
+    if any(residual):
         raise AssertionError("branch expansion failed to satisfy the curve equation")
     _EXPANSION_CACHE[(point, precision)] = expansion
     return expansion
@@ -212,31 +313,41 @@ def _solve_dependent(
     return v
 
 
-def compose(form: HomogPoly, coords: tuple[Series, Series, Series], order: int) -> Series:
-    """Substitute coordinate series into a form, truncating at the order."""
-    max_exp = [0, 0, 0]
-    for e in form.terms:
-        for axis in range(3):
-            max_exp[axis] = max(max_exp[axis], e[axis])
-    powers: list[list[Series]] = []
-    for axis in range(3):
-        row = [_ser_const(ONE, order)]
-        for _ in range(max_exp[axis]):
-            row.append(_ser_mul(row[-1], coords[axis], order))
-        powers.append(row)
-    total = (ZERO,) * order
+def compose(form: HomogPoly, expansion: BranchExpansion, order: int) -> tuple[RowSeries, int]:
+    """Substitute the expansion into a form, truncating at the order: the
+    rows of the result and their one positive denominator."""
+    if order > expansion.precision:
+        raise ValueError("requested order exceeds the expansion precision")
+    table = expansion.power_table()
+    chart, parameter, dependent = expansion.chart, expansion.parameter, expansion.dependent
+    common = 1
+    for c in form.terms.values():
+        common = common * c.den // gcd(common, c.den)
+    acc: list[Optional[list[int]]] = [None] * order
     for exponents, c in form.terms.items():
-        # factors with exponent 0 are the constant 1 and are skipped
-        factors = [powers[axis][e] for axis, e in enumerate(exponents) if e]
-        term = factors[0] if factors else powers[0][0]
-        for factor in factors[1:]:
-            term = _ser_mul(term, factor, order)
-        total = _ser_add(total, _ser_scale(c, term))
-    return total
+        i, j, k = exponents[chart], exponents[parameter], exponents[dependent]
+        if j and k:
+            term = _series_mul(table.power(parameter, j), table.power(dependent, k), order)
+        else:
+            term = table.power(dependent, k) if k else table.power(parameter, j)
+        # the chart coordinate is the constant den, and c = nums / c.den
+        scale = common // c.den * table.den ** i
+        coefficient = [(p, v * scale) for p, v in enumerate(c.nums) if v]
+        for n, ys in _sparse(term, order):
+            s = acc[n]
+            if s is None:
+                s = acc[n] = [0] * 15
+            for p, x in coefficient:
+                for q, y in ys:
+                    s[p + q] += x * y
+    rows = [None if s is None else _reduce(s) for s in acc]
+    return rows, table.den ** form.degree * common
 
 
 def compose_with_branch(form: HomogPoly, expansion: BranchExpansion, order: int) -> Series:
-    return compose(form, expansion.coordinate_series(order), order)
+    """The coefficients of the form along the branch, as field elements."""
+    rows, den = compose(form, expansion, order)
+    return tuple(ZERO if row is None else CycNum._raw(row, den) for row in rows)
 
 
 def valuation(form: HomogPoly, point: ProjPoint, bound: int) -> int:
@@ -252,9 +363,9 @@ def valuation(form: HomogPoly, point: ProjPoint, bound: int) -> int:
     precision = 1
     while True:
         order = min(precision, bound + 1)
-        series = compose_with_branch(form, expand_branch(point, order), order)
+        rows, _ = compose(form, expand_branch(point, order), order)
         for n in range(min(order, bound)):
-            if series[n]:
+            if rows[n]:
                 return n
         if order == bound + 1:
             raise OrderBoundExceeded(
@@ -281,16 +392,14 @@ def principal_divisor_on_support(
     return divisor, divisor.degree() == 4 * form.degree
 
 
-@dataclass(frozen=True)
-class LedgerRow:
+class LedgerRow(NamedTuple):
     point: ProjPoint
     numerator_order: int
     denominator_order: int
     claimed: int
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(NamedTuple):
     """Outcome of checking  claimed = div(numerator) - div(denominator)."""
 
     claimed: Divisor

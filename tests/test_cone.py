@@ -1,11 +1,12 @@
 """A request is answered from its dependency cone: ids come from static
 tables, and a single check builds only the sections it needs."""
 
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
 
-from quartic_twist import checks
+from quartic_twist import checks, theorems
 from quartic_twist.checks import build_report, list_check_ids, load_fault, run_single
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -71,3 +72,28 @@ def test_single_checks_equal_the_faulted_report(fixture):
     assert any(r.status == "FAIL" for r in chosen)
     for record in chosen:
         assert run_single(record.check_id, fault=fault).checks == (record,)
+
+
+def _table_patterns() -> set[str]:
+    patterns = {p for t in theorems.THEOREMS for c in t.constituents for p in c.records}
+    return patterns | {p for names in theorems.DEPENDENCIES.values() for p in names}
+
+
+def test_id_patterns_match_as_fnmatch_does():
+    patterns = _table_patterns()
+    assert any(p.endswith("*") for p in patterns)
+    ids = list_check_ids() + ["", "bitangent", "fixed", "theorems-builder", "relation-"]
+    for pattern in patterns:
+        matches = checks._id_matcher((pattern,))
+        for check_id in ids:
+            assert matches(check_id) == fnmatchcase(check_id, pattern), (pattern, check_id)
+    every = checks._id_matcher(patterns)
+    assert [i for i in ids if every(i)] == [
+        i for i in ids if any(fnmatchcase(i, p) for p in patterns)
+    ]
+
+
+@pytest.mark.parametrize("pattern", ["*-s3", "torsor-*-s3", "fixed-**", "a?", "dict-[ab]*"])
+def test_other_wildcards_are_rejected(pattern):
+    with pytest.raises(ValueError):
+        checks._id_matcher((pattern,))

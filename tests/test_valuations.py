@@ -2,6 +2,7 @@
 certificate suite."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,9 @@ from quartic_twist.certificates import (
 )
 from quartic_twist import valuations
 from quartic_twist.brauer import verify_e_identities
-from quartic_twist.cyclotomic import SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, TAU, d_power, rational, zeta
+from quartic_twist.cyclotomic import (
+    ONE, SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, TAU, ZERO, CycNum, d_power, rational, zeta,
+)
 from quartic_twist.curve import CATALOG, CURVE, HomogPoly, X, Y, Z, catalog
 from quartic_twist.divisors import Divisor, named_divisor
 from quartic_twist.valuations import (
@@ -281,6 +284,45 @@ def test_expansion_cache_concurrent_use():
 # reference oracles for the series layer
 
 
+def _ser_add(a, b):
+    return tuple((x + y if x else y) if y else x for x, y in zip(a, b))
+
+
+def _ser_mul(a, b, order):
+    out = [ZERO] * order
+    for i, ai in enumerate(a[:order]):
+        if ai:
+            for j, bj in enumerate(b[: order - i]):
+                if bj:
+                    out[i + j] = out[i + j] + ai * bj
+    return tuple(out)
+
+
+def _ser_scale(c, a):
+    return tuple(c * x if x else ZERO for x in a)
+
+
+def _reference_compose(form, expansion, order):
+    """The composition on field elements: the coordinate series as CycNum
+    tuples, multiplied out term by term with a normalisation per product."""
+    coords = [None] * 3
+    coords[expansion.chart] = (ONE,) + (ZERO,) * (order - 1)
+    param = [ZERO] * order
+    param[0] = expansion.center.coords[expansion.parameter]
+    if order > 1:
+        param[1] = ONE
+    coords[expansion.parameter] = tuple(param)
+    coords[expansion.dependent] = tuple(expansion.series[:order])
+    total = (ZERO,) * order
+    for exponents, c in form.terms.items():
+        term = (ONE,) + (ZERO,) * (order - 1)
+        for axis, e in enumerate(exponents):
+            for _ in range(e):
+                term = _ser_mul(term, coords[axis], order)
+        total = _ser_add(total, _ser_scale(c, term))
+    return total
+
+
 def _reference_expansion(point, precision):
     """The plain per-order solver: with the series correct mod t^n, compose
     the whole curve equation once more and read off the next coefficient
@@ -391,3 +433,97 @@ def test_order_bound_exceeded_for_curve_times_line():
         form = CURVE * line
         with pytest.raises(OrderBoundExceeded):
             valuation(form, catalog(point), 4 * form.degree + 1)
+
+
+def _reference_forms():
+    """The curve, every certificate form and the forms of the E identities."""
+    forms = [CURVE] + _certificate_forms()
+    identities = verify_e_identities()
+    for check in (identities.double_e, identities.e_plus_sigma3, identities.e_minus_sigma3):
+        forms += [check.numerator, check.denominator]
+    return forms
+
+
+def test_row_composition_matches_field_reference_at_catalog_points():
+    # the expansion at precision p is the truncation of the one at 17, so the
+    # reference composition at 17, truncated, is the reference at every p
+    forms = _reference_forms()
+    assert len(CATALOG) == 22 and len(forms) == 23
+    for name, point in CATALOG.items():
+        full = expand_branch(point, 17)
+        references = [_reference_compose(form, full, 17) for form in forms]
+        for precision in range(1, 18):
+            expansion = expand_branch(point, precision)
+            assert expansion.series == full.series[:precision], (name, precision)
+            for form, reference in zip(forms, references):
+                assert (
+                    compose_with_branch(form, expansion, precision) == reference[:precision]
+                ), (name, precision, form)
+
+
+def test_row_composition_matches_field_reference_random():
+    rng = random.Random(71017)
+    points = sorted(set(CATALOG.values()), key=lambda p: p.sort_key())
+    for _ in range(120):
+        form = _random_form(rng, rng.randint(1, 4))
+        point = rng.choice(points)
+        precision = rng.randint(1, 17)
+        expansion = expand_branch(point, precision)
+        assert compose_with_branch(form, expansion, precision) == _reference_compose(
+            form, expansion, precision
+        ), (form, point, precision)
+
+
+def test_row_composition_with_rational_coefficients():
+    # coefficient denominators 3, 2 and 4 on top of the series denominators
+    form = HomogPoly(2, {(2, 0, 0): Fraction(1, 3), (1, 1, 0): Fraction(-5, 2) * z8,
+                         (0, 0, 2): Fraction(7, 4)})
+    for name in ("T00", "B1", "C3"):
+        for precision in (1, 5, 13):
+            expansion = expand_branch(catalog(name), precision)
+            for g in (form, form * (X + Y), CURVE):
+                assert compose_with_branch(g, expansion, precision) == _reference_compose(
+                    g, expansion, precision
+                ), (name, precision, g)
+
+
+def test_series_product_matches_field_reference_on_dense_rows():
+    # every power d^0..d^14 occurs in the unreduced products, and zero rows
+    # are interleaved; catalog series alone rarely carry d^7
+    rng = random.Random(8824)
+
+    def row_series(order):
+        return [
+            tuple(rng.randint(-50, 50) for _ in range(8)) if rng.random() < 0.8 else None
+            for _ in range(order)
+        ]
+
+    def as_field(rows, den):
+        return tuple(ZERO if r is None else CycNum._raw(r, den) for r in rows)
+
+    for _ in range(40):
+        order = rng.randint(1, 12)
+        a, b = row_series(order), row_series(rng.randint(1, order))
+        da, db = rng.randint(1, 9), rng.randint(1, 9)
+        product = valuations._series_mul(a, b, order)
+        assert as_field(product, da * db) == _ser_mul(as_field(a, da), as_field(b, db), order)
+
+
+def test_row_composition_matches_field_reference_with_dense_coefficients():
+    rng = random.Random(8825)
+    points = sorted(set(CATALOG.values()), key=lambda p: p.sort_key())
+    for _ in range(30):
+        degree = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randint(0, degree)
+            j = rng.randint(0, degree - i)
+            terms[(i, j, degree - i - j)] = CycNum(
+                [rng.randint(-9, 9) for _ in range(8)], rng.randint(1, 5)
+            )
+        form = HomogPoly(degree, terms)
+        precision = rng.randint(1, 13)
+        expansion = expand_branch(rng.choice(points), precision)
+        assert compose_with_branch(form, expansion, precision) == _reference_compose(
+            form, expansion, precision
+        )

@@ -1,33 +1,49 @@
 """A deterministic guard on the arithmetic one full report costs.
 
-Field multiplications and curve evaluations are counted rather than
-timed, so the guard does not depend on the host: a return of the
-per-order composition loop in `expand_branch` (about 74,000
-multiplications per report) fails it, and so does testing a point on the
-curve again (a report uses 16 distinct points; re-testing them at every
-use costs about 250 evaluations).
+Field multiplications, row-series products and curve evaluations are
+counted rather than timed, so the guard does not depend on the host.  A
+cold report makes 3,250 CycNum multiplications and 424 products of row
+series in `valuations`, 3,674 counted operations against a budget of
+5,500: composing along a branch on CycNum series again (7,169
+multiplications per report), or the per-order composition loop in
+`expand_branch` (about 74,000), fails it, and so does testing a point
+on the curve again (a report uses 16 distinct points; re-testing them at
+every use costs about 250 evaluations).
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from quartic_twist import curve, valuations
 from quartic_twist.checks import build_report, list_check_ids
-from quartic_twist.curve import HomogPoly
-from quartic_twist.cyclotomic import CycNum
+from quartic_twist.curve import CATALOG, HomogPoly, X, Y, Z
+from quartic_twist.cyclotomic import CycNum, zeta
 
-MULTIPLICATION_BUDGET = 30_000
+# CycNum multiplications plus row-series products per cold report
+MULTIPLICATION_BUDGET = 5_500
 # the distinct points one report tests against the curve equation
 CURVE_EVALUATIONS = 16
 
 
 def _count_multiplications(monkeypatch) -> list[int]:
+    """One counter for field multiplications and row-series products."""
     calls = [0]
     multiply = CycNum.__mul__
+    series_mul = valuations._series_mul
 
     def counted(self, other):
         calls[0] += 1
         return multiply(self, other)
 
+    def counted_series(a, b, order):
+        calls[0] += 1
+        return series_mul(a, b, order)
+
     monkeypatch.setattr(CycNum, "__mul__", counted)
     monkeypatch.setattr(CycNum, "__rmul__", counted)
+    monkeypatch.setattr(valuations, "_series_mul", counted_series)
     return calls
 
 
@@ -59,3 +75,39 @@ def test_each_point_is_tested_on_the_curve_once(monkeypatch):
     valuations._EXPANSION_CACHE.clear()
     build_report()
     assert calls[0] == len(curve._ON_CURVE) <= CURVE_EVALUATIONS, calls[0]
+
+
+def test_second_form_at_an_expansion_reuses_its_power_table(monkeypatch):
+    built = [0]
+    build = valuations._PowerTable.__init__
+
+    def counted(self, expansion):
+        built[0] += 1
+        build(self, expansion)
+
+    monkeypatch.setattr(valuations._PowerTable, "__init__", counted)
+    point = CATALOG["T21"]
+    valuations._EXPANSION_CACHE.pop((point, 9), None)
+    expansion = valuations.expand_branch(point, 9)
+    assert built[0] == 1  # the gate built it
+    table = expansion.power_table()
+    z8 = zeta(8)
+    for form in (X + Y + Z, X ** 2 - z8 * Y * Z, (X - Z) ** 3):
+        valuations.compose(form, expansion, 9)
+        valuations.compose_with_branch(form, expansion, 5)
+    assert built[0] == 1
+    assert expansion.power_table() is table
+
+
+def test_import_leaves_dataclasses_out():
+    # importing dataclasses and decorating a class per record type cost more
+    # than a tenth of a cold process
+    src = str(Path(curve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = "import sys, quartic_twist; print('dataclasses' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.strip() == "False"
