@@ -7,17 +7,9 @@ four rational bitangents.  The same bookkeeping rules out a linear
 determinantal representation of the quartic over Q.
 """
 
-from quartic_twist import (
-    CONJ_ZETA3,
-    on_curve,
-    quadratic_points,
-    verify_degree_two_classes_and_quadratic_points,
-    verify_mordell_weil_structure,
-    verify_no_determinantal_representation,
-    verify_odd_degree_torsors,
-)
+from quartic_twist import CONJ_ZETA3, build_report, on_curve, quadratic_points
 from quartic_twist.curve import is_zeta3_rational
-from quartic_twist.theorems import quadratic_point_pairs
+from quartic_twist.theorems import THEOREMS, quadratic_point_pairs
 
 print("the eight quadratic points:")
 for point in quadratic_points():
@@ -32,17 +24,14 @@ for name, pair_sum, target in quadratic_point_pairs():
 example = quadratic_points()[0]
 print("\nfor instance the conjugate of", example, "is", example.galois(CONJ_ZETA3))
 
-print("\nassembled reports:")
-for report in (
-    verify_mordell_weil_structure(),
-    verify_odd_degree_torsors(),
-    verify_degree_two_classes_and_quadratic_points(),
-    verify_no_determinantal_representation(),
-):
-    print(f"\n  {report.theorem_id}: {'pass' if report.verdict else 'FAIL'}")
-    for check in report.constituents:
-        print(f"    [{'ok' if check.passed else 'XX'}] {check.label}")
-    for assumption in report.assumptions:
+print("\nassembled results (the theorems section of the report):")
+labels = {t.check_id: [c.label for c in t.constituents] for t in THEOREMS}
+for record in build_report(section="theorems").checks:
+    print(f"\n  {record.check_id}: {record.status}")
+    for check, label in zip(record.detail["constituents"], labels[record.check_id],
+                            strict=True):
+        print(f"    [{'ok' if check['passed'] else 'XX'}] {label}")
+    for assumption in record.detail["assumptions"]:
         print(f"    (assumes: {assumption})")
-    for note in report.notes:
+    for note in record.detail["notes"]:
         print(f"    (note: {note})")

@@ -28,11 +28,10 @@ from .curve import (
     Z,
     catalog,
     cusp_permutation,
-    galois_image_point,
     on_curve,
     quadratic_points,
 )
-from .divisors import Divisor, galois_image_divisor, named_divisor
+from .divisors import Divisor, named_divisor
 from .valuations import (
     BranchExpansion,
     CertificateCheck,
@@ -69,7 +68,6 @@ from .brauer import (
     verify_e_identities,
 )
 from .theorems import (
-    TheoremReport,
     verify_degree_two_classes_and_quadratic_points,
     verify_mordell_weil_structure,
     verify_no_determinantal_representation,
@@ -82,9 +80,9 @@ __all__ = [
     "CONJ_ZETA3", "IDENTITY", "ONE", "SIGMA3", "SIGMA3_ALT", "SIGMA5",
     "SIGMA5_ALT", "TAU", "ZERO",
     "CATALOG", "CURVE", "HomogPoly", "ProjPoint", "X", "Y", "Z",
-    "catalog", "cusp_permutation", "galois_image_point", "on_curve",
+    "catalog", "cusp_permutation", "on_curve",
     "quadratic_points",
-    "Divisor", "galois_image_divisor", "named_divisor",
+    "Divisor", "named_divisor",
     "BranchExpansion", "CertificateCheck", "OrderBoundExceeded",
     "expand_branch", "principal_divisor_on_support", "valuation",
     "verify_certificate", "verify_principal_divisor",
@@ -95,7 +93,7 @@ __all__ = [
     "subgroup_generated",
     "cocycle_table", "cocycle_tau_tau", "product_of_linear_forms",
     "reduce_mod_curve", "verify_e_identities",
-    "TheoremReport", "verify_degree_two_classes_and_quadratic_points",
+    "verify_degree_two_classes_and_quadratic_points",
     "verify_mordell_weil_structure", "verify_no_determinantal_representation",
     "verify_odd_degree_torsors",
     "Report", "build_report", "render_json", "render_text",

@@ -19,10 +19,11 @@ builds a section at most once per run, after the sections its builder
 reads (only the theorems read other sections), in canonical order:
 `--check ID` builds the section of ID and its cone, `--section S` the
 cone of S, and the full report every section.  A theorem is the
-conjunction of the run's records its table entry names (`theorems`).
+conjunction of the run's records its table entry names (`theorems`); the
+`theorems` section is the only place a theorem verdict is computed.
 
-A Fault corrupts one constant for negative-control runs; a corrupted run
-must produce at least one FAIL.
+A Fault corrupts one constant for negative-control runs, and it is the
+only way to corrupt a run; a corrupted run must produce at least one FAIL.
 """
 
 from __future__ import annotations
@@ -754,17 +755,18 @@ def _theorem_records(data: _RunData) -> list[CheckRecord]:
         return data.holds(patterns, records)
 
     for row, theorem in zip(_THEOREM_ROWS, theorems.THEOREMS):
-        report = theorems.assemble(theorem, holds)
-        passed = report.verdict and all(
-            holds(theorems.DEPENDENCIES[name]) for name in report.depends_on
+        constituents = [
+            {"id": c.check_id, "passed": c.control() if c.control else holds(c.records)}
+            for c in theorem.constituents
+        ]
+        passed = all(c["passed"] for c in constituents) and all(
+            holds(theorems.DEPENDENCIES[name]) for name in theorem.depends_on
         )
         detail = {
-            "constituents": [
-                {"id": c.check_id, "passed": c.passed} for c in report.constituents
-            ],
-            "assumptions": list(report.assumptions),
-            "depends_on": list(report.depends_on),
-            "notes": list(report.notes),
+            "constituents": constituents,
+            "assumptions": list(theorem.assumptions),
+            "depends_on": list(theorem.depends_on),
+            "notes": list(theorem.notes),
         }
         records.append(_record("theorems", row, passed, detail))
     return records
@@ -864,14 +866,6 @@ def run_single(check_id: str, fault: Optional[Fault] = None) -> Report:
 def list_check_ids() -> list[str]:
     """Every check id in canonical order, from the static tables."""
     return list(_SECTION_OF)
-
-
-def run_holds(
-    s3: ActionMatrix = PRINTED_S3, s5: ActionMatrix = PRINTED_S5
-) -> Callable[[tuple[str, ...]], bool]:
-    """`holds(patterns)` over a clean run with these action matrices: the
-    view that `theorems.verify_*` take of the registry."""
-    return _RunData(CUSP_DICTIONARY, s3, s5, None).holds
 
 
 # ---------------------------------------------------------------------------

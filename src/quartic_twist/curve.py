@@ -153,6 +153,8 @@ Y = HomogPoly.monomial((0, 1, 0))
 Z = HomogPoly.monomial((0, 0, 1))
 
 CURVE = X ** 4 + Y ** 4 + Z ** 4
+# the partial derivatives of the curve's form, along X, Y and Z
+CURVE_PARTIALS = tuple(CURVE.partial(axis) for axis in range(3))
 
 
 class ProjPoint:
@@ -210,11 +212,7 @@ def on_curve(point: ProjPoint) -> bool:
 
 
 def curve_is_smooth_at(point: ProjPoint) -> bool:
-    return any(CURVE.partial(axis).evaluate(point) for axis in range(3))
-
-
-def galois_image_point(sigma: Automorphism, point: ProjPoint) -> ProjPoint:
-    return point.galois(sigma)
+    return any(partial.evaluate(point) for partial in CURVE_PARTIALS)
 
 
 # ---------------------------------------------------------------------------

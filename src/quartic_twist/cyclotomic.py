@@ -72,11 +72,6 @@ class CycNum:
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.nums[0], self.den)
-
     def __bool__(self) -> bool:
         return any(self.nums)
 

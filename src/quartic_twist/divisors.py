@@ -114,10 +114,6 @@ class Divisor:
         return f"Divisor({self})"
 
 
-def galois_image_divisor(sigma: Automorphism, divisor: Divisor) -> Divisor:
-    return divisor.galois(sigma)
-
-
 # ---------------------------------------------------------------------------
 # named divisors
 

@@ -7,53 +7,24 @@ stated assumptions: each constituent rests on records of the report
 non-hyperellipticity arguments) are listed as assumptions, so a passing
 verdict never silently claims to have verified prose.
 
-`THEOREMS` and `DEPENDENCIES` are static tables; the report harness
-(`checks`) evaluates them on the records of its own run, so a corrupted
-constant reaches the assembled results.  The `verify_*` functions are
-views of the same tables over a clean run, optionally with other action
-matrices.
+`THEOREMS` and `DEPENDENCIES` are static tables; the `theorems` section
+of a run (`checks`) is the one place that evaluates them, on the records
+of its own run, so a corrupted constant (a `checks.Fault`) reaches the
+assembled results.  The `verify_*` functions return the records of a
+clean run's `theorems` section.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .cyclotomic import CONJ_ZETA3
 from .curve import catalog
 from .divisors import Divisor, named_divisor
-from .mordell_weil import (
-    CLASS_D1_MINUS_D0,
-    CLASS_D2_MINUS_D0,
-    CLASS_D3_MINUS_D0,
-    PRINTED_S3,
-    PRINTED_S5,
-    ZERO_ELEMENT,
-    ActionMatrix,
-    ModElement,
-    pic1_has_fixed_point,
-    subgroup_generated,
-)
+from .mordell_weil import ZERO_ELEMENT, ActionMatrix, pic1_has_fixed_point
 
-
-class ConstituentCheck(NamedTuple):
-    check_id: str
-    label: str
-    passed: bool
-
-
-class TheoremReport(NamedTuple):
-    theorem_id: str
-    constituents: tuple[ConstituentCheck, ...]
-    assumptions: tuple[str, ...] = ()
-    depends_on: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
-
-    @property
-    def verdict(self) -> bool:
-        return all(c.passed for c in self.constituents)
-
-    def failures(self) -> tuple[str, ...]:
-        return tuple(c.check_id for c in self.constituents if not c.passed)
+if TYPE_CHECKING:
+    from .checks import CheckRecord
 
 
 class Constituent(NamedTuple):
@@ -69,7 +40,6 @@ class Constituent(NamedTuple):
 class Theorem(NamedTuple):
     check_id: str
     label: str
-    theorem_id: str
     constituents: tuple[Constituent, ...]
     assumptions: tuple[str, ...]
     depends_on: tuple[str, ...]
@@ -128,7 +98,6 @@ THEOREMS = (
     Theorem(
         "theorem-mordell-weil",
         "Pic^0 = (Z/2)[D_1 - D_0] + (Z/2)[D_2 - D_0]; the Mordell-Weil group adds (Z/2)[E]",
-        "mordell-weil-group",
         (
             Constituent("certificates", "all divisor certificates pass", _CERTIFICATES),
             Constituent(
@@ -156,7 +125,6 @@ THEOREMS = (
     Theorem(
         "theorem-odd-torsors",
         "every odd-degree part of the Picard scheme has no rational point",
-        "odd-degree-torsors",
         (
             Constituent("image-s5", "(sigma_5 - 1)M equals 2M", ("image-s5",)),
             Constituent(
@@ -195,7 +163,6 @@ THEOREMS = (
     Theorem(
         "theorem-quadratic-points",
         "Pic^2 = {[D_0], [D_1], [D_2], [D_3]}; the quadratic points are the bitangent contacts",
-        "degree-two-classes",
         _DEGREE_TWO,
         _DEGREE_TWO_ASSUMPTIONS,
         ("certificates", "fixed-submodule", "dictionary"),
@@ -203,7 +170,6 @@ THEOREMS = (
     Theorem(
         "theorem-determinantal",
         "no linear determinantal representation exists over Q",
-        "no-determinantal-representation",
         _DEGREE_TWO
         + (
             Constituent("pic2-all-effective",
@@ -219,70 +185,33 @@ THEOREMS = (
 )
 
 
-def assemble(
-    theorem: Theorem,
-    holds: Callable[[tuple[str, ...]], bool],
-    given: Optional[Mapping[str, bool]] = None,
-) -> TheoremReport:
-    """The theorem's constituents, each read from the run's records through
-    `holds(patterns)` unless its outcome is `given`."""
-    given = given or {}
-    constituents = []
-    for c in theorem.constituents:
-        if c.check_id in given:
-            passed = given[c.check_id]
-        else:
-            passed = c.control() if c.control else holds(c.records)
-        constituents.append(ConstituentCheck(c.check_id, c.label, passed))
-    return TheoremReport(
-        theorem.theorem_id,
-        tuple(constituents),
-        theorem.assumptions,
-        theorem.depends_on,
-        theorem.notes,
-    )
+def _clean_record(check_id: str) -> CheckRecord:
+    from .checks import run_single  # the registry imports this module
 
-
-def _view(
-    check_id: str,
-    s3: ActionMatrix = PRINTED_S3,
-    s5: ActionMatrix = PRINTED_S5,
-    given: Optional[Mapping[str, bool]] = None,
-) -> TheoremReport:
-    from .checks import run_holds  # the registry imports this module
-
-    theorem = next(t for t in THEOREMS if t.check_id == check_id)
-    return assemble(theorem, run_holds(s3, s5), given)
+    return run_single(check_id).checks[0]
 
 
 def certificate_suite_passes() -> bool:
-    """The fourteen exact divisor checks: five bitangent cuts, three cusp
-    relations, the E support identity, the three certified E identities,
-    and the two divisor-level conjugation facts for E."""
-    from .checks import run_holds  # the registry imports this module
+    """The fourteen exact divisor checks of a clean run: five bitangent
+    cuts, three cusp relations, the E support identity, the three certified
+    E identities, and the two divisor-level conjugation facts for E."""
+    from .checks import _apply_fault  # the registry imports this module
 
-    return run_holds()(_CERTIFICATES)
+    return _apply_fault(None).holds(_CERTIFICATES)
 
 
-def verify_mordell_weil_structure(
-    s3: ActionMatrix = PRINTED_S3,
-    s5: ActionMatrix = PRINTED_S5,
-    certificates_passed: Optional[bool] = None,
-) -> TheoremReport:
+def verify_mordell_weil_structure() -> CheckRecord:
     """Degree-0 classes over Q form (Z/2)^2; the Galois-fixed classes form
     (Z/2)^3 with the class of E as the extra generator, detected by the
-    Brauer cocycle.  The certificate suite runs only when no verdict for
-    it is passed in."""
-    given = {} if certificates_passed is None else {"certificates": certificates_passed}
-    return _view("theorem-mordell-weil", s3, s5, given)
+    Brauer cocycle: the clean run's `theorem-mordell-weil` record."""
+    return _clean_record("theorem-mordell-weil")
 
 
-def verify_odd_degree_torsors(
-    s3: ActionMatrix = PRINTED_S3, s5: ActionMatrix = PRINTED_S5
-) -> TheoremReport:
+def verify_odd_degree_torsors() -> CheckRecord:
     """No odd-degree divisor class is rational: the three twisted
-    fixed-point searches over all 2048 classes come up empty."""
-    return _view("theorem-odd-torsors", s3, s5)
+    fixed-point searches over all 2048 classes come up empty (the clean
+    run's `theorem-odd-torsors` record)."""
+    return _clean_record("theorem-odd-torsors")
 
 
 def quadratic_point_pairs() -> list[tuple[str, Divisor, Divisor]]:
@@ -297,36 +226,16 @@ def quadratic_point_pairs() -> list[tuple[str, Divisor, Divisor]]:
     return pairs
 
 
-def _with_extra_class(extra_class: Optional[ModElement]) -> dict[str, bool]:
-    """`extra_class` injects a fictitious further degree-2 class difference:
-    the classes must then still be distinct and lie in the group of order 4
-    that the degree-2 classes form, which no fifth class can."""
-    if extra_class is None:
-        return {}
-    classes = [ZERO_ELEMENT, CLASS_D1_MINUS_D0, CLASS_D2_MINUS_D0, CLASS_D3_MINUS_D0,
-               extra_class]
-    fits = len(set(classes)) == len(classes) and set(classes) <= subgroup_generated(
-        [CLASS_D1_MINUS_D0, CLASS_D2_MINUS_D0]
-    )
-    return {"pic2-distinct": fits, "pic2-all-effective": fits}
-
-
-def verify_degree_two_classes_and_quadratic_points(
-    extra_class: Optional[ModElement] = None,
-) -> TheoremReport:
+def verify_degree_two_classes_and_quadratic_points() -> CheckRecord:
     """The four bitangent contact divisors represent the four distinct
-    degree-2 classes, and the eight quadratic points pair into them.
-
-    `extra_class` injects a fictitious additional degree-2 class
-    difference; it must make the report fail (negative control).
-    """
-    return _view("theorem-quadratic-points", given=_with_extra_class(extra_class))
+    degree-2 classes, and the eight quadratic points pair into them (the
+    clean run's `theorem-quadratic-points` record)."""
+    return _clean_record("theorem-quadratic-points")
 
 
-def verify_no_determinantal_representation(
-    extra_class: Optional[ModElement] = None,
-) -> TheoremReport:
+def verify_no_determinantal_representation() -> CheckRecord:
     """Every degree-2 class contains an effective divisor (one of the
     D_i), so no class of degree genus-1 = 2 is effective-free and no
-    linear determinantal representation exists over Q."""
-    return _view("theorem-determinantal", given=_with_extra_class(extra_class))
+    linear determinantal representation exists over Q (the clean run's
+    `theorem-determinantal` record)."""
+    return _clean_record("theorem-determinantal")

@@ -53,7 +53,7 @@ from math import comb, gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import CycNum, ONE, ZERO
-from .curve import CURVE, HomogPoly, ProjPoint, curve_is_smooth_at, on_curve
+from .curve import CURVE, CURVE_PARTIALS, HomogPoly, ProjPoint, on_curve
 from .divisors import Divisor
 
 Series = tuple[CycNum, ...]
@@ -226,19 +226,17 @@ def expand_branch(point: ProjPoint, precision: int) -> BranchExpansion:
         return cached
     if not on_curve(point):
         raise ValueError(f"{point} is not on the curve")
-    if not curve_is_smooth_at(point):
-        raise ValueError(f"curve is singular at {point}")
 
     chart = next(i for i, c in enumerate(point.coords) if c)
     first, second = [axis for axis in range(3) if axis != chart]
-    partial_second = CURVE.partial(second).evaluate(point)
-    if partial_second:
-        parameter, dependent = first, second
-        dep_partial = partial_second
-    else:
-        # smoothness and Euler's relation force the other partial nonzero
+    parameter, dependent = first, second
+    dep_partial = CURVE_PARTIALS[second].evaluate(point)
+    if not dep_partial:
         parameter, dependent = second, first
-        dep_partial = CURVE.partial(first).evaluate(point)
+        dep_partial = CURVE_PARTIALS[first].evaluate(point)
+    if not dep_partial:
+        # by Euler's relation the chart's partial vanishes too
+        raise ValueError(f"curve is singular at {point}")
 
     series = [point.coords[dependent]]
     if precision > 1:

@@ -32,7 +32,6 @@ from quartic_twist.curve import (
     catalog,
     curve_is_smooth_at,
     cusp_permutation,
-    galois_image_point,
     on_curve,
     point_name,
     quadratic_points,
@@ -109,10 +108,10 @@ def test_galois_permutation_tables_reproduced():
 
 
 def test_galois_image_point_examples():
-    assert galois_image_point(SIGMA3, catalog("A0")) == catalog("A1")
-    assert galois_image_point(SIGMA5, catalog("B1")) == catalog("B3")
+    assert catalog("A0").galois(SIGMA3) == catalog("A1")
+    assert catalog("B1").galois(SIGMA5) == catalog("B3")
     for point in CATALOG.values():
-        assert galois_image_point(IDENTITY, point) == point
+        assert point.galois(IDENTITY) == point
 
 
 def test_both_lifts_agree_on_zeta8_points():

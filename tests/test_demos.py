@@ -9,6 +9,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# what a demo's output must name besides running: the four results of the paper
+NAMED = {
+    "quadratic_points": (
+        "theorem-mordell-weil", "theorem-odd-torsors",
+        "theorem-quadratic-points", "theorem-determinantal",
+    ),
+}
 
 
 def test_demos_present():
@@ -26,3 +33,5 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+    for name in NAMED.get(demo.stem, ()):
+        assert name in result.stdout

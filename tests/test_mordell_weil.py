@@ -196,11 +196,9 @@ def test_printed_shifts_match_dictionary():
 
 def test_shifts_from_galois_action_on_a0():
     from quartic_twist.cyclotomic import SIGMA3, SIGMA5
-    from quartic_twist.divisors import galois_image_divisor
-
     a0 = Divisor.point(catalog("A0"))
     for sigma, key in ((SIGMA5, "sigma_5"), (SIGMA3, "sigma_3"), (SIGMA3 * SIGMA5, "sigma_3 sigma_5")):
-        moved = galois_image_divisor(sigma, a0) - a0
+        moved = a0.galois(sigma) - a0
         assert cusp_class(moved) == PRINTED_SHIFTS[key]
 
 

@@ -1,7 +1,11 @@
-"""Assembled theorem reports."""
+"""Assembled theorem records: the `theorems` section of a run, read clean
+through the `verify_*` views and corrupted through fault fixtures."""
 
-from quartic_twist.mordell_weil import PRINTED_S3, PRINTED_S5, ActionMatrix, ModElement
+from pathlib import Path
+
+from quartic_twist.checks import build_report, load_fault
 from quartic_twist.theorems import (
+    THEOREMS,
     certificate_suite_passes,
     quadratic_point_pairs,
     verify_degree_two_classes_and_quadratic_points,
@@ -10,26 +14,46 @@ from quartic_twist.theorems import (
     verify_odd_degree_torsors,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+VIEWS = (
+    verify_mordell_weil_structure,
+    verify_odd_degree_torsors,
+    verify_degree_two_classes_and_quadratic_points,
+    verify_no_determinantal_representation,
+)
+
+
+def _failures(record) -> list[str]:
+    return [c["id"] for c in record.detail["constituents"] if not c["passed"]]
+
+
+def _theorems_under(fixture: str) -> dict:
+    """The theorem records of a run with the fault fixture applied."""
+    fault = load_fault(str(FIXTURES / fixture))
+    report = build_report(section="theorems", fault=fault)
+    return {record.check_id: record for record in report.checks}
+
 
 def test_certificate_suite():
     assert certificate_suite_passes()
 
 
 def test_mordell_weil_structure():
-    report = verify_mordell_weil_structure()
-    assert report.verdict, report.failures()
-    assert len(report.constituents) == 4
+    record = verify_mordell_weil_structure()
+    assert record.status == "OK", _failures(record)
+    assert len(record.detail["constituents"]) == 4
     # the verdict rests on exactly these computations
-    assert report.depends_on == (
+    assert record.detail["depends_on"] == [
         "certificates", "fixed-submodule", "brauer-cocycle", "dictionary"
-    )
-    assert report.assumptions
+    ]
+    assert record.detail["assumptions"]
 
 
 def test_odd_degree_torsors():
-    report = verify_odd_degree_torsors()
-    assert report.verdict, report.failures()
-    ids = [c.check_id for c in report.constituents]
+    record = verify_odd_degree_torsors()
+    assert record.status == "OK", _failures(record)
+    ids = [c["id"] for c in record.detail["constituents"]]
     assert ids == [
         "image-s5",
         "image-congruence",
@@ -41,9 +65,9 @@ def test_odd_degree_torsors():
 
 
 def test_degree_two_classes():
-    report = verify_degree_two_classes_and_quadratic_points()
-    assert report.verdict, report.failures()
-    assert len(report.assumptions) == 2
+    record = verify_degree_two_classes_and_quadratic_points()
+    assert record.status == "OK", _failures(record)
+    assert len(record.detail["assumptions"]) == 2
 
 
 def test_quadratic_point_pairs():
@@ -55,39 +79,43 @@ def test_quadratic_point_pairs():
 
 
 def test_no_determinantal_representation():
-    report = verify_no_determinantal_representation()
-    assert report.verdict, report.failures()
-    assert report.constituents[-1].check_id == "pic2-all-effective"
+    record = verify_no_determinantal_representation()
+    assert record.status == "OK", _failures(record)
+    assert record.detail["constituents"][-1]["id"] == "pic2-all-effective"
 
 
 def test_fictitious_fifth_class_fails():
-    ghost = ModElement((1, 0, 0, 0, 0, 0))
-    report = verify_degree_two_classes_and_quadratic_points(extra_class=ghost)
-    assert not report.verdict
-    assert "pic2-distinct" in report.failures()
+    # s3[0][0] += 1 moves the degree-2 classes out of a group of order 4
+    records = _theorems_under("fault_matrix.json")
+    quadratic = records["theorem-quadratic-points"]
+    assert quadratic.status == "FAIL"
+    assert "pic2-distinct" in _failures(quadratic)
 
-    ldr = verify_no_determinantal_representation(extra_class=ghost)
-    assert not ldr.verdict
-    assert "pic2-all-effective" in ldr.failures()
+    ldr = records["theorem-determinantal"]
+    assert ldr.status == "FAIL"
+    assert "pic2-all-effective" in _failures(ldr)
 
 
 def test_reports_deterministic():
-    a = verify_odd_degree_torsors()
-    b = verify_odd_degree_torsors()
-    assert a == b
+    assert verify_odd_degree_torsors() == verify_odd_degree_torsors()
 
 
 def test_reports_use_the_matrices_passed_in():
-    rows = [list(row) for row in PRINTED_S3.rows]
-    rows[0][0] += 1
-    s3 = ActionMatrix(rows)
-    report = verify_mordell_weil_structure(s3, PRINTED_S5, certificates_passed=True)
-    assert not report.verdict
-    assert "fixed-submodule" in report.failures()
-    assert verify_odd_degree_torsors(PRINTED_S3, PRINTED_S5) == verify_odd_degree_torsors()
+    # the same corrupted s3 reaches the fixed submodule of the theorem
+    record = _theorems_under("fault_matrix.json")["theorem-mordell-weil"]
+    assert record.status == "FAIL"
+    assert "fixed-submodule" in _failures(record)
 
 
 def test_certificate_verdict_passed_in():
-    report = verify_mordell_weil_structure(certificates_passed=False)
-    assert report.failures() == ("certificates",)
-    assert verify_mordell_weil_structure(certificates_passed=True).verdict
+    record = _theorems_under("fault_certificate.json")["theorem-mordell-weil"]
+    assert _failures(record) == ["certificates"]
+    assert verify_mordell_weil_structure().status == "OK"
+
+
+def test_views_are_the_clean_report_records():
+    clean = {record.check_id: record for record in build_report().checks}
+    records = [view() for view in VIEWS]
+    assert [record.check_id for record in records] == [t.check_id for t in THEOREMS]
+    for record in records:
+        assert record == clean[record.check_id]

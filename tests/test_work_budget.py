@@ -2,13 +2,15 @@
 
 Field multiplications, row-series products and curve evaluations are
 counted rather than timed, so the guard does not depend on the host.  A
-cold report makes 3,250 CycNum multiplications and 424 products of row
-series in `valuations`, 3,674 counted operations against a budget of
+cold report makes 2,824 CycNum multiplications and 424 products of row
+series in `valuations`, 3,248 counted operations against a budget of
 5,500: composing along a branch on CycNum series again (7,169
 multiplications per report), or the per-order composition loop in
 `expand_branch` (about 74,000), fails it, and so does testing a point
 on the curve again (a report uses 16 distinct points; re-testing them at
-every use costs about 250 evaluations).
+every use costs about 250 evaluations).  The curve's partial derivatives
+are built once, at import: building them per expansion (102 builds per
+report) fails the guard too.
 """
 
 import os
@@ -75,6 +77,20 @@ def test_each_point_is_tested_on_the_curve_once(monkeypatch):
     valuations._EXPANSION_CACHE.clear()
     build_report()
     assert calls[0] == len(curve._ON_CURVE) <= CURVE_EVALUATIONS, calls[0]
+
+
+def test_report_builds_no_partial_derivative(monkeypatch):
+    calls = [0]
+    partial = HomogPoly.partial
+
+    def counted(self, axis):
+        calls[0] += 1
+        return partial(self, axis)
+
+    monkeypatch.setattr(HomogPoly, "partial", counted)
+    valuations._EXPANSION_CACHE.clear()
+    build_report()
+    assert calls[0] == 0
 
 
 def test_second_form_at_an_expansion_reuses_its_power_table(monkeypatch):
