@@ -159,7 +159,11 @@ CURVE_PARTIALS = tuple(CURVE.partial(axis) for axis in range(3))
 
 class ProjPoint:
     """Projective point with coordinates in Q(zeta_24), stored normalized
-    so that the first nonzero coordinate (X, Y, Z order) equals 1."""
+    so that the first nonzero coordinate (X, Y, Z order) equals 1.
+
+    Coordinates whose first nonzero entry is already 1 are kept as given,
+    without an inversion: every Galois image of a normalized point is
+    such a triple, since sigma(1) = 1."""
 
     __slots__ = ("coords", "_hash")
 
@@ -167,8 +171,10 @@ class ProjPoint:
         raw = (_as_cyc(x), _as_cyc(y), _as_cyc(z))
         for c in raw:
             if c:
-                scale = c.inv()
-                self.coords = tuple(v * scale for v in raw)
+                if c != ONE:
+                    scale = c.inv()
+                    raw = tuple(v * scale for v in raw)
+                self.coords = raw
                 return
         raise ValueError("projective point needs a nonzero coordinate")
 

@@ -43,6 +43,13 @@ class ModElement:
         coords = coords + (0,) * (6 - len(coords))
         self.c = tuple(x % m for x, m in zip(coords, MODULI))
 
+    @classmethod
+    def _raw(cls, coords: tuple[int, ...]) -> ModElement:
+        """The element of six coordinates already reduced modulo MODULI."""
+        self = object.__new__(cls)
+        self.c = coords
+        return self
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModElement):
             return NotImplemented
@@ -92,8 +99,7 @@ E_BASIS = tuple(
 
 def all_elements() -> Iterator[ModElement]:
     """All 2048 elements, in lexicographic coordinate order."""
-    for coords in itertools.product(*(range(m) for m in MODULI)):
-        yield ModElement(coords)
+    yield from map(ModElement._raw, itertools.product(*(range(m) for m in MODULI)))
 
 
 ORDER = 2048

@@ -23,19 +23,28 @@ on one output coefficient and reduces d^8 = d^4 - 1 once for that
 coefficient; it takes no gcd and builds no CycNum.
 
 `expand_branch` solves the dependent coordinate order by order on CycNum
-(`_solve_dependent`): the curve is a sum of pure powers a X^d + b Y^d +
-c Z^d, so it keeps the powers 1..d of the series and extends each by one
-O(n) convolution per order n, O(d p^2) field products to precision p.
-Each finished expansion keeps one coordinate power table: the chart,
-parameter and dependent coordinates scaled by a common denominator D,
-and the powers of the latter two, built by plain row-series products of
-the finished series (never from the solver's internal powers) and
-extended on demand.  The gate composes the curve with the expansion
-through that table, at the full precision, and raises unless every row
-is None: it certifies the series independently of how it was solved.
-The table is shared by the gate and every later composition at that
-point and precision, and it lives on the expansion, so clearing
-`_EXPANSION_CACHE` drops it too.
+with one resumable solver per point (`_BranchSolver`).  The curve is a
+sum of pure powers a X^d + b Y^d + c Z^d, so F_a(P) = d c_a P_a^(d-1)
+vanishes exactly where the coordinate P_a does: the dependent axis is
+read off the coordinates, and F_dep(P) is built from the solver's own
+powers of v_0 and inverted once per point.  The solver keeps the series
+v and its powers 1..d, each extended by one O(n) convolution per order
+n, so all precisions of a point together cost O(d p^2) field products
+to the highest precision p asked for; a request for a lower or an
+already reached precision solves nothing.  The solver lives on the
+point's precision-1 expansion, which every `valuation` builds first, so
+clearing `_EXPANSION_CACHE` drops it too.
+
+Each expansion still has its own coordinate power table, per
+(point, precision): the chart, parameter and dependent coordinates
+scaled by a common denominator D, and the powers of the latter two,
+built by plain row-series products of the finished series (never from
+the solver's internal powers) and extended on demand.  The gate
+composes the curve with every expansion through that table, at the
+full precision, and raises unless every row is None: it certifies the
+series independently of how it was solved, resumed or not.  The table
+is shared by the gate and every later composition at that point and
+precision, and it lives on the expansion.
 
 `compose` substitutes the table into a form of degree m: every monomial
 has denominator D^m, so after scaling the coefficients to their common
@@ -53,7 +62,7 @@ from math import comb, gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import CycNum, ONE, ZERO
-from .curve import CURVE, CURVE_PARTIALS, HomogPoly, ProjPoint, on_curve
+from .curve import CURVE, HomogPoly, ProjPoint, on_curve
 from .divisors import Divisor
 
 Series = tuple[CycNum, ...]
@@ -162,11 +171,13 @@ class BranchExpansion:
     series gives the dependent coordinate to the stated precision, i.e.
     the curve equation composed with the parametrization vanishes
     mod t^precision.  The coordinate power table is built on the first
-    composition and kept with the expansion; it takes no part in equality.
+    composition and kept with the expansion, and a precision-1 expansion
+    keeps its point's solver once a higher precision is asked for; neither
+    takes part in equality.
     """
 
     __slots__ = ("center", "chart", "parameter", "dependent", "series", "precision",
-                 "_table")
+                 "_table", "_solver")
 
     def __init__(
         self,
@@ -184,6 +195,7 @@ class BranchExpansion:
         self.series = series
         self.precision = precision
         self._table: Optional[_PowerTable] = None
+        self._solver: Optional[_BranchSolver] = None
 
     def _fields(self) -> tuple:
         return (self.center, self.chart, self.parameter, self.dependent,
@@ -217,98 +229,146 @@ def expand_branch(point: ProjPoint, precision: int) -> BranchExpansion:
     """Expand the curve at a smooth point to the given precision.
 
     Cached per (point, precision); entries are immutable, so concurrent
-    reads and duplicate inserts are harmless.
+    reads and duplicate inserts are harmless.  A precision above 1 comes
+    from the point's solver, resumed from the highest order it reached.
     """
     if precision < 1:
         raise ValueError("precision must be positive")
     cached = _EXPANSION_CACHE.get((point, precision))
     if cached is not None:
         return cached
+    base = _first_order(point)
+    if precision == 1:
+        return base
+    solver = base._solver
+    if solver is None:
+        solver = base._solver = _BranchSolver(point, base.parameter, base.dependent)
+    expansion = BranchExpansion(
+        center=point,
+        chart=base.chart,
+        parameter=base.parameter,
+        dependent=base.dependent,
+        series=solver.series(precision),
+        precision=precision,
+    )
+    _check_on_curve(expansion)
+    _EXPANSION_CACHE[(point, precision)] = expansion
+    return expansion
+
+
+def _first_order(point: ProjPoint) -> BranchExpansion:
+    """The point's precision-1 expansion, from the cache or built and
+    cached; the home of the point's solver."""
+    cached = _EXPANSION_CACHE.get((point, 1))
+    if cached is not None:
+        return cached
     if not on_curve(point):
         raise ValueError(f"{point} is not on the curve")
-
-    chart = next(i for i, c in enumerate(point.coords) if c)
+    coords = point.coords
+    chart = next(i for i, c in enumerate(coords) if c)
     first, second = [axis for axis in range(3) if axis != chart]
-    parameter, dependent = first, second
-    dep_partial = CURVE_PARTIALS[second].evaluate(point)
-    if not dep_partial:
-        parameter, dependent = second, first
-        dep_partial = CURVE_PARTIALS[first].evaluate(point)
-    if not dep_partial:
+    # on a sum of pure powers F_a(P) vanishes exactly where P_a does
+    parameter, dependent = (first, second) if coords[second] else (second, first)
+    if not coords[dependent]:
         # by Euler's relation the chart's partial vanishes too
         raise ValueError(f"curve is singular at {point}")
-
-    series = [point.coords[dependent]]
-    if precision > 1:
-        series = _solve_dependent(point, parameter, dependent, dep_partial, precision)
     expansion = BranchExpansion(
         center=point,
         chart=chart,
         parameter=parameter,
         dependent=dependent,
-        series=tuple(series),
-        precision=precision,
+        series=(coords[dependent],),
+        precision=1,
     )
-    residual, _ = compose(CURVE, expansion, precision)
-    if any(residual):
-        raise AssertionError("branch expansion failed to satisfy the curve equation")
-    _EXPANSION_CACHE[(point, precision)] = expansion
+    _check_on_curve(expansion)
+    _EXPANSION_CACHE[(point, 1)] = expansion
     return expansion
 
 
-def _solve_dependent(
-    point: ProjPoint,
-    parameter: int,
-    dependent: int,
-    dep_partial: CycNum,
-    precision: int,
-) -> list[CycNum]:
-    """Coefficients v_0..v_(precision-1) of the dependent coordinate.
+def _check_on_curve(expansion: BranchExpansion) -> None:
+    """The gate: the curve composed with the expansion vanishes to its
+    full precision."""
+    residual, _ = compose(CURVE, expansion, expansion.precision)
+    if any(residual):
+        raise AssertionError("branch expansion failed to satisfy the curve equation")
+
+
+class _BranchSolver:
+    """Coefficients v_0, v_1, ... of the dependent coordinate at one point,
+    solved on demand and kept, so that a higher precision resumes from the
+    order already reached.
 
     With F = sum of c_a * (coordinate a)^d, the chart coordinate is 1, the
     parameter is p_0 + t, and [t^n] F is linear in v_n:
         [t^n] F = c_dep * [t^n] (v_<n)^d + c_par * [t^n] (p_0 + t)^d
                   + F_dep(P) * v_n,
-    where v_<n is the series truncated below t^n.  `powers[k]` holds the
-    coefficients of v^k; its entry at order n is first computed with
-    v_n = 0 (one convolution) and then corrected by k * v_0^(k-1) * v_n.
-    """
-    degree = CURVE.degree
-    if not all(max(e) == degree for e in CURVE.terms):
-        raise AssertionError("expand_branch needs a curve of pure powers")
-    coeff = [ZERO] * 3
-    for e, c in CURVE.terms.items():
-        coeff[e.index(degree)] = c
-    c_dep = coeff[dependent]
-    p0 = point.coords[parameter]
-    # [t^n] c_par * (p_0 + t)^d, nonzero only for n <= d
-    param_terms = [coeff[parameter] * comb(degree, n) * p0 ** (degree - n)
-                   for n in range(degree + 1)]
-    dep_partial_inv = dep_partial.inv()
+    where v_<n is the series truncated below t^n and
+    F_dep(P) = d * c_dep * v_0^(d-1).  `powers[k]` holds the coefficients
+    of v^k; its entry at order n is first computed with v_n = 0 (one
+    convolution) and then corrected by k * v_0^(k-1) * v_n.
 
-    v = [point.coords[dependent]]
-    powers: list[list[CycNum]] = [[ONE], [v[0]]]
-    for k in range(2, degree + 1):
-        powers.append([powers[k - 1][0] * v[0]])
-    slopes = [ZERO] + [k * powers[k - 1][0] for k in range(1, degree + 1)]
-    for n in range(1, precision):
-        powers[1].append(ZERO)
-        for k in range(2, degree + 1):
-            lower = powers[k - 1]
-            acc = ZERO
-            for j in range(n):
-                if v[j] and lower[n - j]:
-                    acc = acc + lower[n - j] * v[j]
-            powers[k].append(acc)
-        residual = c_dep * powers[degree][n]
-        if n <= degree:
-            residual = residual + param_terms[n]
-        vn = -(residual * dep_partial_inv)
-        v.append(vn)
-        if vn:
-            for k in range(1, degree + 1):
-                powers[k][n] = powers[k][n] + slopes[k] * vn
-    return v
+    The solved state is replaced whole, never modified in place, so a
+    concurrent reader sees a consistent state; a duplicate extension
+    publishes an equal one and a late shorter one a truncation, which the
+    next request extends again.
+    """
+
+    __slots__ = ("c_dep", "param_terms", "slopes", "dep_partial_inv", "_state")
+
+    def __init__(self, point: ProjPoint, parameter: int, dependent: int):
+        degree = CURVE.degree
+        if not all(max(e) == degree for e in CURVE.terms):
+            raise AssertionError("expand_branch needs a curve of pure powers")
+        coeff = [ZERO] * 3
+        for e, c in CURVE.terms.items():
+            coeff[e.index(degree)] = c
+        v0 = point.coords[dependent]
+        v0_powers = [ONE, v0]
+        for _ in range(2, degree + 1):
+            v0_powers.append(v0_powers[-1] * v0)
+        # slopes[k] = k * v_0^(k-1), the derivative of v^k in v_0
+        self.slopes = [ZERO] + [k * v0_powers[k - 1] for k in range(1, degree + 1)]
+        self.c_dep = coeff[dependent]
+        self.dep_partial_inv = (self.c_dep * self.slopes[degree]).inv()
+        p0 = point.coords[parameter]
+        # [t^n] c_par * (p_0 + t)^d, nonzero only for n <= d
+        self.param_terms = [coeff[parameter] * comb(degree, n) * p0 ** (degree - n)
+                            for n in range(degree + 1)]
+        self._state: tuple[list[CycNum], list[list[CycNum]]] = (
+            [v0], [[c] for c in v0_powers]
+        )
+
+    def series(self, precision: int) -> Series:
+        """v_0..v_(precision-1), solving only the orders not yet reached."""
+        v, powers = self._state
+        if len(v) < precision:
+            v, powers = list(v), [list(row) for row in powers]
+            self._extend(v, powers, precision)
+            self._state = (v, powers)
+        return tuple(v[:precision])
+
+    def _extend(self, v: list[CycNum], powers: list[list[CycNum]], precision: int) -> None:
+        """Solve the orders len(v)..precision-1 into the given copies."""
+        degree = len(powers) - 1
+        c_dep, param_terms = self.c_dep, self.param_terms
+        slopes, dep_partial_inv = self.slopes, self.dep_partial_inv
+        for n in range(len(v), precision):
+            powers[1].append(ZERO)
+            for k in range(2, degree + 1):
+                lower = powers[k - 1]
+                acc = ZERO
+                for j in range(n):
+                    if v[j] and lower[n - j]:
+                        acc = acc + lower[n - j] * v[j]
+                powers[k].append(acc)
+            residual = c_dep * powers[degree][n]
+            if n <= degree:
+                residual = residual + param_terms[n]
+            vn = -(residual * dep_partial_inv)
+            v.append(vn)
+            if vn:
+                for k in range(1, degree + 1):
+                    powers[k][n] = powers[k][n] + slopes[k] * vn
 
 
 def compose(form: HomogPoly, expansion: BranchExpansion, order: int) -> tuple[RowSeries, int]:

@@ -131,6 +131,20 @@ def test_galois_preserves_curve_membership():
             assert on_curve(point.galois(sigma))
 
 
+def test_galois_images_are_normalized_as_by_an_explicit_inversion():
+    # the image of a normalized point starts with sigma(1) = 1, so its
+    # constructor skips the inversion: the result must not depend on that
+    for k in (1, 5, 7, 11, 13, 17, 19, 23):
+        sigma = Automorphism(k)
+        for name, point in CATALOG.items():
+            coords = [sigma(c) for c in point.coords]
+            scale = next(c for c in coords if c).inv()
+            expected = tuple(c * scale for c in coords)
+            image = point.galois(sigma)
+            assert image.coords == expected, (name, k)
+            assert hash(image) == hash(ProjPoint(*expected)) == hash(expected), (name, k)
+
+
 def test_homog_poly_arithmetic():
     conic = X ** 2 + Y ** 2 + Z ** 2
     assert conic.degree == 2

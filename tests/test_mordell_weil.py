@@ -63,6 +63,17 @@ def test_enumeration_count_and_order():
     assert len(set(elements)) == 2048
 
 
+def test_enumerated_elements_match_the_validating_constructor():
+    # all_elements builds its elements from already reduced coordinates,
+    # without the reducing constructor
+    for m in all_elements():
+        rebuilt = ModElement(m.c)
+        assert type(m.c) is tuple and len(m.c) == 6
+        assert m == rebuilt and hash(m) == hash(rebuilt)
+        assert str(m) == str(rebuilt) and repr(m) == repr(rebuilt)
+        assert bool(m) == bool(rebuilt)
+
+
 def test_dictionary_consistency():
     assert CUSP_DICTIONARY.basis_consistent()
     assert CUSP_DICTIONARY.gamma2_consistent()

@@ -351,6 +351,111 @@ def test_expansion_matches_per_order_reference():
         assert expand_branch(point, 17) == _reference_expansion(point, 17), name
 
 
+def test_resumed_expansions_match_per_order_reference():
+    # one solver per point serves every precision: requests in any order,
+    # lower than one already solved or repeated, give the same expansions
+    rng = random.Random(9061)
+    valuations._EXPANSION_CACHE.clear()
+    references = {}
+    for name, point in CATALOG.items():
+        order = [1, 1, 2, 3, 5, 5, 8, 11, 16, 17]
+        rng.shuffle(order)
+        assert any(a > b for a, b in zip(order, order[1:])), name
+        for precision in order:
+            if (point, precision) not in references:
+                references[point, precision] = _reference_expansion(point, precision)
+            expansion = expand_branch(point, precision)
+            assert expansion == references[point, precision], (name, precision)
+            assert len(expansion.series) == precision
+
+
+def test_resumed_expansions_under_concurrent_requests():
+    # threads share each point's solver: every thread's expansions must
+    # still be the reference truncations, whatever the interleaving
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    points = [CATALOG[name] for name in ("A1", "B3", "C2", "T01", "T30", "E+")]
+    references = {point: _reference_expansion(point, 17) for point in points}
+
+    def job(seed):
+        rng = random.Random(seed)
+        point = rng.choice(points)
+        order = [1, 2, 4, 8, 16, 17, 3, 9]
+        rng.shuffle(order)
+        for precision in order:
+            series = expand_branch(point, precision).series
+            assert series == references[point].series[:precision], (point, precision)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(5):
+            valuations._EXPANSION_CACHE.clear()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(job, 100 * round_ + i) for i in range(24)]
+                for future in futures:
+                    future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _corrupt_newest_coefficient(monkeypatch):
+    extend = valuations._BranchSolver._extend
+
+    def corrupted(self, v, powers, precision):
+        extend(self, v, powers, precision)
+        v[-1] = v[-1] + ONE
+
+    monkeypatch.setattr(valuations._BranchSolver, "_extend", corrupted)
+
+
+def test_gate_rejects_a_corrupted_first_solve(monkeypatch):
+    point = CATALOG["T10"]
+    valuations._EXPANSION_CACHE.clear()
+    _corrupt_newest_coefficient(monkeypatch)
+    with pytest.raises(AssertionError):
+        expand_branch(point, 4)
+    assert (point, 4) not in valuations._EXPANSION_CACHE
+    monkeypatch.undo()
+    valuations._EXPANSION_CACHE.clear()
+    assert expand_branch(point, 4) == _reference_expansion(point, 4)
+
+
+def test_gate_rejects_a_corrupted_resumed_solve(monkeypatch):
+    point = CATALOG["A2"]
+    valuations._EXPANSION_CACHE.clear()
+    assert expand_branch(point, 4) == _reference_expansion(point, 4)
+    _corrupt_newest_coefficient(monkeypatch)
+    with pytest.raises(AssertionError):
+        expand_branch(point, 8)
+    assert (point, 8) not in valuations._EXPANSION_CACHE
+    monkeypatch.undo()
+    valuations._EXPANSION_CACHE.clear()
+    assert expand_branch(point, 8) == _reference_expansion(point, 8)
+
+
+def test_solver_inverts_once_per_point_and_clearing_drops_it(monkeypatch):
+    calls = [0]
+    inv = CycNum.inv
+
+    def counted(self):
+        calls[0] += 1
+        return inv(self)
+
+    point = CATALOG["C3"]
+    valuations._EXPANSION_CACHE.clear()
+    monkeypatch.setattr(CycNum, "inv", counted)
+    expand_branch(point, 4)
+    assert calls[0] == 1
+    expand_branch(point, 17)
+    expand_branch(point, 2)
+    assert calls[0] == 1  # resumed and truncated, not set up again
+    valuations._EXPANSION_CACHE.clear()
+    expand_branch(point, 4)
+    assert calls[0] == 2
+
+
 def _full_valuation(form, point, bound):
     """First nonzero coefficient of one composition to order bound + 1, or
     None where every coefficient below the bound vanishes."""

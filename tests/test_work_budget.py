@@ -1,16 +1,25 @@
 """A deterministic guard on the arithmetic one full report costs.
 
-Field multiplications, row-series products and curve evaluations are
-counted rather than timed, so the guard does not depend on the host.  A
-cold report makes 2,824 CycNum multiplications and 424 products of row
-series in `valuations`, 3,248 counted operations against a budget of
-5,500: composing along a branch on CycNum series again (7,169
+Field multiplications, row-series products, inversions, curve
+evaluations and element constructions are counted rather than timed, so
+the guard does not depend on the host.  A cold report makes 1,483
+CycNum multiplications and 424 products of row series in `valuations`,
+1,907 counted operations against a budget of 3,000: solving each
+precision of an expansion from order 0 again (2,824 multiplications,
+3,248 operations), composing along a branch on CycNum series (7,169
 multiplications per report), or the per-order composition loop in
-`expand_branch` (about 74,000), fails it, and so does testing a point
-on the curve again (a report uses 16 distinct points; re-testing them at
+`expand_branch` (about 74,000), fails it, and so does testing a point on
+the curve again (a report uses 16 distinct points; re-testing them at
 every use costs about 250 evaluations).  The curve's partial derivatives
 are built once, at import: building them per expansion (102 builds per
 report) fails the guard too.
+
+A cold report inverts 20 field elements: F_dep(P) once at each of the
+14 points expanded beyond precision 1, and 6 divisions in the Brauer
+cocycle.  Inverting per precision and normalizing the Galois images of
+normalized points again costs 157.  It constructs 256 elements of the
+divisor-class module through the reducing constructor; the 2048 of the
+enumeration are built from coordinates already reduced (2,304 before).
 """
 
 import os
@@ -18,13 +27,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-from quartic_twist import curve, valuations
+from quartic_twist import curve, mordell_weil, valuations
 from quartic_twist.checks import build_report, list_check_ids
 from quartic_twist.curve import CATALOG, HomogPoly, X, Y, Z
 from quartic_twist.cyclotomic import CycNum, zeta
 
 # CycNum multiplications plus row-series products per cold report
-MULTIPLICATION_BUDGET = 5_500
+MULTIPLICATION_BUDGET = 3_000
+# CycNum inversions per cold report
+INVERSION_BUDGET = 30
+# ModElement constructions through the reducing constructor per cold report
+ELEMENT_CONSTRUCTION_BUDGET = 400
 # the distinct points one report tests against the curve equation
 CURVE_EVALUATIONS = 16
 
@@ -55,6 +68,39 @@ def test_full_report_multiplication_budget(monkeypatch):
     report = build_report()
     assert report.exit_code == 0
     assert calls[0] <= MULTIPLICATION_BUDGET, calls[0]
+
+
+def _counted(monkeypatch, owner, name) -> list[int]:
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _cold_report():
+    """A full report with the expansion and element caches emptied."""
+    valuations._EXPANSION_CACHE.clear()
+    mordell_weil._elements.cache_clear()
+    mordell_weil.image_table.cache_clear()
+    report = build_report()
+    assert report.exit_code == 0
+
+
+def test_full_report_inversion_budget(monkeypatch):
+    calls = _counted(monkeypatch, CycNum, "inv")
+    _cold_report()
+    assert calls[0] <= INVERSION_BUDGET, calls[0]
+
+
+def test_full_report_element_construction_budget(monkeypatch):
+    calls = _counted(monkeypatch, mordell_weil.ModElement, "__init__")
+    _cold_report()
+    assert calls[0] <= ELEMENT_CONSTRUCTION_BUDGET, calls[0]
 
 
 def test_listing_ids_does_no_arithmetic(monkeypatch):
