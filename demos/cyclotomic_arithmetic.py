@@ -24,7 +24,7 @@ z3 = zeta(3)
 print("\nzeta_3^3 =", z3 * z3 * z3)
 print("1 + zeta_3 + zeta_3^2 =", 1 + z3 + z3 ** 2)
 
-print("\ninverses come from the extended Euclidean algorithm:")
+print("\nan inverse is the product of the other 7 Galois conjugates over the norm:")
 a = CycNum((1, 2, 0, 3))  # 1 + 2d + 3d^3
 print("  a       =", a)
 print("  a^(-1)  =", a.inv())

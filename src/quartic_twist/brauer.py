@@ -22,6 +22,17 @@ GroupLabel = str  # "1" or "tau"
 _GROUP = ("1", "tau")
 
 
+def _group_mul(s: GroupLabel, t: GroupLabel) -> GroupLabel:
+    """The product st in the order-2 group {1, tau}."""
+    return "1" if s == t else "tau"
+
+
+def _act(s: GroupLabel, value: CycNum) -> CycNum:
+    """The action of a group element on Q(zeta_24): tau is complex
+    conjugation."""
+    return TAU(value) if s == "tau" else value
+
+
 def reduce_mod_curve(form: HomogPoly) -> HomogPoly:
     """Normal form modulo the curve ideal: rewrite every monomial divisible
     by X^4 via X^4 -> -Y^4 - Z^4 until none remains.  The residue is zero
@@ -104,11 +115,8 @@ def trivial_unit_cocycle_table() -> dict[tuple[GroupLabel, GroupLabel], CycNum]:
     u = {label: ONE for label in _GROUP}
     table = {}
     for s in _GROUP:
-        sigma = TAU if s == "tau" else None
         for t in _GROUP:
-            st = "1" if s == t else ("tau" if "tau" in (s, t) else "1")
-            moved = sigma(u[t]) if sigma else u[t]
-            table[(s, t)] = u[s] * moved / u[st]
+            table[(s, t)] = u[s] * _act(s, u[t]) / u[_group_mul(s, t)]
     return table
 
 
@@ -117,17 +125,11 @@ def cocycle_identity_holds(
 ) -> bool:
     """The 2-cocycle identity a_(s,t) a_(st,u) = s(a_(t,u)) a_(s,tu) over
     all eight triples of the order-2 group."""
-    def mul(s: GroupLabel, t: GroupLabel) -> GroupLabel:
-        return "1" if s == t else "tau"
-
-    def act(s: GroupLabel, value: CycNum) -> CycNum:
-        return TAU(value) if s == "tau" else value
-
     for s in _GROUP:
         for t in _GROUP:
             for u in _GROUP:
-                left = table[(s, t)] * table[(mul(s, t), u)]
-                right = act(s, table[(t, u)]) * table[(s, mul(t, u))]
+                left = table[(s, t)] * table[(_group_mul(s, t), u)]
+                right = _act(s, table[(t, u)]) * table[(s, _group_mul(t, u))]
                 if left != right:
                     return False
     return True

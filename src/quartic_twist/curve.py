@@ -153,8 +153,6 @@ Y = HomogPoly.monomial((0, 1, 0))
 Z = HomogPoly.monomial((0, 0, 1))
 
 CURVE = X ** 4 + Y ** 4 + Z ** 4
-# the partial derivatives of the curve's form, along X, Y and Z
-CURVE_PARTIALS = tuple(CURVE.partial(axis) for axis in range(3))
 
 
 class ProjPoint:
@@ -215,10 +213,6 @@ def on_curve(point: ProjPoint) -> bool:
         return False
     _ON_CURVE.add(point)
     return True
-
-
-def curve_is_smooth_at(point: ProjPoint) -> bool:
-    return any(partial.evaluate(point) for partial in CURVE_PARTIALS)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,14 @@
 Elements are written on the power basis 1, d, d^2, ..., d^7 where
 d = zeta_24 is a primitive 24th root of unity with minimal polynomial
 d^8 - d^4 + 1, so every product is reduced eagerly via d^8 = d^4 - 1.
-The representation is canonical: two elements are equal exactly when
-their coefficient vectors are equal.
+`reduce_product` is the only place that relation is written: products
+in `CycNum.__mul__`, the table of powers of d (and through it the Galois
+automorphisms) and the row-series products of `valuations` all reduce
+through it.  The representation is canonical: two elements are equal
+exactly when their coefficient vectors are equal.
+
+The inverse of x is the product of its seven other Galois conjugates
+divided by the norm, x times that product, which is rational.
 
 Internally a value is a vector of eight integers over a single positive
 denominator with the gcd of all nine integers equal to 1.  That keeps the
@@ -20,11 +26,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, "CycNum"]
 
 _N_COEFFS = 8
+
+
+def reduce_product(s: Sequence[int]) -> tuple[int, ...]:
+    """The 8 power-basis numerators of a product vector of d^0..d^14, by
+    d^8 = d^4 - 1 (so d^12 = -1)."""
+    s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14 = s
+    return (s0 - s8 - s12, s1 - s9 - s13, s2 - s10 - s14, s3 - s11,
+            s4 + s8, s5 + s9, s6 + s10, s7 + s11)
 
 
 def _normalized(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -124,32 +138,24 @@ class CycNum:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
-        # d^(i) = d^(i-4) - d^(i-8) for i >= 8; descending order so the
-        # carried d^(i-4) term is itself reduced later in the loop.
-        for i in range(14, 7, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                prod[i - 4] += c
-                prod[i - 8] -= c
-        return CycNum._raw(prod[:8], self.den * other.den)
+        return CycNum._raw(reduce_product(prod), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> CycNum:
-        """Multiplicative inverse, by the extended Euclidean algorithm on
-        the representing polynomial and d^8 - d^4 + 1."""
+        """Multiplicative inverse: the product of the seven other Galois
+        conjugates over the norm, which is rational."""
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_24)")
-        a = [Fraction(n, self.den) for n in self.nums]
-        s = _poly_half_xgcd(a)
-        nums = [0] * _N_COEFFS
-        common = 1
-        for c in s:
-            common = common * c.denominator // gcd(common, c.denominator)
-        for i, c in enumerate(s):
-            nums[i] = c.numerator * (common // c.denominator)
-        return CycNum._raw(nums, common)
+        first, *rest = _OTHER_CONJUGATIONS
+        conjugates = first(self)
+        for sigma in rest:
+            conjugates = conjugates * sigma(self)
+        norm = self * conjugates
+        if not norm.is_rational():
+            raise ArithmeticError(f"norm of {self} is not rational")
+        return CycNum._raw([n * norm.den for n in conjugates.nums],
+                           conjugates.den * norm.nums[0])
 
     def __truediv__(self, other: Scalar) -> CycNum:
         other = _lift(other)
@@ -217,71 +223,13 @@ def rational(value: Union[int, Fraction]) -> CycNum:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers for inversion (ascending Fraction coefficient lists)
-
-_MINPOLY = [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(-1),
-            Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
-
-
-def _ptrim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b):
-        k = len(a) - len(b)
-        f = a[-1] * inv_lead
-        q[k] = f
-        for i, bc in enumerate(b):
-            a[k + i] -= f * bc
-        _ptrim(a)
-        if not a:
-            break
-    return _ptrim(q), a
-
-
-def _poly_half_xgcd(a: list[Fraction]) -> list[Fraction]:
-    """Return s with s*a = gcd(a, minpoly) = const mod minpoly, scaled so
-    that s*a = 1.  The minimal polynomial is irreducible over Q, so the
-    gcd of any nonzero a with it is a nonzero constant."""
-    r0, r1 = list(_MINPOLY), _ptrim(list(a))
-    s0, s1 = [], [Fraction(1)]
-    while len(r1) > 1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s2 = list(s0)
-        s2 += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s2))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    s2[i + j] -= qc * sc
-        s0, s1 = s1, _ptrim(s2)
-    if not r1:
-        raise ZeroDivisionError("not invertible modulo the minimal polynomial")
-    c = r1[0]
-    s = [x / c for x in s1]
-    s += [Fraction(0)] * (_N_COEFFS - len(s))
-    return s[:_N_COEFFS]
-
-
-# ---------------------------------------------------------------------------
 # powers of d and roots of unity
 
 def _build_d_powers() -> tuple[tuple[int, ...], ...]:
-    powers = []
-    cur = [1, 0, 0, 0, 0, 0, 0, 0]
-    for _ in range(24):
-        powers.append(tuple(cur))
-        cur = [0] + cur
-        carry = cur.pop()
-        if carry:
-            cur[4] += carry
-            cur[0] -= carry
+    powers = [(1, 0, 0, 0, 0, 0, 0, 0)]
+    for _ in range(23):
+        # d * d^n, as a product vector of d^1..d^8
+        powers.append(reduce_product((0, *powers[-1], 0, 0, 0, 0, 0, 0)))
     return tuple(powers)
 
 
@@ -353,6 +301,9 @@ class Automorphism:
 
 
 IDENTITY = Automorphism(1)
+# every automorphism but the identity: their images of x are the other
+# conjugates of x, whose product `CycNum.inv` divides by the norm
+_OTHER_CONJUGATIONS = tuple(Automorphism(k) for k in (5, 7, 11, 13, 17, 19, 23))
 
 # The two lifts to Q(zeta_24) of each generator of Gal(Q(zeta_8)/Q);
 # the defaults fix zeta_3, so they act trivially on the D-point coordinates.

@@ -13,14 +13,14 @@ identities of the shape  claimed = div(G) - div(H)  exactly, without any
 general linear-equivalence machinery.
 
 Cost model.  A series along a branch is a list of integer rows over one
-positive denominator: row n holds the 8 power-basis numerators of the
-t^n coefficient, or None when that coefficient is 0.  The reduced
-8-vector is canonical and the denominator positive, so a coefficient
-vanishes exactly when its row is None, and a row is tested for zero
-without building a field element.  `_series_mul` multiplies two row
-series: it sums the unreduced products of every pair of rows that lands
-on one output coefficient and reduces d^8 = d^4 - 1 once for that
-coefficient; it takes no gcd and builds no CycNum.
+positive denominator: for each nonzero t^n coefficient, in ascending n,
+the pair (n, row) where the row lists the nonzero (power, numerator)
+pairs of its 8 power-basis numerators.  Each row is scanned for its
+nonzero numerators once, when it is made, not at every product that
+reads it.  `_series_mul` multiplies two row series: it sums the
+unreduced products of every pair of rows that lands on one output
+coefficient and reduces that coefficient once, by
+`cyclotomic.reduce_product`; it takes no gcd and builds no CycNum.
 
 `expand_branch` solves the dependent coordinate order by order on CycNum
 with one resumable solver per point (`_BranchSolver`).  The curve is a
@@ -41,19 +41,24 @@ scaled by a common denominator D, and the powers of the latter two,
 built by plain row-series products of the finished series (never from
 the solver's internal powers) and extended on demand.  The gate
 composes the curve with every expansion through that table, at the
-full precision, and raises unless every row is None: it certifies the
-series independently of how it was solved, resumed or not.  The table
-is shared by the gate and every later composition at that point and
-precision, and it lives on the expansion.
+full precision, and raises unless every coefficient vanishes: it
+certifies the series independently of how it was solved, resumed or
+not.  The table is shared by the gate and every later composition at
+that point and precision, and it lives on the expansion.
 
 `compose` substitutes the table into a form of degree m: every monomial
 has denominator D^m, so after scaling the coefficients to their common
-denominator L the whole result is one row series over D^m L.
-`valuation` reads the rows of such compositions: it composes with
-expansions of precision 1, 2, 4, 8, ... (capped at bound + 1) and stops
-at the first nonzero row, so a form that does not vanish at the point
-costs one precision-1 expansion.  Only what a caller reads is normalised
-to CycNum: the coefficients `compose_with_branch` returns.
+denominator L the whole result is over D^m L.  Each of its coefficients
+is summed unreduced and reduced once by `reduce_product`; the result
+lists, for t^0, t^1, ..., the 8 numerators, or None when that
+coefficient is 0.  The reduced vector is canonical and the denominator
+positive, so a coefficient vanishes exactly when its entry is None, and
+it is tested for zero without building a field element.  `valuation`
+reads such compositions: it composes with expansions of precision 1, 2,
+4, 8, ... (capped at bound + 1) and stops at the first nonzero
+coefficient, so a form that does not vanish at the point costs one
+precision-1 expansion.  Only what a caller reads is normalised to
+CycNum: the coefficients `compose_with_branch` returns.
 """
 
 from __future__ import annotations
@@ -61,15 +66,17 @@ from __future__ import annotations
 from math import comb, gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .cyclotomic import CycNum, ONE, ZERO
+from .cyclotomic import CycNum, ONE, ZERO, reduce_product
 from .curve import CURVE, HomogPoly, ProjPoint, on_curve
 from .divisors import Divisor
 
 Series = tuple[CycNum, ...]
-# the 8 power-basis numerators of one coefficient, None for 0
-Row = Optional[tuple[int, ...]]
-# the coefficients of t^0, t^1, ... as rows over one denominator
-RowSeries = list[Row]
+# the nonzero (power, numerator) pairs of one nonzero coefficient
+Row = list[tuple[int, int]]
+# (n, row) for each nonzero coefficient of t^n, n ascending, over one denominator
+RowSeries = list[tuple[int, Row]]
+# the 8 power-basis numerators of each coefficient, None for 0
+Coefficients = list[Optional[tuple[int, ...]]]
 
 
 class OrderBoundExceeded(ArithmeticError):
@@ -81,31 +88,14 @@ class OrderBoundExceeded(ArithmeticError):
     """
 
 
-def _sparse(series: RowSeries, order: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    """(n, nonzero (power, numerator) pairs) for each nonzero row below the order."""
-    return [
-        (n, [(p, v) for p, v in enumerate(row) if v])
-        for n, row in enumerate(series[:order])
-        if row
-    ]
-
-
-def _reduce(s: list[int]) -> Row:
-    """The canonical row of a product vector of d^0..d^14, by d^8 = d^4 - 1
-    (so d^12 = -1): None when every numerator vanishes."""
-    s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14 = s
-    row = (s0 - s8 - s12, s1 - s9 - s13, s2 - s10 - s14, s3 - s11,
-           s4 + s8, s5 + s9, s6 + s10, s7 + s11)
-    return row if any(row) else None
-
-
 def _series_mul(a: RowSeries, b: RowSeries, order: int) -> RowSeries:
     """Product of two row series, truncated at the order, over the product
     of their denominators."""
     acc: list[Optional[list[int]]] = [None] * order
-    right = _sparse(b, order)
-    for i, xs in _sparse(a, order):
-        for j, ys in right:
+    for i, xs in a:
+        if i >= order:
+            break
+        for j, ys in b:
             n = i + j
             if n >= order:
                 break
@@ -115,15 +105,23 @@ def _series_mul(a: RowSeries, b: RowSeries, order: int) -> RowSeries:
             for p, x in xs:
                 for q, y in ys:
                     s[p + q] += x * y
-    return [None if s is None else _reduce(s) for s in acc]
+    return [(n, [(p, v) for p, v in enumerate(nums) if v])
+            for n, nums in enumerate(map(_reduced, acc)) if nums]
+
+
+def _reduced(s: Optional[list[int]]) -> Optional[tuple[int, ...]]:
+    """The numerators of an accumulated product vector of d^0..d^14, or
+    None when it is 0."""
+    if s is None:
+        return None
+    nums = reduce_product(s)
+    return nums if any(nums) else None
 
 
 def _row(c: CycNum, den: int) -> Row:
-    """The numerators of c over a multiple of its denominator."""
-    if not c:
-        return None
+    """The nonzero numerators of c over a multiple of its denominator."""
     scale = den // c.den
-    return tuple(n * scale for n in c.nums)
+    return [(p, n * scale) for p, n in enumerate(c.nums) if n]
 
 
 class _PowerTable:
@@ -144,11 +142,11 @@ class _PowerTable:
         den = p0.den
         for c in expansion.series:
             den = den * c.den // gcd(den, c.den)
-        one: RowSeries = [(1, 0, 0, 0, 0, 0, 0, 0)] + [None] * (order - 1)
-        param = [_row(p0, den)] + [None] * (order - 1)
+        one: RowSeries = [(0, [(0, 1)])]
+        param = [(0, _row(p0, den))] if p0 else []
         if order > 1:
-            param[1] = (den, 0, 0, 0, 0, 0, 0, 0)
-        dependent = [_row(c, den) for c in expansion.series]
+            param.append((1, [(0, den)]))
+        dependent = [(n, _row(c, den)) for n, c in enumerate(expansion.series) if c]
         self.den = den
         self.order = order
         self.powers: list[tuple[RowSeries, ...]] = [(), (), ()]
@@ -371,9 +369,10 @@ class _BranchSolver:
                     powers[k][n] = powers[k][n] + slopes[k] * vn
 
 
-def compose(form: HomogPoly, expansion: BranchExpansion, order: int) -> tuple[RowSeries, int]:
+def compose(form: HomogPoly, expansion: BranchExpansion, order: int) -> tuple[Coefficients, int]:
     """Substitute the expansion into a form, truncating at the order: the
-    rows of the result and their one positive denominator."""
+    numerators of each coefficient of the result and their one positive
+    denominator."""
     if order > expansion.precision:
         raise ValueError("requested order exceeds the expansion precision")
     table = expansion.power_table()
@@ -388,18 +387,19 @@ def compose(form: HomogPoly, expansion: BranchExpansion, order: int) -> tuple[Ro
             term = _series_mul(table.power(parameter, j), table.power(dependent, k), order)
         else:
             term = table.power(dependent, k) if k else table.power(parameter, j)
-        # the chart coordinate is the constant den, and c = nums / c.den
-        scale = common // c.den * table.den ** i
-        coefficient = [(p, v * scale) for p, v in enumerate(c.nums) if v]
-        for n, ys in _sparse(term, order):
+        # c over the common denominator, times the chart coordinate's
+        # constant den to the power i
+        coefficient = _row(c, common * table.den ** i)
+        for n, ys in term:
+            if n >= order:
+                break
             s = acc[n]
             if s is None:
                 s = acc[n] = [0] * 15
             for p, x in coefficient:
                 for q, y in ys:
                     s[p + q] += x * y
-    rows = [None if s is None else _reduce(s) for s in acc]
-    return rows, table.den ** form.degree * common
+    return [_reduced(s) for s in acc], table.den ** form.degree * common
 
 
 def compose_with_branch(form: HomogPoly, expansion: BranchExpansion, order: int) -> Series:

@@ -1,10 +1,13 @@
-"""The benchmark's traced pass still finds every target it measures.
+"""The benchmark's traced pass and micro-timings still find every target
+they measure.
 
 `perfbench/tracer.py` wraps functions of the package by name and reports a
 per-layer metric as missing when its target was renamed or not reached in
 the run.  One traced full report, in a fresh process as the benchmark runs
-it, must print the golden report and leave no metric missing.  This reads
-`perfbench/` and changes nothing there.
+it, must print the golden report and leave no metric missing.
+`perfbench/micro.py` times the hot layers (CycNum mul and inv among them)
+and lists a metric as missing when its code is gone; one run must time
+all four.  This reads `perfbench/` and changes nothing there.
 """
 
 import json
@@ -36,3 +39,22 @@ def test_traced_full_report_misses_no_metric(tmp_path, monkeypatch):
     metrics, missing = tracer.per_layer([record])
     assert missing == []
     assert set(metrics) == set(tracer.PER_LAYER) | {"valuations.expand_cache_hit_ratio"}
+
+
+def test_micro_timings_miss_no_metric(tmp_path):
+    result_path = tmp_path / "micro.json"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "micro.py"), "1", str(result_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    timings = json.loads(result_path.read_text(encoding="utf-8"))
+    assert timings["missing"] == []
+    assert all(value > 0 for value, _unit in timings["metrics"].values())
+    assert set(timings["metrics"]) == {
+        "cyclotomic.mul_ns",
+        "cyclotomic.inv_us",
+        "valuations.expand_branch_p17_ms",
+        "mordell_weil.sweep_ms",
+    }

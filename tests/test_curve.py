@@ -30,7 +30,6 @@ from quartic_twist.curve import (
     Y,
     Z,
     catalog,
-    curve_is_smooth_at,
     cusp_permutation,
     on_curve,
     point_name,
@@ -68,9 +67,10 @@ def test_catalog_points():
 
 
 def test_all_catalog_points_on_smooth_locus():
+    partials = [CURVE.partial(axis) for axis in range(3)]
     for name, point in CATALOG.items():
         assert on_curve(point), name
-        assert curve_is_smooth_at(point), name
+        assert any(partial.evaluate(point) for partial in partials), name
 
 
 def test_normalization_first_nonzero_is_one():

@@ -2,17 +2,18 @@
 
 Field multiplications, row-series products, inversions, curve
 evaluations and element constructions are counted rather than timed, so
-the guard does not depend on the host.  A cold report makes 1,483
-CycNum multiplications and 424 products of row series in `valuations`,
-1,907 counted operations against a budget of 3,000: solving each
-precision of an expansion from order 0 again (2,824 multiplications,
-3,248 operations), composing along a branch on CycNum series (7,169
-multiplications per report), or the per-order composition loop in
-`expand_branch` (about 74,000), fails it, and so does testing a point on
+the guard does not depend on the host.  A cold report makes 1,623
+CycNum multiplications (140 of them in its 20 inversions, 7 each) and
+424 products of row series in `valuations`, 2,047 counted operations
+against a budget of 3,000: solving each precision of an expansion from
+order 0 again (2,824 multiplications and 157 inversions: 4,347
+operations with inverses by the norm), composing along a branch on
+CycNum series (7,169 multiplications per report), or the per-order
+composition loop in `expand_branch` (about 74,000), fails it, and so does testing a point on
 the curve again (a report uses 16 distinct points; re-testing them at
-every use costs about 250 evaluations).  The curve's partial derivatives
-are built once, at import: building them per expansion (102 builds per
-report) fails the guard too.
+every use costs about 250 evaluations).  A report builds no partial
+derivative of the curve's form: building them per expansion (102 builds
+per report) fails the guard too.
 
 A cold report inverts 20 field elements: F_dep(P) once at each of the
 14 points expanded beyond precision 1, and 6 divisions in the Brauer
