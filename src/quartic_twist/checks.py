@@ -14,13 +14,13 @@ names and the theorem table.  So listing the ids does no arithmetic.  A
 section builder computes its verdicts in the order of its rows and
 `_records` attaches them to the rows.
 
-A request is answered from its dependency cone only.  `_RunData.section`
-builds a section at most once per run, after the sections its builder
-reads (only the theorems read other sections), in canonical order:
-`--check ID` builds the section of ID and its cone, `--section S` the
-cone of S, and the full report every section.  A theorem is the
-conjunction of the run's records its table entry names (`theorems`); the
-`theorems` section is the only place a theorem verdict is computed.
+A request is answered from its dependency cone only.  `_RunData.record`
+is the one way to read a run: it builds the section of a data check at
+most once per run, and evaluates a theorem at most once, from `record`
+lookups of the records its table entry names (`theorems`).  So
+`--check ID` builds the section of a data check, or just the sections a
+theorem names; `--section theorems` builds the sections all four name,
+and the full report every section once.
 
 A Fault corrupts one constant for negative-control runs, and it is the
 only way to corrupt a run; a corrupted run must produce at least one FAIL.
@@ -92,17 +92,6 @@ from .mordell_weil import (
     two_torsion_multiples,
 )
 
-SECTIONS = (
-    "bitangents",
-    "dictionary",
-    "galois",
-    "fixed",
-    "torsor",
-    "brauer",
-    "quadratic",
-    "theorems",
-)
-
 HEADER_BITANGENTS = "Points of tangency of bitangents"
 HEADER_DICTIONARY = "Check linear equivalences of divisors"
 HEADER_SIGMA3 = "Action of sigma_3"
@@ -154,7 +143,10 @@ def load_fault(path: str) -> Fault:
     """Read a fault file.  A fault that is malformed, names nothing, or
     leaves its constant unchanged raises ValueError."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError as error:
+            raise ValueError(str(error)) from None
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     target = data.get("target")
@@ -231,10 +223,12 @@ class Report(NamedTuple):
 
 
 class _RunData:
-    """Constants for one run, after fault application, and the records of
-    each section once built."""
+    """Constants for one run, after fault application, and every record
+    built so far, indexed by id.  `record` is the one way to read a run:
+    the checks a theorem names, the theorems themselves and `run_single`
+    all go through it."""
 
-    __slots__ = ("dictionary", "s3", "s5", "perturbation", "sections")
+    __slots__ = ("dictionary", "s3", "s5", "perturbation", "sections", "records")
 
     def __init__(
         self,
@@ -248,46 +242,47 @@ class _RunData:
         self.s5 = s5
         self.perturbation = perturbation
         self.sections: dict[str, list[CheckRecord]] = {}
+        self.records: dict[str, CheckRecord] = {}
 
     def section(self, name: str) -> list[CheckRecord]:
-        """The records of one section, built at most once per run and after
-        the sections its builder reads.  A builder that raises (a corrupted
-        constant may break a whole section) leaves one FAIL record in place
-        of its checks."""
+        """The records of one section, built at most once per run through
+        its builder.  A builder that raises (a corrupted constant may break a
+        whole section) leaves one FAIL record in place of its checks."""
         if name not in self.sections:
-            for read in _reads(name):
-                self.section(read)
             builder = dict(_SECTION_BUILDERS)[name]
-            try:
-                records = builder(self)
-            except Exception as error:
-                records = [
-                    CheckRecord(
-                        f"{name}-builder",
-                        name,
-                        name,
-                        f"checks of section {name} could not run",
-                        STATUS_FAIL,
-                        {"error": str(error)},
-                    )
-                ]
+            records = _unless_raised(name, lambda: builder(self))
             self.sections[name] = records
+            self.records.update((record.check_id, record) for record in records)
         return self.sections[name]
 
-    def holds(
-        self, patterns: tuple[str, ...], earlier: Iterable[CheckRecord] = ()
-    ) -> bool:
+    def record(self, check_id: str) -> CheckRecord:
+        """The record of one known check id, built at most once per run.  A
+        data check comes from its section, or is the section's builder
+        record if the builder raised; a theorem is evaluated alone, from the
+        records it names, so it builds only its own cone."""
+        section = _SECTION_OF[check_id]
+        if section != "theorems":
+            self.section(section)
+        elif check_id not in self.records:
+            self.records[check_id] = _unless_raised(
+                section, lambda: [_theorem_record(self, check_id)]
+            )[0]
+        return self.records.get(check_id) or self.records[f"{section}-builder"]
+
+    def holds(self, patterns: tuple[str, ...]) -> bool:
         """Whether no record of this run that the id patterns name failed; a
-        section that could not run counts as failed.  Theorem records come
-        from `earlier`, the ones assembled so far."""
-        for section, ids in _named(patterns):
-            records = earlier if section == "theorems" else self.section(section)
-            for record in records:
-                if record.status == STATUS_FAIL and (
-                    record.check_id in ids or record.check_id == f"{section}-builder"
-                ):
-                    return False
-        return True
+        section that could not run counts as failed."""
+        return all(self.record(i).status != STATUS_FAIL for i in _named(patterns))
+
+
+def _unless_raised(section: str, build: Callable[[], list[CheckRecord]]) -> list[CheckRecord]:
+    """The built records, or one FAIL record if building them raised."""
+    try:
+        return build()
+    except Exception as error:
+        label = f"checks of section {section} could not run"
+        detail = {"error": str(error)}
+        return [CheckRecord(f"{section}-builder", section, section, label, STATUS_FAIL, detail)]
 
 
 def _apply_fault(fault: Optional[Fault]) -> _RunData:
@@ -744,32 +739,34 @@ def _quadratic_records(data: _RunData) -> list[CheckRecord]:
 
 
 _THEOREM_ROWS = tuple((t.check_id, HEADER_THEOREMS, t.label) for t in theorems.THEOREMS)
+_THEOREM_OF = {t.check_id: (row, t) for row, t in zip(_THEOREM_ROWS, theorems.THEOREMS)}
+
+
+def _theorem_record(data: _RunData, check_id: str) -> CheckRecord:
+    """One theorem on this run's records: it fails with a constituent or
+    with any record its `depends_on` names."""
+    row, theorem = _THEOREM_OF[check_id]
+    constituents = [
+        {"id": c.check_id, "passed": c.control() if c.control else data.holds(c.records)}
+        for c in theorem.constituents
+    ]
+    passed = all(c["passed"] for c in constituents) and all(
+        data.holds(theorems.DEPENDENCIES[name]) for name in theorem.depends_on
+    )
+    detail = {
+        "constituents": constituents,
+        "assumptions": list(theorem.assumptions),
+        "depends_on": list(theorem.depends_on),
+        "notes": list(theorem.notes),
+    }
+    return _record("theorems", row, passed, detail)
 
 
 def _theorem_records(data: _RunData) -> list[CheckRecord]:
-    """Each theorem on this run's records: it fails with a constituent or
-    with any record its `depends_on` names."""
-    records: list[CheckRecord] = []
-
-    def holds(patterns: tuple[str, ...]) -> bool:
-        return data.holds(patterns, records)
-
-    for row, theorem in zip(_THEOREM_ROWS, theorems.THEOREMS):
-        constituents = [
-            {"id": c.check_id, "passed": c.control() if c.control else holds(c.records)}
-            for c in theorem.constituents
-        ]
-        passed = all(c["passed"] for c in constituents) and all(
-            holds(theorems.DEPENDENCIES[name]) for name in theorem.depends_on
-        )
-        detail = {
-            "constituents": constituents,
-            "assumptions": list(theorem.assumptions),
-            "depends_on": list(theorem.depends_on),
-            "notes": list(theorem.notes),
-        }
-        records.append(_record("theorems", row, passed, detail))
-    return records
+    """The four theorem records, or the FAIL record of the first theorem
+    that could not be evaluated in their place."""
+    records = [data.record(check_id) for check_id in _THEOREM_OF]
+    return [r for r in records if r.check_id == "theorems-builder"][:1] or records
 
 
 SECTION_ROWS: dict[str, tuple[Row, ...]] = {
@@ -782,6 +779,7 @@ SECTION_ROWS: dict[str, tuple[Row, ...]] = {
     "quadratic": _QUADRATIC_ROWS,
     "theorems": _THEOREM_ROWS,
 }
+SECTIONS = tuple(SECTION_ROWS)
 _SECTION_OF = {row[0]: section for section, rows in SECTION_ROWS.items() for row in rows}
 _HEADER_OF = {row[0]: row[1] for rows in SECTION_ROWS.values() for row in rows}
 
@@ -815,28 +813,9 @@ def _id_matcher(patterns: Iterable[str]) -> Callable[[str], bool]:
 
 
 @lru_cache(maxsize=None)
-def _named(patterns: tuple[str, ...]) -> tuple[tuple[str, frozenset[str]], ...]:
-    """The ids the patterns match, by section in canonical order."""
-    matches = _id_matcher(patterns)
-    named = []
-    for section in SECTIONS:
-        ids = frozenset(
-            check_id for check_id, _, _ in SECTION_ROWS[section] if matches(check_id)
-        )
-        if ids:
-            named.append((section, ids))
-    return tuple(named)
-
-
-@lru_cache(maxsize=None)
-def _reads(section: str) -> tuple[str, ...]:
-    """The other sections whose records the section's builder reads, in
-    canonical order: those the theorem table names, for the theorems."""
-    if section != "theorems":
-        return ()
-    patterns = [p for t in theorems.THEOREMS for c in t.constituents for p in c.records]
-    patterns += [p for names in theorems.DEPENDENCIES.values() for p in names]
-    return tuple(s for s, _ in _named(tuple(patterns)) if s != section)
+def _named(patterns: tuple[str, ...]) -> tuple[str, ...]:
+    """The ids the patterns match, in canonical order."""
+    return tuple(filter(_id_matcher(patterns), _SECTION_OF))
 
 
 def build_report(
@@ -852,15 +831,13 @@ def build_report(
 
 
 def run_single(check_id: str, fault: Optional[Fault] = None) -> Report:
-    """The record of one check, built from its section's cone.  If the
-    section could not run, its builder record stands in for the check."""
-    section = _SECTION_OF.get(check_id)
-    if section is None:
+    """The record of one check, built from its own cone: the section of a
+    data check, the sections a theorem names.  If that section could not
+    run, or the theorem could not be evaluated, the builder record stands
+    in for the check."""
+    if check_id not in _SECTION_OF:
         raise ValueError(f"unknown check id {check_id!r}")
-    records = _apply_fault(fault).section(section)
-    return Report(
-        tuple(r for r in records if r.check_id in (check_id, f"{section}-builder"))
-    )
+    return Report((_apply_fault(fault).record(check_id),))
 
 
 def list_check_ids() -> list[str]:

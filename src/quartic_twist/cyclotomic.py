@@ -10,7 +10,8 @@ through it.  The representation is canonical: two elements are equal
 exactly when their coefficient vectors are equal.
 
 The inverse of x is the product of its seven other Galois conjugates
-divided by the norm, x times that product, which is rational.
+divided by the norm, x times that product, which is rational; a rational
+x is inverted directly.
 
 Internally a value is a vector of eight integers over a single positive
 denominator with the gcd of all nine integers equal to 1.  That keeps the
@@ -144,9 +145,12 @@ class CycNum:
 
     def inv(self) -> CycNum:
         """Multiplicative inverse: the product of the seven other Galois
-        conjugates over the norm, which is rational."""
+        conjugates over the norm, which is rational.  A rational q is
+        inverted directly, as 1/q."""
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_24)")
+        if self.is_rational():
+            return CycNum._raw((self.den, 0, 0, 0, 0, 0, 0, 0), self.nums[0])
         first, *rest = _OTHER_CONJUGATIONS
         conjugates = first(self)
         for sigma in rest:

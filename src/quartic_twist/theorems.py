@@ -7,11 +7,11 @@ stated assumptions: each constituent rests on records of the report
 non-hyperellipticity arguments) are listed as assumptions, so a passing
 verdict never silently claims to have verified prose.
 
-`THEOREMS` and `DEPENDENCIES` are static tables; the `theorems` section
-of a run (`checks`) is the one place that evaluates them, on the records
-of its own run, so a corrupted constant (a `checks.Fault`) reaches the
-assembled results.  The `verify_*` functions return the records of a
-clean run's `theorems` section.
+`THEOREMS` and `DEPENDENCIES` are static tables; a run (`checks`) is the
+one place that evaluates them, one theorem at a time on the records of
+its own run, so a corrupted constant (a `checks.Fault`) reaches the
+assembled results.  Each `verify_*` function returns its theorem's
+record of a clean run, which builds only that theorem's cone.
 """
 
 from __future__ import annotations

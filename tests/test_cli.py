@@ -259,11 +259,14 @@ _MATRIX_FAULT = {"target": "matrix", "matrix": "s3", "row": 0, "col": 0, "delta"
         pytest.param({"target": "matrix", "matrix": "s3", "delta": 1}, id="missing-field"),
         pytest.param({"target": ["matrix"]}, id="non-string-target"),
         pytest.param([_MATRIX_FAULT], id="top-level-array"),
+        # raw text: too deep for the JSON decoder, which raises RecursionError
+        pytest.param("[" * 100_000, id="deeply-nested"),
     ],
 )
 def test_malformed_fault_is_usage_error(payload, tmp_path, capsys):
     path = tmp_path / "fault.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    path.write_text(text, encoding="utf-8")
     assert main(["--fault", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,6 +1,9 @@
 """A request is answered from its dependency cone: ids come from static
 tables, and a single check builds only the sections it needs."""
 
+import json
+import random
+import sys
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -53,10 +56,43 @@ def test_single_check_builds_only_its_cone(monkeypatch):
     assert built == ["brauer"]
 
 
-def test_theorems_build_their_sections_first_in_canonical_order(monkeypatch):
+_COMMON_CONE = {"bitangents", "dictionary", "fixed", "brauer"}
+_THEOREM_CONES = {
+    "theorem-odd-torsors": {"galois", "torsor"},
+    "theorem-mordell-weil": _COMMON_CONE,
+    "theorem-quadratic-points": _COMMON_CONE | {"quadratic"},
+    "theorem-determinantal": _COMMON_CONE | {"quadratic"},
+}
+
+
+@pytest.mark.parametrize("check_id", _THEOREM_CONES)
+def test_each_theorem_builds_only_its_own_cone(monkeypatch, check_id):
     built = _built_sections(monkeypatch)
-    run_single("theorem-odd-torsors")
+    report = run_single(check_id)
+    assert [r.check_id for r in report.checks] == [check_id]
+    assert sorted(built) == sorted(_THEOREM_CONES[check_id])
+
+
+def test_full_report_builds_each_section_once(monkeypatch):
+    built = _built_sections(monkeypatch)
+    build_report()
     assert built == list(checks.SECTIONS)
+
+
+def test_sections_are_named_once_in_canonical_order():
+    assert checks.SECTIONS == tuple(checks.SECTION_ROWS)
+    assert tuple(section for section, _ in checks._SECTION_BUILDERS) == checks.SECTIONS
+
+
+def test_theorem_that_raises_leaves_one_builder_record(monkeypatch):
+    monkeypatch.setattr(theorems, "DEPENDENCIES", {})
+    section = build_report(section="theorems").checks
+    assert [(r.check_id, r.status) for r in section] == [("theorems-builder", "FAIL")]
+    # the first theorem in canonical order is the one that raised
+    assert section[0].detail == {"error": "'certificates'"}
+    for check_id in _THEOREM_CONES:
+        (record,) = run_single(check_id).checks
+        assert record._replace(detail=None) == section[0]._replace(detail=None)
 
 
 def test_single_checks_equal_the_full_report():
@@ -97,3 +133,28 @@ def test_id_patterns_match_as_fnmatch_does():
 def test_other_wildcards_are_rejected(pattern):
     with pytest.raises(ValueError):
         checks._id_matcher((pattern,))
+
+
+def _fault_spaces(monkeypatch) -> dict:
+    """The benchmark's spaces of valid one-constant corruptions, imported
+    read-only from `perfbench/faults.py`."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import faults
+
+    return faults.SPACES
+
+
+def test_theorem_cones_equal_the_faulted_report(monkeypatch, tmp_path):
+    rng = random.Random(11)
+    spaces = _fault_spaces(monkeypatch)
+    path = tmp_path / "fault.json"
+    for target in sorted(spaces):
+        for payload in rng.sample(spaces[target], 3):
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            fault = load_fault(str(path))
+            records = build_report(fault=fault).checks
+            assert any(r.status == "FAIL" for r in records), payload
+            for record in records:
+                if record.check_id.startswith("theorem-"):
+                    assert run_single(record.check_id, fault=fault).checks == (record,), payload

@@ -2,9 +2,10 @@
 
 Field multiplications, row-series products, inversions, curve
 evaluations and element constructions are counted rather than timed, so
-the guard does not depend on the host.  A cold report makes 1,623
-CycNum multiplications (140 of them in its 20 inversions, 7 each) and
-424 products of row series in `valuations`, 2,047 counted operations
+the guard does not depend on the host.  A cold report makes 1,525
+CycNum multiplications (42 of them in the 6 of its 20 inversions that
+invert an irrational element, 7 each; the 14 rational ones make none) and
+424 products of row series in `valuations`, 1,949 counted operations
 against a budget of 3,000: solving each precision of an expansion from
 order 0 again (2,824 multiplications and 157 inversions: 4,347
 operations with inverses by the norm), composing along a branch on
@@ -26,12 +27,13 @@ enumeration are built from coordinates already reduced (2,304 before).
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from quartic_twist import curve, mordell_weil, valuations
-from quartic_twist.checks import build_report, list_check_ids
+from quartic_twist.checks import build_report, list_check_ids, run_single
 from quartic_twist.curve import CATALOG, HomogPoly, X, Y, Z
-from quartic_twist.cyclotomic import CycNum, zeta
+from quartic_twist.cyclotomic import CycNum, rational, zeta
 
 # CycNum multiplications plus row-series products per cold report
 MULTIPLICATION_BUDGET = 3_000
@@ -102,6 +104,21 @@ def test_full_report_element_construction_budget(monkeypatch):
     calls = _counted(monkeypatch, mordell_weil.ModElement, "__init__")
     _cold_report()
     assert calls[0] <= ELEMENT_CONSTRUCTION_BUDGET, calls[0]
+
+
+def test_rational_inverse_makes_no_multiplication(monkeypatch):
+    calls = _count_multiplications(monkeypatch)
+    for q in (Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-12, 5), Fraction(-1, 4)):
+        assert rational(q).inv() == rational(1 / q)
+    assert calls[0] == 0
+
+
+def test_odd_torsor_theorem_expands_no_branch(monkeypatch):
+    calls = _counted(monkeypatch, valuations, "expand_branch")
+    valuations._EXPANSION_CACHE.clear()
+    (record,) = run_single("theorem-odd-torsors").checks
+    assert record.status == "OK"
+    assert calls[0] == 0
 
 
 def test_listing_ids_does_no_arithmetic(monkeypatch):
