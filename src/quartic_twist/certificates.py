@@ -5,8 +5,12 @@ Two families are verified with rational-function certificates:
 * the four rational bitangents cut out twice the contact divisors
   D0..D3, and the conic X^2 + Y^2 + Z^2 cuts out their sum;
 * each difference D_i - D_0 equals a cusp-supported divisor plus the
-  divisor of an explicit rational function, which pins down the class of
-  D_i - D_0 in cusp coordinates.
+  divisor of an explicit rational function G/H, which pins down the class
+  of D_i - D_0 in cusp coordinates.
+
+The eleven forms are one table, `certificate_forms()`, keyed
+(certificate, part); both families read their forms from it, or from a
+run's copy of it with one coefficient corrupted.
 
 All support sets are closed under the relevant Galois action and large
 enough to be Bezout-complete, so every check is an exact computation.
@@ -14,7 +18,9 @@ enough to be Bezout-complete, so every check is an exact computation.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+import functools
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .cyclotomic import d_power, zeta
 from .curve import HomogPoly, ProjPoint, X, Y, Z, catalog
@@ -28,38 +34,8 @@ from .valuations import (
 # -sqrt(2), written in the power basis of Q(zeta_24)
 MINUS_SQRT2 = d_power(5) - d_power(3) - d_power(1)
 
-
-class Perturbation(NamedTuple):
-    """Additive corruption of one certificate coefficient (for negative
-    controls): add `delta` to the coefficient of `monomial` in the named
-    certificate's numerator or denominator."""
-
-    name: str
-    part: str  # "numerator" | "denominator"
-    monomial: tuple[int, int, int]
-    delta: int
-
-
-# the forms a Perturbation can reach, (certificate name, part) -> degree
-PERTURBABLE_FORMS = {
-    **{(f"2D{i}", "numerator"): 1 for i in range(4)},
-    ("conic", "numerator"): 2,
-    ("D1-D0", "numerator"): 2,
-    ("D1-D0", "denominator"): 2,
-    ("D2-D0", "numerator"): 3,
-    ("D2-D0", "denominator"): 3,
-    ("D3-D0", "numerator"): 2,
-    ("D3-D0", "denominator"): 2,
-}
-
-
-def _maybe_perturb(
-    form: HomogPoly, name: str, part: str, perturb: Optional[Perturbation]
-) -> HomogPoly:
-    if perturb is None or perturb.name != name or perturb.part != part:
-        return form
-    bump = HomogPoly.monomial(perturb.monomial, perturb.delta)
-    return form + bump
+# (certificate name, "numerator" | "denominator") -> form
+Forms = Mapping[tuple[str, str], HomogPoly]
 
 
 class PrincipalDivisorCheck(NamedTuple):
@@ -92,25 +68,45 @@ BITANGENT_LINES = {
 }
 
 
+@functools.cache
+def certificate_forms() -> Forms:
+    """The eleven certificate forms: the bitangent lines L_i of the
+    certificates 2D_i, the conic, and the numerator G and denominator H
+    of each cusp relation D_i - D_0.  Read-only: a fault corrupts a copy."""
+    z8, c = zeta(8), MINUS_SQRT2
+    return MappingProxyType({
+        **{(f"2D{i}", "numerator"): BITANGENT_LINES[f"L{i}"] for i in range(4)},
+        ("conic", "numerator"): X ** 2 + Y ** 2 + Z ** 2,
+        ("D1-D0", "numerator"): (X - z8 * Z) * (X - Y + Z),
+        ("D1-D0", "denominator"): (X ** 2 + Y ** 2 + Z ** 2) + c * (Y ** 2 - X * Z),
+        ("D2-D0", "numerator"): (X - z8 * Z) ** 2 * (X + Y - Z),
+        ("D2-D0", "denominator"):
+            (X ** 2 + Y ** 2 + Z ** 2) * (X + Y) - c * Z * (X ** 2 + X * Y + Y ** 2),
+        ("D3-D0", "numerator"): (X - z8 * Z) * (X - Y - Z),
+        ("D3-D0", "denominator"):
+            (X ** 2 - Y ** 2 - 2 * Y * Z - Z ** 2) + c * (Y ** 2 + Y * Z + Z ** 2),
+    })
+
+
 def bitangent_checks(
-    perturb: Optional[Perturbation] = None,
+    forms: Optional[Forms] = None,
 ) -> list[tuple[str, PrincipalDivisorCheck]]:
     """The five single-form checks: 2 D_i = div(L_i) and
-    D_0 + D_1 + D_2 + D_3 = div(X^2 + Y^2 + Z^2)."""
+    D_0 + D_1 + D_2 + D_3 = div(X^2 + Y^2 + Z^2), on `forms` (by default
+    the clean table)."""
+    forms = forms or certificate_forms()
     checks = []
     for i in range(4):
-        name = f"2D{i}"
-        line = _maybe_perturb(BITANGENT_LINES[f"L{i}"], name, "numerator", perturb)
+        claimed = 2 * named_divisor(f"D{i}")
         support = [catalog(f"T{i}0"), catalog(f"T{i}1")]
-        checks.append(
-            (name, verify_principal_divisor(2 * named_divisor(f"D{i}"), line, support))
-        )
-    conic = _maybe_perturb(X ** 2 + Y ** 2 + Z ** 2, "conic", "numerator", perturb)
+        form = forms[f"2D{i}", "numerator"]
+        checks.append((f"2D{i}", verify_principal_divisor(claimed, form, support)))
     total = Divisor.zero()
     for i in range(4):
         total = total + named_divisor(f"D{i}")
     support = [catalog(f"T{i}{j}") for i in range(4) for j in range(2)]
-    checks.append(("conic", verify_principal_divisor(total, conic, support)))
+    form = forms["conic", "numerator"]
+    checks.append(("conic", verify_principal_divisor(total, form, support)))
     return checks
 
 
@@ -120,6 +116,12 @@ CUSP_REPRESENTATIVES = {
     "D2-D0": {"A1": 2, "A2": 2, "B1": 2, "B2": 2, "B0": -8},
     "D3-D0": {"A1": 2, "A2": 2, "B0": -4},
 }
+# the support each cusp relation is checked on
+RELATION_SUPPORTS = {
+    "D1-D0": ("T00", "T01", "T10", "T11", "B0", "B1", "B2"),
+    "D2-D0": ("T00", "T01", "T20", "T21", "A1", "A2", "B0", "B1", "B2"),
+    "D3-D0": ("T00", "T01", "T30", "T31", "A1", "A2", "B0"),
+}
 
 
 def cusp_representative(name: str) -> Divisor:
@@ -127,39 +129,17 @@ def cusp_representative(name: str) -> Divisor:
 
 
 def cusp_relation_certificates(
-    perturb: Optional[Perturbation] = None,
+    forms: Optional[Forms] = None,
 ) -> list[tuple[str, CertificateCheck]]:
-    """The three certified identities  D_i - D_0 = (cusp divisor) + div(G/H)."""
-    z8 = zeta(8)
-    c = MINUS_SQRT2
-    entries = [
-        (
-            "D1-D0",
-            (X - z8 * Z) * (X - Y + Z),
-            (X ** 2 + Y ** 2 + Z ** 2) + c * (Y ** 2 - X * Z),
-            ["T00", "T01", "T10", "T11", "B0", "B1", "B2"],
-        ),
-        (
-            "D2-D0",
-            (X - z8 * Z) ** 2 * (X + Y - Z),
-            (X ** 2 + Y ** 2 + Z ** 2) * (X + Y) - c * Z * (X ** 2 + X * Y + Y ** 2),
-            ["T00", "T01", "T20", "T21", "A1", "A2", "B0", "B1", "B2"],
-        ),
-        (
-            "D3-D0",
-            (X - z8 * Z) * (X - Y - Z),
-            (X ** 2 - Y ** 2 - 2 * Y * Z - Z ** 2) + c * (Y ** 2 + Y * Z + Z ** 2),
-            ["T00", "T01", "T30", "T31", "A1", "A2", "B0"],
-        ),
-    ]
+    """The three certified identities  D_i - D_0 = (cusp divisor) + div(G/H),
+    on `forms` (by default the clean table)."""
+    forms = forms or certificate_forms()
     checks = []
-    for name, numerator, denominator, support_names in entries:
-        i = name[1]
+    for name, support_names in RELATION_SUPPORTS.items():
         claimed = (
-            named_divisor(f"D{i}") - named_divisor("D0") - cusp_representative(name)
+            named_divisor(f"D{name[1]}") - named_divisor("D0") - cusp_representative(name)
         )
-        numerator = _maybe_perturb(numerator, name, "numerator", perturb)
-        denominator = _maybe_perturb(denominator, name, "denominator", perturb)
+        numerator, denominator = forms[name, "numerator"], forms[name, "denominator"]
         support = [catalog(n) for n in support_names]
         checks.append((name, verify_certificate(claimed, numerator, denominator, support)))
     return checks

@@ -9,10 +9,13 @@ consistency and all of their downstream consequences are OK/FAIL checks.
 
 Ids, headers and labels come from static tables, one row per check
 (`SECTION_ROWS`), generated from the name tables: the cusp names, the
-dictionary entries, the printed action-table columns, the certificate
-names and the theorem table.  So listing the ids does no arithmetic.  A
-section builder computes its verdicts in the order of its rows and
-`_records` attaches them to the rows.
+dictionary entries, the matrix columns, the certificate names and the
+theorem table.  A label that states a constant (`dict-*`, `action-*`,
+`shift-*`, `coords-*`) is rendered at import from the clean constant it
+names, so the constant is written once and no fault can move a label.
+Listing the ids does no arithmetic.  A section builder computes its
+verdicts in the order of its rows and `_records` attaches them to the
+rows.
 
 A request is answered from its dependency cone only.  `_RunData.record`
 is the one way to read a run: it builds the section of a data check at
@@ -24,6 +27,8 @@ and the full report every section once.
 
 A Fault corrupts one constant for negative-control runs, and it is the
 only way to corrupt a run; a corrupted run must produce at least one FAIL.
+It replaces one entry of one of the run's three tables: the cusp
+dictionary, the action matrices, the certificate forms.
 """
 
 from __future__ import annotations
@@ -43,9 +48,9 @@ from .brauer import (
 )
 from .certificates import (
     MINUS_SQRT2,
-    PERTURBABLE_FORMS,
-    Perturbation,
+    Forms,
     bitangent_checks,
+    certificate_forms,
     cusp_relation_certificates,
     cusp_representative,
     e_divisor_equality,
@@ -55,6 +60,7 @@ from .curve import (
     CUSP_NAMES,
     SIGMA3_CUSP_TABLE,
     SIGMA5_CUSP_TABLE,
+    HomogPoly,
     X,
     Z,
     catalog,
@@ -74,6 +80,7 @@ from .mordell_weil import (
     MODULI,
     ORDER,
     CUSP_DICTIONARY,
+    DICTIONARY_ENTRIES,
     PRINTED_S3,
     PRINTED_S5,
     PRINTED_SHIFTS,
@@ -107,24 +114,25 @@ STATUS_OK = "OK"
 STATUS_FAIL = "FAIL"
 STATUS_SKIPPED = "SKIPPED(data-axiom)"
 
+PRINTED_MATRICES = {"s3": PRINTED_S3, "s5": PRINTED_S5}
+
 
 class Fault(NamedTuple):
-    """One corrupted constant, for negative-control runs."""
+    """One corrupted constant, for negative-control runs: `delta` is added
+    to the entry at `key` of the run's copy of the `target` table.  The key
+    is (entry, index) for the dictionary, (matrix, row, col) for the action
+    matrices and (certificate, part, monomial) for the certificate forms."""
 
     target: str  # "dictionary" | "matrix" | "certificate"
-    name: str
+    key: tuple
     delta: int
-    index: int = 0
-    row: int = 0
-    col: int = 0
-    part: str = ""
-    monomial: tuple[int, int, int] = (0, 0, 0)
 
 
-_FAULT_FIELDS = {
-    "dictionary": {"target", "entry", "index", "delta"},
-    "matrix": {"target", "matrix", "row", "col", "delta"},
-    "certificate": {"target", "certificate", "part", "monomial", "delta"},
+# target -> the fields of a fault file that make up its key, in key order
+_FAULT_KEYS = {
+    "dictionary": ("entry", "index"),
+    "matrix": ("matrix", "row", "col"),
+    "certificate": ("certificate", "part", "monomial"),
 }
 
 
@@ -132,16 +140,16 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _coordinate(data: dict, key: str) -> int:
-    value = data[key]
+def _coordinate(name: str, value: Any) -> int:
     if not _is_int(value) or not 0 <= value < 6:
-        raise ValueError(f"{key} must be an integer 0..5, not {value!r}")
+        raise ValueError(f"{name} must be an integer 0..5, not {value!r}")
     return value
 
 
 def load_fault(path: str) -> Fault:
-    """Read a fault file.  A fault that is malformed, names nothing, or
-    leaves its constant unchanged raises ValueError."""
+    """Read a fault file.  A fault that is malformed, names nothing, leaves
+    its constant unchanged or makes an action matrix send e_6 outside the
+    2-torsion raises ValueError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -150,33 +158,33 @@ def load_fault(path: str) -> Fault:
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     target = data.get("target")
-    if not isinstance(target, str) or target not in _FAULT_FIELDS:
+    if not isinstance(target, str) or target not in _FAULT_KEYS:
         raise ValueError(f"unknown fault target {target!r}")
-    fields = _FAULT_FIELDS[target]
+    fields = {"target", "delta", *_FAULT_KEYS[target]}
     if data.keys() != fields:
         raise ValueError(
             f"a {target} fault has exactly the fields {', '.join(sorted(fields))}"
         )
-    delta = data["delta"]
+    delta, key = data["delta"], [data[field] for field in _FAULT_KEYS[target]]
     if not _is_int(delta):
         raise ValueError(f"delta must be an integer, not {delta!r}")
     if target == "dictionary":
-        if not isinstance(data["entry"], str) or data["entry"] not in _DICTIONARY_LABELS:
-            raise ValueError(f"unknown dictionary entry {data['entry']!r}")
-        index = _coordinate(data, "index")
-        fault = Fault(target, data["entry"], delta, index=index)
-        unchanged = delta % MODULI[index] == 0
+        if not isinstance(key[0], str) or key[0] not in DICTIONARY_ENTRIES:
+            raise ValueError(f"unknown dictionary entry {key[0]!r}")
+        modulus = MODULI[_coordinate("index", key[1])]
     elif target == "matrix":
-        if data["matrix"] not in ("s3", "s5"):
-            raise ValueError(f"unknown matrix {data['matrix']!r}")
-        row, col = _coordinate(data, "row"), _coordinate(data, "col")
-        fault = Fault(target, data["matrix"], delta, row=row, col=col)
-        unchanged = delta % MODULI[row] == 0
+        if not isinstance(key[0], str) or key[0] not in PRINTED_MATRICES:
+            raise ValueError(f"unknown matrix {key[0]!r}")
+        modulus = MODULI[_coordinate("row", key[1])]
+        if _coordinate("col", key[2]) == 5 and key[1] < 5 and delta % 2:
+            raise ValueError(
+                f"an odd delta in row {key[1] + 1} of column 6 sends e_6 outside the 2-torsion"
+            )
     else:
-        form = (data["certificate"], data["part"])
-        if not all(isinstance(x, str) for x in form) or form not in PERTURBABLE_FORMS:
+        form, monomial = tuple(key[:2]), key[2]
+        if not all(isinstance(x, str) for x in form) or form not in certificate_forms():
             raise ValueError(f"unknown certificate form {form!r}")
-        degree, monomial = PERTURBABLE_FORMS[form], data["monomial"]
+        degree = certificate_forms()[form].degree
         if not (
             isinstance(monomial, list)
             and len(monomial) == 3
@@ -186,11 +194,10 @@ def load_fault(path: str) -> Fault:
             raise ValueError(
                 f"monomial must be 3 exponents >= 0 of degree {degree}, not {monomial!r}"
             )
-        fault = Fault(target, form[0], delta, part=form[1], monomial=tuple(monomial))
-        unchanged = delta == 0
-    if unchanged:
+        key[2], modulus = tuple(monomial), 0  # no modulus: only delta 0 is no change
+    if (delta % modulus if modulus else delta) == 0:
         raise ValueError(f"delta {delta} leaves the {target} unchanged")
-    return fault
+    return Fault(target, tuple(key), delta)
 
 
 class CheckRecord(NamedTuple):
@@ -228,19 +235,17 @@ class _RunData:
     the checks a theorem names, the theorems themselves and `run_single`
     all go through it."""
 
-    __slots__ = ("dictionary", "s3", "s5", "perturbation", "sections", "records")
+    __slots__ = ("dictionary", "matrices", "forms", "sections", "records")
 
     def __init__(
         self,
         dictionary: Dictionary,
-        s3: ActionMatrix,
-        s5: ActionMatrix,
-        perturbation: Optional[Perturbation],
+        matrices: dict[str, ActionMatrix],
+        forms: Optional[Forms],
     ):
         self.dictionary = dictionary
-        self.s3 = s3
-        self.s5 = s5
-        self.perturbation = perturbation
+        self.matrices = matrices
+        self.forms = forms  # None: the clean certificate forms
         self.sections: dict[str, list[CheckRecord]] = {}
         self.records: dict[str, CheckRecord] = {}
 
@@ -286,27 +291,25 @@ def _unless_raised(section: str, build: Callable[[], list[CheckRecord]]) -> list
 
 
 def _apply_fault(fault: Optional[Fault]) -> _RunData:
-    dictionary = CUSP_DICTIONARY
-    s3, s5 = PRINTED_S3, PRINTED_S5
-    perturbation = None
+    """The run's tables: the printed constants, with one entry replaced
+    if there is a fault."""
+    dictionary, matrices, forms = CUSP_DICTIONARY, PRINTED_MATRICES, None
     if fault is None:
-        return _RunData(dictionary, s3, s5, None)
-    if fault.target == "dictionary":
-        dictionary = perturbed_dictionary(fault.name, fault.index, fault.delta)
+        pass
+    elif fault.target == "dictionary":
+        dictionary = perturbed_dictionary(*fault.key, fault.delta)
     elif fault.target == "matrix":
-        if fault.name not in ("s3", "s5"):
-            raise ValueError(f"unknown matrix {fault.name!r}")
-        rows = [list(row) for row in (s3 if fault.name == "s3" else s5).rows]
-        rows[fault.row][fault.col] += fault.delta
-        if fault.name == "s3":
-            s3 = ActionMatrix(rows)
-        else:
-            s5 = ActionMatrix(rows)
+        name, row, col = fault.key
+        rows = [list(r) for r in matrices[name].rows]
+        rows[row][col] += fault.delta
+        matrices = {**matrices, name: ActionMatrix(rows)}
     elif fault.target == "certificate":
-        perturbation = Perturbation(fault.name, fault.part, fault.monomial, fault.delta)
+        name, part, monomial = fault.key
+        forms = dict(certificate_forms())
+        forms[name, part] += HomogPoly.monomial(monomial, fault.delta)
     else:
         raise ValueError(f"unknown fault target {fault.target!r}")
-    return _RunData(dictionary, s3, s5, perturbation)
+    return _RunData(dictionary, matrices, forms)
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +382,28 @@ _RELATION_LABELS = {
     "D2-D0": "D_2 - D_0 = 2A_1 + 2A_2 + 2B_1 + 2B_2 - 8B_0 + div(...)",
     "D3-D0": "D_3 - D_0 = 2A1 + 2A2 - 4B0 + div(...)",
 }
-_COORD_LABELS = {
-    "D1-D0": ("D1 - D0 = 2e_3 + 2e_4", CLASS_D1_MINUS_D0),
-    "D2-D0": ("D2 - D0 = 2e_1 + 2e_2 + 2e_3 + 2e_4", CLASS_D2_MINUS_D0),
-    "D3-D0": ("D3 - D0 = 2e_1 + 2e_2", CLASS_D3_MINUS_D0),
+# the classes the certificates pin down, in cusp coordinates
+_CLASSES = {
+    "D1-D0": CLASS_D1_MINUS_D0,
+    "D2-D0": CLASS_D2_MINUS_D0,
+    "D3-D0": CLASS_D3_MINUS_D0,
+    "E": CLASS_E,
 }
 _BITANGENT_ROWS = _rows(
     HEADER_BITANGENTS,
     [(f"bitangent-{name.lower()}", label) for name, label in _BITANGENT_LABELS.items()]
     + [(f"relation-{name.lower()}", label) for name, label in _RELATION_LABELS.items()]
     + [("e-support", "E = 2B_2 - 2B_0")]
-    + [(f"coords-{name.lower()}", label) for name, (label, _) in _COORD_LABELS.items()]
-    + [("coords-e", "E = 2e_4")],
+    + [
+        (f"coords-{name.lower()}", f"{name.replace('-', ' - ')} = {value}")
+        for name, value in _CLASSES.items()
+    ],
 )
 
 
 def _bitangent_records(data: _RunData) -> list[CheckRecord]:
-    bitangents = dict(bitangent_checks(data.perturbation))
-    relations = dict(cusp_relation_certificates(data.perturbation))
+    bitangents = dict(bitangent_checks(data.forms))
+    relations = dict(cusp_relation_certificates(data.forms))
     results = [
         (bitangents[n].passed, _principal_detail(bitangents[n])) for n in _BITANGENT_LABELS
     ]
@@ -404,9 +411,9 @@ def _bitangent_records(data: _RunData) -> list[CheckRecord]:
         (relations[n].passed, _certificate_detail(relations[n])) for n in _RELATION_LABELS
     ]
     results.append((e_divisor_equality(), {"divisor": str(named_divisor("E"))}))
-    for name, (_, expected) in _COORD_LABELS.items():
+    for name in _RELATION_LABELS:
         computed = cusp_class(cusp_representative(name), data.dictionary)
-        certificate = f"relation-{name.lower()}"
+        expected, certificate = _CLASSES[name], f"relation-{name.lower()}"
         results.append((computed == expected, _class_detail(computed, expected, certificate)))
     e_class = cusp_class(
         2 * Divisor.point(catalog("B2")) - 2 * Divisor.point(catalog("B0")),
@@ -416,76 +423,50 @@ def _bitangent_records(data: _RunData) -> list[CheckRecord]:
     return _records("bitangents", results)
 
 
-_DICTIONARY_LABELS = {
-    "alpha0": "alpha_0 = 2e_1 + e_2 + 2e_3 + e_4",
-    "alpha1": "alpha_1 = e_1",
-    "alpha2": "alpha_2 = e_2",
-    "alpha3": "alpha_3 = e_1 + 2e_2 + 2e_3 + 3e_4",
-    "beta0": "beta_0 = 0",
-    "beta1": "beta_1 = e_3",
-    "beta2": "beta_2 = e_4",
-    "beta3": "beta_3 = 3e_3 + 3e_4",
-    "gamma0": "gamma_0 = 3e_1 + 3e_2 + e_3 + e_5 + e_6",
-    "gamma1": "gamma_1 = e_5",
-    "gamma2": "gamma_2 = 3e_1 + 3e_2 + 3e_3 + 3e_4 + 3e_5 + e_6",
-    "gamma3": "gamma_3 = 2e_1 + 2e_2 + e_4 + 3e_5",
-}
+# the orbit recursions  entry = sigma(e_j) + e_k:  entry, matrix key, j, k
+_ORBITS = (("beta3", "s3", 4, 3), ("alpha3", "s5", 1, 4))
+
+
 _DICTIONARY_ROWS = _rows(
     HEADER_DICTIONARY,
-    [(f"dict-{entry}", label) for entry, label in _DICTIONARY_LABELS.items()]
+    [
+        (f"dict-{entry}", f"{entry[:-1]}_{entry[-1]} = {CUSP_DICTIONARY.named(entry)}")
+        for entry in DICTIONARY_ENTRIES
+    ]
     + [
         ("dict-basis", "alpha_1, alpha_2, beta_1, beta_2, gamma_1 are e_1..e_5 and beta_0 = 0"),
         (
             "dict-gamma2-e6",
             "gamma_2 agrees with e_6 = alpha_1 + alpha_2 + beta_1 + beta_2 + gamma_1 + gamma_2",
         ),
-        ("dict-orbit-beta3", "beta_3 = sigma_3(e_4) + e_3"),
-        ("dict-orbit-alpha3", "alpha_3 = sigma_5(e_1) + e_4"),
+    ]
+    + [
+        (f"dict-orbit-{entry}", f"{entry[:-1]}_{entry[-1]} = sigma_{key[1]}(e_{j}) + e_{k}")
+        for entry, key, j, k in _ORBITS
     ],
 )
 
 
 def _dictionary_records(data: _RunData) -> list[CheckRecord]:
     d = data.dictionary
-    e1, _, e3, e4 = E_BASIS[:4]
     results: list[tuple[Optional[bool], Any]] = [
         (
             None,
             {
-                "value": list(getattr(d, entry[:-1])[int(entry[-1])].c),
+                "value": list(d.named(entry).c),
                 "note": "expansion taken as given; see the dict-consistency checks",
             },
         )
-        for entry in _DICTIONARY_LABELS
+        for entry in DICTIONARY_ENTRIES
     ]
+    results += [(d.basis_consistent(), None), (d.gamma2_consistent(), None)]
     results += [
-        (d.basis_consistent(), None),
-        (d.gamma2_consistent(), None),
-        (d.beta[3] == data.s3(e4) + e3, None),
-        (d.alpha[3] == data.s5(e1) + e4, None),
+        (d.named(entry) == data.matrices[key](E_BASIS[j - 1]) + E_BASIS[k - 1], None)
+        for entry, key, j, k in _ORBITS
     ]
     return _records("dictionary", results)
 
 
-# printed action-table columns, one per basis vector
-_ACTION_TABLE = {
-    "s3": (
-        ("sigma_3(e1) = 2e_1 + e_2 + e_3 + e_4", (2, 1, 1, 1, 0, 0)),
-        ("sigma_3(e2) = e_1 + 2e_2 + e_3 + 3e_4", (1, 2, 1, 3, 0, 0)),
-        ("sigma_3(e3) = 3e_3", (0, 0, 3, 0, 0, 0)),
-        ("sigma_3(e4) = 2e_3 + 3e_4", (0, 0, 2, 3, 0, 0)),
-        ("sigma_3(e5) = 3e_1 + 3e_2 + e_5 + e_6", (3, 3, 0, 0, 1, 1)),
-        ("sigma_3(e6) = 2e_3 + e_6", (0, 0, 2, 0, 0, 1)),
-    ),
-    "s5": (
-        ("sigma_5(e1) = e_1 + 2e_2 + 2e_3 + 2e_4", (1, 2, 2, 2, 0, 0)),
-        ("sigma_5(e2) = 2e_1 + e_2 + 2e_3", (2, 1, 2, 0, 0, 0)),
-        ("sigma_5(e3) = 3e_3 + 2e_4", (0, 0, 3, 2, 0, 0)),
-        ("sigma_5(e4) = 3e_4", (0, 0, 0, 3, 0, 0)),
-        ("sigma_5(e5) = 2e_1 + 2e_2 + 3e_5", (2, 2, 0, 0, 3, 0)),
-        ("sigma_5(e6) = 2e_4 + e_6", (0, 0, 0, 2, 0, 1)),
-    ),
-}
 # matrix key, name, the automorphism and its other lift, printed cusp table, header
 _GALOIS = (
     ("s3", "sigma_3", SIGMA3, SIGMA3_ALT, SIGMA3_CUSP_TABLE, HEADER_SIGMA3),
@@ -505,8 +486,8 @@ _GALOIS_ROWS = (
                 for c in CUSP_NAMES
             ]
             + [
-                (f"action-{key}-e{j + 1}", label)
-                for j, (label, _) in enumerate(_ACTION_TABLE[key])
+                (f"action-{key}-e{j + 1}", f"{text}(e{j + 1}) = {column}")
+                for j, column in enumerate(map(PRINTED_MATRICES[key].column, range(6)))
             ],
         )
     )
@@ -530,9 +511,9 @@ def _galois_records(data: _RunData) -> list[CheckRecord]:
             for c in CUSP_NAMES
         ]
         derived = derive_action_matrix(computed, data.dictionary)
-        printed = getattr(data, key)
-        for j, (_, coords) in enumerate(_ACTION_TABLE[key]):
-            expected = ModElement(coords)
+        printed = data.matrices[key]
+        for j in range(6):
+            expected = PRINTED_MATRICES[key].column(j)
             results.append(
                 (
                     derived.column(j) == expected == printed.column(j),
@@ -558,25 +539,23 @@ def _galois_records(data: _RunData) -> list[CheckRecord]:
 
 
 # the automorphisms whose classes the fixed and torsor sections test:
-# matrix key, name, automorphism
+# matrix key, name, automorphism, index i of the cusp A_i it sends A_0 to
 _AUTOMORPHISMS = (
-    ("s5", "sigma_5", SIGMA5),
-    ("s3", "sigma_3", SIGMA3),
-    ("s3s5", "sigma_3 sigma_5", SIGMA3 * SIGMA5),
+    ("s5", "sigma_5", SIGMA5, 2),
+    ("s3", "sigma_3", SIGMA3, 1),
+    ("s3s5", "sigma_3 sigma_5", SIGMA3 * SIGMA5, 3),
 )
-# matrix key -> (label, index i of the cusp A_i the automorphism sends A_0 to)
-_SHIFT_LABELS = {
-    "s5": ("(sigma_5 - 1)[A0] = 2e_1 + 2e_3 + 3e_4", 2),
-    "s3": ("(sigma_3 - 1)[A0] = 3e_1 + 3e_2 + 2e_3 + 3e_4", 1),
-    "s3s5": ("(sigma_3 sigma_5 - 1)[A0] = 3e_1 + e_2 + 2e_4", 3),
-}
+_FIXED_GENERATORS = (2 * E_BASIS[0] + 2 * E_BASIS[1], 2 * E_BASIS[2], 2 * E_BASIS[3])
 _FIXED_ROWS = _rows(
     HEADER_FIXED,
-    [(f"shift-{key}", _SHIFT_LABELS[key][0]) for key, _, _ in _AUTOMORPHISMS]
+    [
+        (f"shift-{key}", f"({text} - 1)[A0] = {PRINTED_SHIFTS[text]}")
+        for key, text, *_ in _AUTOMORPHISMS
+    ]
     + [
         ("involution", "s_3^2 = s_5^2 = 1 and s_3 s_5 = s_5 s_3 on all 2048 elements"),
         ("fixed-size", "fixed classes of s_3 and s_5: exactly 8 elements, all killed by 2"),
-        ("fixed-generators", "fixed classes = <2e_1 + 2e_2, 2e_3, 2e_4>"),
+        ("fixed-generators", f"fixed classes = <{', '.join(map(str, _FIXED_GENERATORS))}>"),
         ("fixed-mw-generators", "fixed classes = <[D_1 - D_0], [D_2 - D_0], [E]>"),
         ("pic0-relation", "[D_1 - D_0] + [D_2 - D_0] = [D_3 - D_0]"),
         (
@@ -591,8 +570,8 @@ def _fixed_records(data: _RunData) -> list[CheckRecord]:
     results = []
     alpha = data.dictionary.alpha
     a0 = Divisor.point(catalog("A0"))
-    for key, text, sigma in _AUTOMORPHISMS:
-        from_dictionary = alpha[_SHIFT_LABELS[key][1]] - alpha[0]
+    for _, text, sigma, i in _AUTOMORPHISMS:
+        from_dictionary = alpha[i] - alpha[0]
         from_points = cusp_class(a0.galois(sigma) - a0, data.dictionary)
         printed = PRINTED_SHIFTS[text]
         results.append(
@@ -606,14 +585,14 @@ def _fixed_records(data: _RunData) -> list[CheckRecord]:
             )
         )
 
-    t3, t5 = image_table(data.s3), image_table(data.s5)
-    t35, t53 = image_table(data.s3 * data.s5), image_table(data.s5 * data.s3)
+    s3, s5 = data.matrices["s3"], data.matrices["s5"]
+    t3, t5 = image_table(s3), image_table(s5)
+    t35, t53 = image_table(s3 * s5), image_table(s5 * s3)
     involution = all(
         t3[t3[n]] == n and t5[t5[n]] == n and t35[n] == t53[n] for n in range(ORDER)
     )
-    fixed = fixed_submodule([data.s3, data.s5])
+    fixed = fixed_submodule([s3, s5])
     fixed_set = set(fixed)
-    e1, e2, e3, e4 = E_BASIS[:4]
     pic0 = subgroup_generated([CLASS_D1_MINUS_D0, CLASS_D2_MINUS_D0])
     results += [
         (involution, None),
@@ -621,7 +600,7 @@ def _fixed_records(data: _RunData) -> list[CheckRecord]:
             len(fixed) == 8 and all(2 * m == ZERO_ELEMENT for m in fixed),
             {"elements": [str(m) for m in fixed]},
         ),
-        (fixed_set == subgroup_generated([2 * e1 + 2 * e2, 2 * e3, 2 * e4]), None),
+        (fixed_set == subgroup_generated(_FIXED_GENERATORS), None),
         (
             fixed_set
             == subgroup_generated([CLASS_D1_MINUS_D0, CLASS_D2_MINUS_D0, CLASS_E]),
@@ -646,25 +625,26 @@ _TORSOR_ROWS = _rows(
             f"image-congruence-{key}",
             f"every element of ({text} - 1)M satisfies a_2 + a_3 + a_6 = 0 mod 2",
         )
-        for key, text, _ in _AUTOMORPHISMS[1:]
+        for key, text, *_ in _AUTOMORPHISMS[1:]
     ]
     + [
         (f"torsor-{key}", f"{text} fixed-point search in degree 1: no solution among 2048")
-        for key, text, _ in _AUTOMORPHISMS
+        for key, text, *_ in _AUTOMORPHISMS
     ],
 )
 
 
 def _torsor_records(data: _RunData) -> list[CheckRecord]:
-    matrices = {"s3": data.s3, "s5": data.s5, "s3s5": data.s3 * data.s5}
-    image5 = image_submodule(data.s5)
+    s3, s5 = data.matrices["s3"], data.matrices["s5"]
+    matrices = {"s3": s3, "s5": s5, "s3s5": s3 * s5}
+    image5 = image_submodule(s5)
     results = [
         (image5 == two_torsion_multiples() and len(image5) == 32, {"image_size": len(image5)})
     ]
-    for key, _, _ in _AUTOMORPHISMS[1:]:
+    for key, *_ in _AUTOMORPHISMS[1:]:
         image = image_submodule(matrices[key])
         results.append((all((a.c[1] + a.c[2] + a.c[5]) % 2 == 0 for a in image), None))
-    for key, text, _ in _AUTOMORPHISMS:
+    for key, text, *_ in _AUTOMORPHISMS:
         shift = PRINTED_SHIFTS[text]
         results.append((not pic1_has_fixed_point(matrices[key], shift), {"shift": str(shift)}))
     return _records("torsor", results)

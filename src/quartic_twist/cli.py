@@ -2,7 +2,7 @@
 
 Runs the full check suite (or one section, or one check) and prints a
 text or JSON report.  Exit status: 0 when nothing failed, 1 when any
-check failed, 2 on usage errors.
+check failed, 2 on usage errors, each reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -22,15 +22,23 @@ from .checks import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A usage error is one line on stderr, `quartic-twist: <message>`."""
+        self.exit(2, f"{self.prog}: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quartic-twist",
         description=(
             "Exact verification of the divisor, Galois-module and Brauer "
             "computations on the plane quartic x^4 + y^4 + z^4 = 0."
         ),
     )
-    parser.add_argument(
+    # what to run: everything (the default), one section, one check, or the ids
+    request = parser.add_mutually_exclusive_group()
+    request.add_argument(
         "--section",
         choices=SECTIONS,
         help="run only the checks of one section",
@@ -38,15 +46,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format",
         choices=("text", "json"),
-        default="text",
         help="report format (default: text)",
     )
-    parser.add_argument(
+    request.add_argument(
         "--list",
         action="store_true",
         help="list all check ids and exit",
     )
-    parser.add_argument(
+    request.add_argument(
         "--check",
         metavar="ID",
         help="run a single check by id",
@@ -64,12 +71,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
+        for option in ("fault", "format"):
+            if getattr(args, option) is not None:
+                parser.error(f"argument --list: not allowed with argument --{option}")
         for check_id in list_check_ids():
             print(check_id)
         return 0
 
     fault = None
-    if args.fault:
+    if args.fault is not None:
         try:
             fault = load_fault(args.fault)
         except (OSError, ValueError) as error:
@@ -77,7 +87,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
 
     try:
-        if args.check:
+        if args.check is not None:
             report = run_single(args.check, fault=fault)
         else:
             report = build_report(section=args.section, fault=fault)

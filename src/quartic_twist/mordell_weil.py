@@ -225,6 +225,10 @@ class Dictionary(NamedTuple):
         family, index = cusp[0], int(cusp[1])
         return {"A": self.alpha, "B": self.beta, "C": self.gamma}[family][index]
 
+    def named(self, entry: str) -> ModElement:
+        """The entry of a name in `DICTIONARY_ENTRIES`: "alpha3" is alpha_3."""
+        return getattr(self, entry[:-1])[int(entry[-1])]
+
     def basis_consistent(self) -> bool:
         """alpha_1, alpha_2, beta_1, beta_2, gamma_1 are the basis vectors
         e_1..e_5 and beta_0 = [B_0 - B_0] = 0."""
@@ -268,20 +272,17 @@ CUSP_DICTIONARY = Dictionary(
     ),
 )
 
+
+DICTIONARY_ENTRIES = tuple(f"{family}{i}" for family in Dictionary._fields for i in range(4))
+
+
 def perturbed_dictionary(name: str, index: int, delta: int) -> Dictionary:
-    """Copy of the standard dictionary with one coordinate bumped."""
-    family, i = name.rstrip("0123"), int(name[-1])
-    data = {
-        "alpha": list(CUSP_DICTIONARY.alpha),
-        "beta": list(CUSP_DICTIONARY.beta),
-        "gamma": list(CUSP_DICTIONARY.gamma),
-    }
-    coords = list(data[family][i].c)
-    coords[index] += delta
-    data[family][i] = ModElement(coords)
-    return Dictionary(
-        alpha=tuple(data["alpha"]), beta=tuple(data["beta"]), gamma=tuple(data["gamma"])
-    )
+    """Copy of the standard dictionary with coordinate `index` of the entry
+    `name` (one of `DICTIONARY_ENTRIES`) bumped by `delta`."""
+    family, i = name[:-1], int(name[-1])
+    entries = list(getattr(CUSP_DICTIONARY, family))
+    entries[i] = entries[i] + delta * E_BASIS[index]
+    return CUSP_DICTIONARY._replace(**{family: tuple(entries)})
 
 
 def cusp_class(

@@ -62,7 +62,7 @@ def test_json_round_trip_needs_no_rebuild(monkeypatch):
         # so the galois checks collapse into one builder record
         build_report(
             section="galois",
-            fault=checks.Fault("dictionary", "gamma3", 1, index=0),
+            fault=checks.Fault("dictionary", ("gamma3", 0), 1),
         ),
     ]
     assert reports[2].checks[0].check_id == "galois-builder"
@@ -143,13 +143,38 @@ def test_main_json(capsys):
     assert {item["section"] for item in payload["checks"]} == {"quadratic"}
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     result = subprocess.run(
         [sys.executable, "-m", "quartic_twist", "--section", "bogus"],
         capture_output=True,
         text=True,
     )
     assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("quartic-twist: argument --section: invalid choice: ")
+    assert result.stderr.count("\n") == 1
+    for argv in [
+        ["--format", "xml"],
+        ["--no-such-flag"],
+        ["--list", "--check", "brauer-cocycle"],
+        ["--list", "--section", "galois"],
+        ["--check", "brauer-cocycle", "--section", "galois"],
+        # --list reads no fault file, so it must not accept one silently
+        ["--list", "--fault", "/nonexistent.json"],
+        ["--list", "--format", "json"],
+    ]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("quartic-twist: "), argv
+        assert captured.err.count("\n") == 1, argv
+    # an empty id or fault path is an error, not an absent option
+    for argv in (["--check="], ["--fault="]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
 
 
 def test_cli_matches_golden_via_subprocess():
@@ -176,7 +201,7 @@ def test_fault_fixtures_fail(fixture, capsys):
 
 def test_fault_objects():
     fault = load_fault(str(FIXTURES / "fault_matrix.json"))
-    assert fault.target == "matrix" and fault.name == "s3"
+    assert fault == checks.Fault("matrix", ("s3", 0, 0), 1)
     report = build_report(fault=fault)
     assert report.exit_code == 1
     failing = {r.check_id for r in report.checks if r.status == "FAIL"}
@@ -186,7 +211,7 @@ def test_fault_objects():
 def test_theorems_see_a_section_that_could_not_run():
     # an odd dictionary corruption collapses the galois section into one
     # builder record; the theorem that rests on the action matrices fails
-    report = build_report(fault=checks.Fault("dictionary", "gamma3", 1, index=0))
+    report = build_report(fault=checks.Fault("dictionary", ("gamma3", 0), 1))
     failing = {r.check_id for r in report.checks if r.status == "FAIL"}
     assert failing == {"galois-builder", "theorem-odd-torsors"}
 
@@ -255,6 +280,8 @@ _MATRIX_FAULT = {"target": "matrix", "matrix": "s3", "row": 0, "col": 0, "delta"
         pytest.param({**_MATRIX_FAULT, "col": 9}, id="col-out-of-range"),
         pytest.param({**_MATRIX_FAULT, "delta": -4}, id="matrix-delta-zero-mod-4"),
         pytest.param({**_MATRIX_FAULT, "row": 5, "delta": 2}, id="matrix-delta-zero-mod-2"),
+        # e_6 has order 2, so rows 1-5 of column 6 must stay even
+        pytest.param({**_MATRIX_FAULT, "col": 5, "delta": 1}, id="matrix-column-6-odd"),
         pytest.param({**_MATRIX_FAULT, "colum": 0}, id="unknown-field"),
         pytest.param({"target": "matrix", "matrix": "s3", "delta": 1}, id="missing-field"),
         pytest.param({"target": ["matrix"]}, id="non-string-target"),
@@ -307,7 +334,7 @@ def test_known_id_in_collapsed_section_reports_its_builder(tmp_path, capsys):
     ],
 )
 def test_dictionary_faults_reach_the_theorems(entry, delta, upstream):
-    report = build_report(fault=checks.Fault("dictionary", entry, delta, index=0))
+    report = build_report(fault=checks.Fault("dictionary", (entry, 0), delta))
     failing = {r.check_id for r in report.checks if r.status == "FAIL"}
     assert {i for i in failing if not i.startswith("theorem-")} == upstream
     assert {"theorem-mordell-weil", "theorem-quadratic-points"} <= failing

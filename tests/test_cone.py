@@ -3,7 +3,6 @@ tables, and a single check builds only the sections it needs."""
 
 import json
 import random
-import sys
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -135,19 +134,9 @@ def test_other_wildcards_are_rejected(pattern):
         checks._id_matcher((pattern,))
 
 
-def _fault_spaces(monkeypatch) -> dict:
-    """The benchmark's spaces of valid one-constant corruptions, imported
-    read-only from `perfbench/faults.py`."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    import faults
-
-    return faults.SPACES
-
-
-def test_theorem_cones_equal_the_faulted_report(monkeypatch, tmp_path):
+def test_theorem_cones_equal_the_faulted_report(bench_faults, tmp_path):
     rng = random.Random(11)
-    spaces = _fault_spaces(monkeypatch)
+    spaces = bench_faults.SPACES
     path = tmp_path / "fault.json"
     for target in sorted(spaces):
         for payload in rng.sample(spaces[target], 3):

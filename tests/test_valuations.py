@@ -9,8 +9,8 @@ import pytest
 from quartic_twist.certificates import (
     BITANGENT_LINES,
     MINUS_SQRT2,
-    Perturbation,
     bitangent_checks,
+    certificate_forms,
     cusp_relation_certificates,
     cusp_representative,
     e_divisor_equality,
@@ -166,10 +166,13 @@ def test_negative_control_without_cusp_correction():
 
 
 def test_perturbed_certificate_fails():
-    perturb = Perturbation("D1-D0", "numerator", (2, 0, 0), 1)
-    results = dict(cusp_relation_certificates(perturb))
+    forms = dict(certificate_forms())
+    forms["D1-D0", "numerator"] += HomogPoly.monomial((2, 0, 0), 1)
+    results = dict(cusp_relation_certificates(forms))
     assert not results["D1-D0"].passed
     assert results["D2-D0"].passed and results["D3-D0"].passed
+    # the run's copy is corrupted, the table itself is not
+    assert all(check.passed for _, check in cusp_relation_certificates())
 
 
 def test_certificate_degree_mismatch_rejected():
