@@ -2,10 +2,12 @@
 
 Every verified identity is a CheckRecord with a stable id, a section key
 for filtering, a header string for grouping in text output, a label, a
-status, and a JSON-friendly detail ledger.  The twelve dictionary
-expansions are data axioms (established by an external Riemann-Roch
-computation) and are reported as SKIPPED(data-axiom); their internal
-consistency and all of their downstream consequences are OK/FAIL checks.
+status, and a JSON-friendly detail ledger.  The twelve entries of the
+cusp dictionary, the classes [P - B_0] keyed by cusp P, are data axioms
+(established by an external Riemann-Roch computation) and are reported as
+SKIPPED(data-axiom); their consistency with the basis divisors
+`BASIS_CUSP_SUPPORT` and all of their downstream consequences are OK/FAIL
+checks.
 
 Ids, headers and labels come from static tables, one row per check
 (`SECTION_ROWS`), generated from the name tables: the cusp names, the
@@ -27,8 +29,8 @@ and the full report every section once.
 
 A Fault corrupts one constant for negative-control runs, and it is the
 only way to corrupt a run; a corrupted run must produce at least one FAIL.
-It replaces one entry of one of the run's three tables: the cusp
-dictionary, the action matrices, the certificate forms.
+It replaces one entry of one of the run's three tables, each a mapping:
+the cusp dictionary, the action matrices, the certificate forms.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from . import theorems
 from .brauer import (
     cocycle_identity_holds,
     cocycle_table,
-    cocycle_tau_tau,
     product_of_linear_forms,
     trivial_unit_cocycle_table,
     verify_e_identities,
@@ -80,7 +81,7 @@ from .mordell_weil import (
     MODULI,
     ORDER,
     CUSP_DICTIONARY,
-    DICTIONARY_ENTRIES,
+    ENTRY_CUSPS,
     PRINTED_S3,
     PRINTED_S5,
     PRINTED_SHIFTS,
@@ -88,6 +89,7 @@ from .mordell_weil import (
     ActionMatrix,
     Dictionary,
     ModElement,
+    basis_class,
     cusp_class,
     derive_action_matrix,
     fixed_submodule,
@@ -120,8 +122,10 @@ PRINTED_MATRICES = {"s3": PRINTED_S3, "s5": PRINTED_S5}
 class Fault(NamedTuple):
     """One corrupted constant, for negative-control runs: `delta` is added
     to the entry at `key` of the run's copy of the `target` table.  The key
-    is (entry, index) for the dictionary, (matrix, row, col) for the action
-    matrices and (certificate, part, monomial) for the certificate forms."""
+    is (entry, index) for the dictionary, the entry named as in
+    `ENTRY_CUSPS` ("alpha3" is the entry of A3), (matrix, row, col) for the
+    action matrices and (certificate, part, monomial) for the certificate
+    forms."""
 
     target: str  # "dictionary" | "matrix" | "certificate"
     key: tuple
@@ -169,7 +173,7 @@ def load_fault(path: str) -> Fault:
     if not _is_int(delta):
         raise ValueError(f"delta must be an integer, not {delta!r}")
     if target == "dictionary":
-        if not isinstance(key[0], str) or key[0] not in DICTIONARY_ENTRIES:
+        if not isinstance(key[0], str) or key[0] not in ENTRY_CUSPS:
             raise ValueError(f"unknown dictionary entry {key[0]!r}")
         modulus = MODULI[_coordinate("index", key[1])]
     elif target == "matrix":
@@ -241,11 +245,11 @@ class _RunData:
         self,
         dictionary: Dictionary,
         matrices: dict[str, ActionMatrix],
-        forms: Optional[Forms],
+        forms: Forms,
     ):
         self.dictionary = dictionary
         self.matrices = matrices
-        self.forms = forms  # None: the clean certificate forms
+        self.forms = forms
         self.sections: dict[str, list[CheckRecord]] = {}
         self.records: dict[str, CheckRecord] = {}
 
@@ -293,7 +297,7 @@ def _unless_raised(section: str, build: Callable[[], list[CheckRecord]]) -> list
 def _apply_fault(fault: Optional[Fault]) -> _RunData:
     """The run's tables: the printed constants, with one entry replaced
     if there is a fault."""
-    dictionary, matrices, forms = CUSP_DICTIONARY, PRINTED_MATRICES, None
+    dictionary, matrices, forms = CUSP_DICTIONARY, PRINTED_MATRICES, certificate_forms()
     if fault is None:
         pass
     elif fault.target == "dictionary":
@@ -305,7 +309,7 @@ def _apply_fault(fault: Optional[Fault]) -> _RunData:
         matrices = {**matrices, name: ActionMatrix(rows)}
     elif fault.target == "certificate":
         name, part, monomial = fault.key
-        forms = dict(certificate_forms())
+        forms = dict(forms)
         forms[name, part] += HomogPoly.monomial(monomial, fault.delta)
     else:
         raise ValueError(f"unknown fault target {fault.target!r}")
@@ -430,8 +434,8 @@ _ORBITS = (("beta3", "s3", 4, 3), ("alpha3", "s5", 1, 4))
 _DICTIONARY_ROWS = _rows(
     HEADER_DICTIONARY,
     [
-        (f"dict-{entry}", f"{entry[:-1]}_{entry[-1]} = {CUSP_DICTIONARY.named(entry)}")
-        for entry in DICTIONARY_ENTRIES
+        (f"dict-{entry}", f"{entry[:-1]}_{entry[-1]} = {CUSP_DICTIONARY[cusp]}")
+        for entry, cusp in ENTRY_CUSPS.items()
     ]
     + [
         ("dict-basis", "alpha_1, alpha_2, beta_1, beta_2, gamma_1 are e_1..e_5 and beta_0 = 0"),
@@ -453,15 +457,19 @@ def _dictionary_records(data: _RunData) -> list[CheckRecord]:
         (
             None,
             {
-                "value": list(d.named(entry).c),
+                "value": list(d[cusp].c),
                 "note": "expansion taken as given; see the dict-consistency checks",
             },
         )
-        for entry in DICTIONARY_ENTRIES
+        for cusp in ENTRY_CUSPS.values()
     ]
-    results += [(d.basis_consistent(), None), (d.gamma2_consistent(), None)]
+    basis = tuple(basis_class(f"e{j + 1}", d) for j in range(6))
     results += [
-        (d.named(entry) == data.matrices[key](E_BASIS[j - 1]) + E_BASIS[k - 1], None)
+        (basis[:5] == E_BASIS[:5] and d["B0"] == ZERO_ELEMENT, None),
+        (basis[5] == E_BASIS[5], None),
+    ]
+    results += [
+        (d[ENTRY_CUSPS[entry]] == data.matrices[key](E_BASIS[j - 1]) + E_BASIS[k - 1], None)
         for entry, key, j, k in _ORBITS
     ]
     return _records("dictionary", results)
@@ -568,11 +576,11 @@ _FIXED_ROWS = _rows(
 
 def _fixed_records(data: _RunData) -> list[CheckRecord]:
     results = []
-    alpha = data.dictionary.alpha
+    d = data.dictionary
     a0 = Divisor.point(catalog("A0"))
     for _, text, sigma, i in _AUTOMORPHISMS:
-        from_dictionary = alpha[i] - alpha[0]
-        from_points = cusp_class(a0.galois(sigma) - a0, data.dictionary)
+        from_dictionary = d[f"A{i}"] - d["A0"]
+        from_points = cusp_class(a0.galois(sigma) - a0, d)
         printed = PRINTED_SHIFTS[text]
         results.append(
             (
@@ -677,11 +685,12 @@ def _brauer_records(data: _RunData) -> list[CheckRecord]:
         (identities.tau_negates_sigma3_e, None),
         (product_of_linear_forms() == X ** 4 + Z ** 4, None),
     ]
-    value = cocycle_tau_tau()
+    table = cocycle_table()
+    value = table[("tau", "tau")]
     results += [
         (value == rational(-1), {"value": str(value)}),
         (all(v == ONE for v in trivial_unit_cocycle_table().values()), None),
-        (cocycle_identity_holds(cocycle_table()), None),
+        (cocycle_identity_holds(table), None),
     ]
     return _records("brauer", results)
 

@@ -2,12 +2,14 @@
 Galois module structure.
 
 The group is M = (Z/4)^5 + Z/2 with basis e_1..e_6 of cusp-difference
-classes.  The dictionary expanding every cusp difference alpha_i, beta_i,
-gamma_i in that basis is carried as constant data (it is established by
-an external Riemann-Roch computation and is cross-checked here only for
-internal consistency); everything downstream - action matrices, fixed
-submodules, images, torsor searches - is recomputed from scratch by
-brute-force enumeration of all 2048 elements.
+classes, whose cusp divisors are `BASIS_CUSP_SUPPORT`.  The dictionary,
+keyed by cusp, gives the class [P - B_0] of each of the twelve cusps P in
+that basis (the paper's alpha_i = [A_i - B_0], beta_i = [B_i - B_0],
+gamma_i = [C_i - B_0]).  It is carried as constant data (it is
+established by an external Riemann-Roch computation and is cross-checked
+here only for internal consistency); everything downstream - action
+matrices, fixed submodules, images, torsor searches - is recomputed from
+scratch by brute-force enumeration of all 2048 elements.
 
 The enumerations run over integer codes: element n of `all_elements()` has
 code n, the coordinates packed as two-bit digits (one bit for e_6).  Each
@@ -23,7 +25,8 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .curve import CUSP_BY_POINT
 from .divisors import BASIS_CUSP_SUPPORT, Divisor
@@ -213,76 +216,50 @@ PRINTED_S5 = ActionMatrix((
 ))
 
 
-class Dictionary(NamedTuple):
-    """Expansions of the cusp differences alpha_i = [A_i - B_0],
-    beta_i = [B_i - B_0], gamma_i = [C_i - B_0] in the basis e_1..e_6."""
+# the paper's name of each dictionary entry and its cusp P: alpha_i is the
+# class [A_i - B_0], beta_i is [B_i - B_0] and gamma_i is [C_i - B_0]
+ENTRY_CUSPS = {
+    f"{name}{i}": f"{family}{i}"
+    for name, family in (("alpha", "A"), ("beta", "B"), ("gamma", "C"))
+    for i in range(4)
+}
 
-    alpha: tuple[ModElement, ModElement, ModElement, ModElement]
-    beta: tuple[ModElement, ModElement, ModElement, ModElement]
-    gamma: tuple[ModElement, ModElement, ModElement, ModElement]
+# Dictionary: cusp P -> the class [P - B_0] in the basis e_1..e_6
+Dictionary = Mapping[str, ModElement]
 
-    def entry(self, cusp: str) -> ModElement:
-        family, index = cusp[0], int(cusp[1])
-        return {"A": self.alpha, "B": self.beta, "C": self.gamma}[family][index]
-
-    def named(self, entry: str) -> ModElement:
-        """The entry of a name in `DICTIONARY_ENTRIES`: "alpha3" is alpha_3."""
-        return getattr(self, entry[:-1])[int(entry[-1])]
-
-    def basis_consistent(self) -> bool:
-        """alpha_1, alpha_2, beta_1, beta_2, gamma_1 are the basis vectors
-        e_1..e_5 and beta_0 = [B_0 - B_0] = 0."""
-        return (
-            self.alpha[1] == E_BASIS[0]
-            and self.alpha[2] == E_BASIS[1]
-            and self.beta[0] == ZERO_ELEMENT
-            and self.beta[1] == E_BASIS[2]
-            and self.beta[2] == E_BASIS[3]
-            and self.gamma[1] == E_BASIS[4]
-        )
-
-    def gamma2_consistent(self) -> bool:
-        """gamma_2 rearranges the definition
-        e_6 = alpha_1 + alpha_2 + beta_1 + beta_2 + gamma_1 + gamma_2."""
-        total = (
-            self.alpha[1] + self.alpha[2] + self.beta[1] + self.beta[2]
-            + self.gamma[1] + self.gamma[2]
-        )
-        return total == E_BASIS[5]
-
-
-CUSP_DICTIONARY = Dictionary(
-    alpha=(
-        ModElement((2, 1, 2, 1, 0, 0)),
-        ModElement((1, 0, 0, 0, 0, 0)),
-        ModElement((0, 1, 0, 0, 0, 0)),
-        ModElement((1, 2, 2, 3, 0, 0)),
-    ),
-    beta=(
-        ModElement((0, 0, 0, 0, 0, 0)),
-        ModElement((0, 0, 1, 0, 0, 0)),
-        ModElement((0, 0, 0, 1, 0, 0)),
-        ModElement((0, 0, 3, 3, 0, 0)),
-    ),
-    gamma=(
-        ModElement((3, 3, 1, 0, 1, 1)),
-        ModElement((0, 0, 0, 0, 1, 0)),
-        ModElement((3, 3, 3, 3, 3, 1)),
-        ModElement((2, 2, 0, 1, 3, 0)),
-    ),
-)
-
-
-DICTIONARY_ENTRIES = tuple(f"{family}{i}" for family in Dictionary._fields for i in range(4))
+CUSP_DICTIONARY: Dictionary = MappingProxyType({
+    "A0": ModElement((2, 1, 2, 1, 0, 0)),
+    "A1": ModElement((1, 0, 0, 0, 0, 0)),
+    "A2": ModElement((0, 1, 0, 0, 0, 0)),
+    "A3": ModElement((1, 2, 2, 3, 0, 0)),
+    "B0": ModElement((0, 0, 0, 0, 0, 0)),
+    "B1": ModElement((0, 0, 1, 0, 0, 0)),
+    "B2": ModElement((0, 0, 0, 1, 0, 0)),
+    "B3": ModElement((0, 0, 3, 3, 0, 0)),
+    "C0": ModElement((3, 3, 1, 0, 1, 1)),
+    "C1": ModElement((0, 0, 0, 0, 1, 0)),
+    "C2": ModElement((3, 3, 3, 3, 3, 1)),
+    "C3": ModElement((2, 2, 0, 1, 3, 0)),
+})
 
 
 def perturbed_dictionary(name: str, index: int, delta: int) -> Dictionary:
     """Copy of the standard dictionary with coordinate `index` of the entry
-    `name` (one of `DICTIONARY_ENTRIES`) bumped by `delta`."""
-    family, i = name[:-1], int(name[-1])
-    entries = list(getattr(CUSP_DICTIONARY, family))
-    entries[i] = entries[i] + delta * E_BASIS[index]
-    return CUSP_DICTIONARY._replace(**{family: tuple(entries)})
+    `name` (one of `ENTRY_CUSPS`) bumped by `delta`."""
+    cusp = ENTRY_CUSPS[name]
+    return {**CUSP_DICTIONARY, cusp: CUSP_DICTIONARY[cusp] + delta * E_BASIS[index]}
+
+
+def basis_class(name: str, dictionary: Dictionary = CUSP_DICTIONARY) -> ModElement:
+    """The class of the basis divisor `name` ("e1".."e6") of
+    `BASIS_CUSP_SUPPORT` read from the dictionary: the sum of n * [P - B_0]
+    over its cusps P other than B_0.  The B_0 term is left out, as each
+    entry already is a difference with B_0."""
+    total = ZERO_ELEMENT
+    for cusp, n in BASIS_CUSP_SUPPORT[name].items():
+        if cusp != "B0":
+            total = total + n * dictionary[cusp]
+    return total
 
 
 def cusp_class(
@@ -300,7 +277,7 @@ def cusp_class(
         name = CUSP_BY_POINT.get(point)
         if name is None:
             raise ValueError(f"support point {point} is not a cusp")
-        total = total + n * dictionary.entry(name)
+        total = total + n * dictionary[name]
     return total
 
 
@@ -314,7 +291,7 @@ def derive_action_matrix(
         support = BASIS_CUSP_SUPPORT[f"e{i + 1}"]
         column = ZERO_ELEMENT
         for cusp, n in support.items():
-            column = column + n * dictionary.entry(permutation[cusp])
+            column = column + n * dictionary[permutation[cusp]]
         columns.append(column)
     return ActionMatrix.from_columns(columns)
 

@@ -503,17 +503,12 @@ def verify_certificate(
         for point in support
     )
     if not (num_complete and den_complete):
-        return CertificateCheck(
-            claimed, numerator, denominator, support, ledger,
-            num_complete, den_complete, False,
-            "support does not exhaust the divisor of one of the forms",
-        )
-    if div_num - div_den != claimed:
-        return CertificateCheck(
-            claimed, numerator, denominator, support, ledger,
-            num_complete, den_complete, False,
-            "div(numerator) - div(denominator) differs from the claimed divisor",
-        )
+        reason = "support does not exhaust the divisor of one of the forms"
+    elif div_num - div_den != claimed:
+        reason = "div(numerator) - div(denominator) differs from the claimed divisor"
+    else:
+        reason = ""
     return CertificateCheck(
-        claimed, numerator, denominator, support, ledger, True, True, True
+        claimed, numerator, denominator, support, ledger,
+        num_complete, den_complete, not reason, reason,
     )

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from quartic_twist.checks import Fault, run_single
 from quartic_twist.curve import (
     IDENTITY_CUSP_TABLE,
     SIGMA3_CUSP_TABLE,
@@ -21,6 +22,7 @@ from quartic_twist.mordell_weil import (
     MODULI,
     ORDER,
     CUSP_DICTIONARY,
+    ENTRY_CUSPS,
     PRINTED_S3,
     PRINTED_S5,
     PRINTED_SHIFTS,
@@ -74,16 +76,54 @@ def test_enumerated_elements_match_the_validating_constructor():
         assert bool(m) == bool(rebuilt)
 
 
+def _basis_consistent(d) -> bool:
+    """alpha_1, alpha_2, beta_1, beta_2, gamma_1 are the basis vectors
+    e_1..e_5 and beta_0 = [B_0 - B_0] = 0."""
+    return (
+        d["A1"] == e1 and d["A2"] == e2 and d["B0"] == ZERO_ELEMENT
+        and d["B1"] == e3 and d["B2"] == e4 and d["C1"] == e5
+    )
+
+
+def _gamma2_consistent(d) -> bool:
+    """gamma_2 rearranges the definition
+    e_6 = alpha_1 + alpha_2 + beta_1 + beta_2 + gamma_1 + gamma_2."""
+    return d["A1"] + d["A2"] + d["B1"] + d["B2"] + d["C1"] + d["C2"] == e6
+
+
 def test_dictionary_consistency():
-    assert CUSP_DICTIONARY.basis_consistent()
-    assert CUSP_DICTIONARY.gamma2_consistent()
+    assert _basis_consistent(CUSP_DICTIONARY)
+    assert _gamma2_consistent(CUSP_DICTIONARY)
     # orbit consistency: applying the printed matrices to the basis
     # entries must reproduce the non-basis entries
-    assert CUSP_DICTIONARY.beta[3] == PRINTED_S3(e4) + e3
-    assert CUSP_DICTIONARY.alpha[3] == PRINTED_S5(e1) + e4
-    assert CUSP_DICTIONARY.alpha[0] == PRINTED_S3(e1) + e3
-    assert CUSP_DICTIONARY.gamma[0] == PRINTED_S3(e5) + e3
-    assert CUSP_DICTIONARY.gamma[3] == PRINTED_S5(e5) + e4
+    assert CUSP_DICTIONARY["B3"] == PRINTED_S3(e4) + e3
+    assert CUSP_DICTIONARY["A3"] == PRINTED_S5(e1) + e4
+    assert CUSP_DICTIONARY["A0"] == PRINTED_S3(e1) + e3
+    assert CUSP_DICTIONARY["C0"] == PRINTED_S3(e5) + e3
+    assert CUSP_DICTIONARY["C3"] == PRINTED_S5(e5) + e4
+
+
+def test_consistency_checks_under_every_dictionary_corruption():
+    """Each single-coordinate corruption of one entry, 192 of them, gets the
+    verdicts of the two definitions written out above.  The 10 odd
+    corruptions of beta_0 in e_1..e_5 fail dict-basis and leave
+    dict-gamma2-e6 OK: e_6 is read without its B_0 term."""
+    status = {True: "OK", False: "FAIL"}
+    corruptions = [
+        (entry, index, delta)
+        for entry in ENTRY_CUSPS
+        for index, modulus in enumerate(MODULI)
+        for delta in range(1, modulus)
+    ]
+    assert len(corruptions) == 192
+    for entry, index, delta in corruptions:
+        fault = Fault("dictionary", (entry, index), delta)
+        d = perturbed_dictionary(entry, index, delta)
+        for check_id, holds in (
+            ("dict-basis", _basis_consistent), ("dict-gamma2-e6", _gamma2_consistent)
+        ):
+            (record,) = run_single(check_id, fault).checks
+            assert record.status == status[holds(d)], (check_id, entry, index, delta)
 
 
 def test_cusp_class_examples():
@@ -197,9 +237,9 @@ def test_image_congruence_for_s3():
 
 
 def test_printed_shifts_match_dictionary():
-    sigma5_shift = CUSP_DICTIONARY.alpha[2] - CUSP_DICTIONARY.alpha[0]
-    sigma3_shift = CUSP_DICTIONARY.alpha[1] - CUSP_DICTIONARY.alpha[0]
-    tau_shift = CUSP_DICTIONARY.alpha[3] - CUSP_DICTIONARY.alpha[0]
+    sigma5_shift = CUSP_DICTIONARY["A2"] - CUSP_DICTIONARY["A0"]
+    sigma3_shift = CUSP_DICTIONARY["A1"] - CUSP_DICTIONARY["A0"]
+    tau_shift = CUSP_DICTIONARY["A3"] - CUSP_DICTIONARY["A0"]
     assert sigma5_shift == PRINTED_SHIFTS["sigma_5"]
     assert sigma3_shift == PRINTED_SHIFTS["sigma_3"]
     assert tau_shift == PRINTED_SHIFTS["sigma_3 sigma_5"]
@@ -224,9 +264,9 @@ def test_torsor_searches_have_no_solution():
 
 def test_perturbed_dictionary():
     wrong = perturbed_dictionary("gamma3", 0, 2)
-    assert wrong.entry("C3") != CUSP_DICTIONARY.entry("C3")
+    assert wrong["C3"] != CUSP_DICTIONARY["C3"]
     assert derive_action_matrix(SIGMA5_CUSP_TABLE, wrong) != PRINTED_S5
-    assert wrong.basis_consistent()
+    assert _basis_consistent(wrong)
 
     # an odd corruption even breaks well-definedness of the derived matrix
     odd = perturbed_dictionary("gamma3", 0, 1)
@@ -234,7 +274,7 @@ def test_perturbed_dictionary():
         derive_action_matrix(SIGMA5_CUSP_TABLE, odd)
 
     wrong_basis = perturbed_dictionary("alpha1", 1, 1)
-    assert not wrong_basis.basis_consistent()
+    assert not _basis_consistent(wrong_basis)
 
 
 def test_moduli():

@@ -2,10 +2,10 @@
 
 Field multiplications, row-series products, inversions, curve
 evaluations and element constructions are counted rather than timed, so
-the guard does not depend on the host.  A cold report makes 1,525
-CycNum multiplications (42 of them in the 6 of its 20 inversions that
-invert an irrational element, 7 each; the 14 rational ones make none) and
-424 products of row series in `valuations`, 1,949 counted operations
+the guard does not depend on the host.  A cold report makes 1,451
+CycNum multiplications (42 of them in the 6 of its 19 inversions that
+invert an irrational element, 7 each; the 13 rational ones make none) and
+424 products of row series in `valuations`, 1,875 counted operations
 against a budget of 3,000: solving each precision of an expansion from
 order 0 again (2,824 multiplications and 157 inversions: 4,347
 operations with inverses by the norm), composing along a branch on
@@ -16,12 +16,14 @@ every use costs about 250 evaluations).  A report builds no partial
 derivative of the curve's form: building them per expansion (102 builds
 per report) fails the guard too.
 
-A cold report inverts 20 field elements: F_dep(P) once at each of the
-14 points expanded beyond precision 1, and 6 divisions in the Brauer
-cocycle.  Inverting per precision and normalizing the Galois images of
-normalized points again costs 157.  It constructs 256 elements of the
-divisor-class module through the reducing constructor; the 2048 of the
-enumeration are built from coordinates already reduced (2,304 before).
+A cold report inverts 19 field elements: F_dep(P) once at each of the
+14 points expanded beyond precision 1, and 5 divisions in the Brauer
+cocycle, which is computed once.  Inverting per precision and
+normalizing the Galois images of normalized points again costs 157.  It
+constructs 268 elements of the divisor-class module through the reducing
+constructor, 22 of them reading the six basis divisors from the cusp
+dictionary; the 2048 of the enumeration are built from coordinates
+already reduced (2,304 before).
 """
 
 import os
