@@ -22,7 +22,7 @@ import functools
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .cyclotomic import d_power, zeta
+from .cyclotomic import MINUS_SQRT2, zeta
 from .curve import HomogPoly, ProjPoint, X, Y, Z, catalog
 from .divisors import Divisor, from_cusp_support, named_divisor
 from .valuations import (
@@ -30,9 +30,6 @@ from .valuations import (
     principal_divisor_on_support,
     verify_certificate,
 )
-
-# -sqrt(2), written in the power basis of Q(zeta_24)
-MINUS_SQRT2 = d_power(5) - d_power(3) - d_power(1)
 
 # (certificate name, "numerator" | "denominator") -> form
 Forms = Mapping[tuple[str, str], HomogPoly]

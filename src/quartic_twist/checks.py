@@ -25,7 +25,10 @@ most once per run, and evaluates a theorem at most once, from `record`
 lookups of the records its table entry names (`theorems`).  So
 `--check ID` builds the section of a data check, or just the sections a
 theorem names; `--section theorems` builds the sections all four name,
-and the full report every section once.
+and the full report every section once.  And a request imports only the
+layers its cone reads: the `bitangents` and `brauer` builders import
+their layers, a run builds its certificate forms on first read, and only
+the fault reader and the JSON renderers import `json`.
 
 A Fault corrupts one constant for negative-control runs, and it is the
 only way to corrupt a run; a corrupted run must produce at least one FAIL.
@@ -35,28 +38,11 @@ the cusp dictionary, the action matrices, the certificate forms.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional
 
 from . import theorems
-from .brauer import (
-    cocycle_identity_holds,
-    cocycle_table,
-    product_of_linear_forms,
-    trivial_unit_cocycle_table,
-    verify_e_identities,
-)
-from .certificates import (
-    MINUS_SQRT2,
-    Forms,
-    bitangent_checks,
-    certificate_forms,
-    cusp_relation_certificates,
-    cusp_representative,
-    e_divisor_equality,
-)
-from .cyclotomic import ONE, SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, rational
+from .cyclotomic import MINUS_SQRT2, ONE, SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, rational
 from .curve import (
     CUSP_NAMES,
     SIGMA3_CUSP_TABLE,
@@ -100,6 +86,9 @@ from .mordell_weil import (
     subgroup_generated,
     two_torsion_multiples,
 )
+
+if TYPE_CHECKING:
+    from .certificates import Forms
 
 HEADER_BITANGENTS = "Points of tangency of bitangents"
 HEADER_DICTIONARY = "Check linear equivalences of divisors"
@@ -154,6 +143,8 @@ def load_fault(path: str) -> Fault:
     """Read a fault file.  A fault that is malformed, names nothing, leaves
     its constant unchanged or makes an action matrix send e_6 outside the
     2-torsion raises ValueError."""
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -185,6 +176,8 @@ def load_fault(path: str) -> Fault:
                 f"an odd delta in row {key[1] + 1} of column 6 sends e_6 outside the 2-torsion"
             )
     else:
+        from .certificates import certificate_forms
+
         form, monomial = tuple(key[:2]), key[2]
         if not all(isinstance(x, str) for x in form) or form not in certificate_forms():
             raise ValueError(f"unknown certificate form {form!r}")
@@ -239,19 +232,35 @@ class _RunData:
     the checks a theorem names, the theorems themselves and `run_single`
     all go through it."""
 
-    __slots__ = ("dictionary", "matrices", "forms", "sections", "records")
+    __slots__ = ("dictionary", "matrices", "fault", "_forms", "sections", "records")
 
     def __init__(
         self,
         dictionary: Dictionary,
         matrices: dict[str, ActionMatrix],
-        forms: Forms,
+        fault: Optional[Fault],
     ):
         self.dictionary = dictionary
         self.matrices = matrices
-        self.forms = forms
+        self.fault = fault
+        self._forms: Optional[Forms] = None
         self.sections: dict[str, list[CheckRecord]] = {}
         self.records: dict[str, CheckRecord] = {}
+
+    @property
+    def forms(self) -> Forms:
+        """The run's certificate forms, with one entry replaced if the fault
+        names it, built on first read."""
+        if self._forms is None:
+            from .certificates import certificate_forms
+
+            forms = certificate_forms()
+            if self.fault is not None and self.fault.target == "certificate":
+                name, part, monomial = self.fault.key
+                forms = dict(forms)
+                forms[name, part] += HomogPoly.monomial(monomial, self.fault.delta)
+            self._forms = forms
+        return self._forms
 
     def section(self, name: str) -> list[CheckRecord]:
         """The records of one section, built at most once per run through
@@ -296,9 +305,9 @@ def _unless_raised(section: str, build: Callable[[], list[CheckRecord]]) -> list
 
 def _apply_fault(fault: Optional[Fault]) -> _RunData:
     """The run's tables: the printed constants, with one entry replaced
-    if there is a fault."""
-    dictionary, matrices, forms = CUSP_DICTIONARY, PRINTED_MATRICES, certificate_forms()
-    if fault is None:
+    if there is a fault; the certificate forms are built on first read."""
+    dictionary, matrices = CUSP_DICTIONARY, PRINTED_MATRICES
+    if fault is None or fault.target == "certificate":
         pass
     elif fault.target == "dictionary":
         dictionary = perturbed_dictionary(*fault.key, fault.delta)
@@ -307,13 +316,9 @@ def _apply_fault(fault: Optional[Fault]) -> _RunData:
         rows = [list(r) for r in matrices[name].rows]
         rows[row][col] += fault.delta
         matrices = {**matrices, name: ActionMatrix(rows)}
-    elif fault.target == "certificate":
-        name, part, monomial = fault.key
-        forms = dict(forms)
-        forms[name, part] += HomogPoly.monomial(monomial, fault.delta)
     else:
         raise ValueError(f"unknown fault target {fault.target!r}")
-    return _RunData(dictionary, matrices, forms)
+    return _RunData(dictionary, matrices, fault)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +411,13 @@ _BITANGENT_ROWS = _rows(
 
 
 def _bitangent_records(data: _RunData) -> list[CheckRecord]:
+    from .certificates import (
+        bitangent_checks,
+        cusp_relation_certificates,
+        cusp_representative,
+        e_divisor_equality,
+    )
+
     bitangents = dict(bitangent_checks(data.forms))
     relations = dict(cusp_relation_certificates(data.forms))
     results = [
@@ -675,6 +687,14 @@ _BRAUER_ROWS = _rows(
 
 
 def _brauer_records(data: _RunData) -> list[CheckRecord]:
+    from .brauer import (
+        cocycle_identity_holds,
+        cocycle_table,
+        product_of_linear_forms,
+        trivial_unit_cocycle_table,
+        verify_e_identities,
+    )
+
     identities = verify_e_identities()
     results = [
         (check.passed, _certificate_detail(check))
@@ -856,6 +876,8 @@ def render_text(report: Report) -> str:
 
 
 def render_json(report: Report) -> str:
+    import json
+
     payload = {
         "checks": [
             {
@@ -873,6 +895,8 @@ def render_json(report: Report) -> str:
 
 
 def parse_json(text: str) -> Report:
+    import json
+
     payload = json.loads(text)
     records = []
     for item in payload["checks"]:

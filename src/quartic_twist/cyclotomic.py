@@ -317,3 +317,6 @@ SIGMA5 = Automorphism(5)        # restricts to zeta_8 -> zeta_8^5
 SIGMA5_ALT = Automorphism(13)
 TAU = Automorphism(23)          # complex conjugation; restricts to zeta_8 -> zeta_8^7
 CONJ_ZETA3 = Automorphism(17)   # fixes zeta_8, swaps zeta_3 <-> zeta_3^2
+
+# -sqrt(2), written in the power basis of Q(zeta_24)
+MINUS_SQRT2 = d_power(5) - d_power(3) - d_power(1)

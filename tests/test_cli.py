@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from quartic_twist import checks
+from quartic_twist import certificates, checks
 from quartic_twist.checks import (
     build_report,
     list_check_ids,
@@ -218,7 +218,7 @@ def test_theorems_see_a_section_that_could_not_run():
 
 def test_each_section_is_built_once_per_run(monkeypatch):
     calls = []
-    original = checks.bitangent_checks
+    original = certificates.bitangent_checks
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -227,7 +227,7 @@ def test_each_section_is_built_once_per_run(monkeypatch):
     def rerun(*args, **kwargs):
         raise AssertionError("the theorems re-ran the certificate suite")
 
-    monkeypatch.setattr(checks, "bitangent_checks", counted)
+    monkeypatch.setattr(certificates, "bitangent_checks", counted)
     monkeypatch.setattr(checks.theorems, "certificate_suite_passes", rerun)
     full = build_report()
     assert len(calls) == 1

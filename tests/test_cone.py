@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from quartic_twist import checks, theorems
+from quartic_twist import certificates, checks, theorems
 from quartic_twist.checks import build_report, list_check_ids, load_fault, run_single
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -46,7 +46,7 @@ def test_single_check_builds_only_its_cone(monkeypatch):
     def no_certificates(*args, **kwargs):
         raise AssertionError("brauer-cocycle ran the bitangent certificates")
 
-    monkeypatch.setattr(checks, "bitangent_checks", no_certificates)
+    monkeypatch.setattr(certificates, "bitangent_checks", no_certificates)
     with pytest.raises(ValueError, match="unknown check id"):
         run_single("no-such-check")
     assert built == []

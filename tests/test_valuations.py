@@ -8,7 +8,6 @@ import pytest
 
 from quartic_twist.certificates import (
     BITANGENT_LINES,
-    MINUS_SQRT2,
     bitangent_checks,
     certificate_forms,
     cusp_relation_certificates,
@@ -19,7 +18,8 @@ from quartic_twist.certificates import (
 from quartic_twist import valuations
 from quartic_twist.brauer import verify_e_identities
 from quartic_twist.cyclotomic import (
-    ONE, SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, TAU, ZERO, CycNum, d_power, rational, zeta,
+    MINUS_SQRT2, ONE, SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, TAU, ZERO, CycNum, d_power,
+    rational, zeta,
 )
 from quartic_twist.curve import CATALOG, CURVE, HomogPoly, X, Y, Z, catalog
 from quartic_twist.divisors import Divisor, named_divisor
