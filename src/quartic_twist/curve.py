@@ -7,13 +7,12 @@ throughout the verification, and the Galois action on points.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Union
 
-from .cyclotomic import Automorphism, CycNum, ONE, ZERO, rational, zeta
+from .cyclotomic import Automorphism, CycNum, ONE, ZERO, Scalar, _lift, rational, zeta
 
 Triple = tuple[int, int, int]
-Coefficient = Union[int, Fraction, CycNum]
+Coefficient = Scalar  # int, Fraction or CycNum
 
 AXIS_NAMES = ("X", "Y", "Z")
 
@@ -77,8 +76,8 @@ class HomogPoly:
         return self + (-other)
 
     def __mul__(self, other: Union[HomogPoly, Coefficient]) -> HomogPoly:
-        if isinstance(other, (int, Fraction, CycNum)):
-            c = _as_cyc(other)
+        c = _lift(other)
+        if c is not NotImplemented:
             return HomogPoly(self.degree, {e: v * c for e, v in self.terms.items()})
         if not isinstance(other, HomogPoly):
             return NotImplemented

@@ -17,7 +17,9 @@ Internally a value is a vector of eight integers over a single positive
 denominator with the gcd of all nine integers equal to 1.  That keeps the
 hot loops (polynomial products inside branch expansions) on machine
 integers instead of eight separate Fraction objects; the `coeffs`
-property exposes the usual tuple of Fractions.
+property exposes the usual tuple of Fractions.  Only `coeffs`, a
+coefficient that is not an int and the hash of a non-integral rational
+import `fractions`; arithmetic and printing never load it.
 
 Everything here is immutable and side-effect free, so values may be
 shared freely between threads.
@@ -25,11 +27,13 @@ shared freely between threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-Scalar = Union[int, Fraction, "CycNum"]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction", "CycNum"]
 
 _N_COEFFS = 8
 
@@ -60,15 +64,18 @@ class CycNum:
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable[Union[int, Fraction]] = (), den: int = 1):
+    def __init__(self, coeffs: Iterable[Union[int, Fraction, str]] = (), den: int = 1):
         nums = [0] * _N_COEFFS
         common = den
         fracs = []
         for i, c in enumerate(coeffs):
             if i >= _N_COEFFS:
                 raise ValueError("at most 8 power-basis coefficients")
-            fracs.append((i, Fraction(c)))
-            common = common * fracs[-1][1].denominator // gcd(common, fracs[-1][1].denominator)
+            if not isinstance(c, int):
+                from fractions import Fraction
+                c = Fraction(c)
+            fracs.append((i, c))
+            common = common * c.denominator // gcd(common, c.denominator)
         for i, f in fracs:
             nums[i] = f.numerator * (common // f.denominator)
         self.nums, self.den = _normalized(nums, common)
@@ -82,6 +89,7 @@ class CycNum:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients of 1, d, ..., d^7 as Fractions in lowest terms."""
+        from fractions import Fraction
         return tuple(Fraction(n, self.den) for n in self.nums)
 
     def is_rational(self) -> bool:
@@ -91,14 +99,16 @@ class CycNum:
         return any(self.nums)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = _lift(other)
-        if not isinstance(other, CycNum):
+        other = _lift(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
         if self.is_rational():
+            if self.den == 1:  # as hash(Fraction(n, 1)) is
+                return hash(self.nums[0])
+            from fractions import Fraction
             return hash(Fraction(self.nums[0], self.den))
         return hash((self.nums, self.den))
 
@@ -190,18 +200,19 @@ class CycNum:
             n = self.nums[i]
             if not n:
                 continue
-            c = Fraction(n, self.den)
+            g = gcd(n, self.den)  # |n| / den in lowest terms, as str(Fraction) writes it
+            c = str(abs(n) // g) if g == self.den else f"{abs(n) // g}/{self.den // g}"
             mon = "" if i == 0 else ("d" if i == 1 else f"d^{i}")
             if not mon:
-                body = str(abs(c))
-            elif abs(c) == 1:
+                body = c
+            elif c == "1":
                 body = mon
             else:
-                body = f"{abs(c)}*{mon}"
+                body = f"{c}*{mon}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if n > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -211,10 +222,9 @@ class CycNum:
 def _lift(value: Scalar) -> CycNum:
     if isinstance(value, CycNum):
         return value
-    if isinstance(value, int):
-        return CycNum._raw((value, 0, 0, 0, 0, 0, 0, 0), 1)
-    if isinstance(value, Fraction):
-        return CycNum._raw((value.numerator, 0, 0, 0, 0, 0, 0, 0), value.denominator)
+    num, den = getattr(value, "numerator", None), getattr(value, "denominator", None)
+    if isinstance(num, int) and isinstance(den, int):
+        return CycNum._raw((num, 0, 0, 0, 0, 0, 0, 0), den)
     return NotImplemented
 
 

@@ -153,23 +153,51 @@ def test_usage_error_exit_code(capsys):
     assert result.stdout == ""
     assert result.stderr.startswith("quartic-twist: argument --section: invalid choice: ")
     assert result.stderr.count("\n") == 1
-    for argv in [
-        ["--format", "xml"],
-        ["--no-such-flag"],
-        ["--list", "--check", "brauer-cocycle"],
-        ["--list", "--section", "galois"],
-        ["--check", "brauer-cocycle", "--section", "galois"],
+    for argv, message in [
+        (["--format", "xml"], "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+        (["--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+        (["--list", "--check", "brauer-cocycle"], "argument --check: not allowed with argument --list"),
+        (["--list", "--section", "galois"], "argument --section: not allowed with argument --list"),
+        (["--check", "brauer-cocycle", "--section", "galois"],
+         "argument --section: not allowed with argument --check"),
         # --list reads no fault file, so it must not accept one silently
-        ["--list", "--fault", "/nonexistent.json"],
-        ["--list", "--format", "json"],
+        (["--list", "--fault", "/nonexistent.json"], "argument --list: not allowed with argument --fault"),
+        (["--list", "--format", "json"], "argument --list: not allowed with argument --format"),
+        (["--f", "x"], "ambiguous option: --f could match --format, --fault"),
+        (["--list=1"], "argument --list: ignored explicit argument '1'"),
+        (["--check"], "argument --check: expected one argument"),
+        (["--check", "--list"], "argument --check: expected one argument"),
+        (["foo"], "unrecognized arguments: foo"),
+        (["--list", "--", "--check", "x"], "unrecognized arguments: -- --check x"),
     ]:
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
-        assert captured.err.startswith("quartic-twist: "), argv
-        assert captured.err.count("\n") == 1, argv
+        assert captured.err == f"quartic-twist: {message}\n", argv
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.err == "", argv
+        return code, captured.out
+
+    # an abbreviation reads as the option it abbreviates
+    code, out = run(["--sec", "galois"])
+    galois = out.partition("\nSummary: ")[0]
+    assert code == 0 and galois.startswith(checks.HEADER_SIGMA3 + "\n")
+    assert galois in GOLDEN.read_text(encoding="utf-8")
+    # `--opt=VALUE` reads as `--opt VALUE`, and of two requests the later wins
+    assert run(["--format=json", "--section=quadratic"]) == run(["--format", "json", "--section", "quadratic"])
+    assert run(["--check", "dict-alpha0", "--check", "dict-alpha1"]) == run(["--check", "dict-alpha1"])
+    assert run(["--check", "dict-alpha1"]) != run(["--check", "dict-alpha0"])
+    for argv in (["-h"], ["--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0, argv
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: quartic-twist ") and captured.err == "", argv
     # an empty id or fault path is an error, not an absent option
     for argv in (["--check="], ["--fault="]):
         assert main(argv) == 2

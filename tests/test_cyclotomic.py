@@ -22,6 +22,7 @@ from quartic_twist.cyclotomic import (
     rational,
     zeta,
 )
+from quartic_twist.curve import HomogPoly
 
 
 def schoolbook_reduce(coeffs):
@@ -213,3 +214,46 @@ def test_str_rendering():
     assert str(rational(-1)) == "-1"
     assert str(zeta(3)) == "d^4 - 1"
     assert str(CycNum((Fraction(-1, 2), 1))) == "d - 1/2"
+
+
+def fraction_str(x):
+    """Oracle: the rendering of `CycNum.__str__` written on Fraction
+    coefficients, as the field printed its values before it stopped
+    importing `fractions`."""
+    parts = []
+    for i in range(7, -1, -1):
+        c = x.coeffs[i]
+        if not c:
+            continue
+        mon = "" if i == 0 else ("d" if i == 1 else f"d^{i}")
+        body = str(abs(c)) if not mon else mon if abs(c) == 1 else f"{abs(c)}*{mon}"
+        sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
+
+
+def test_rationals_without_fractions_module():
+    rng = random.Random(20240615)
+    for _ in range(300):
+        coeffs = [
+            Fraction(rng.randint(-30, 30), rng.randint(1, 12)) if rng.random() < 0.6 else 0
+            for _ in range(8)
+        ]
+        x = CycNum(coeffs)
+        assert str(x) == fraction_str(x), coeffs
+        assert x.coeffs == tuple(coeffs)
+        assert all(type(c) is Fraction for c in x.coeffs)
+    for q in (0, 1, -1, 7, -12, 2**70, Fraction(3, 7), Fraction(-1, 2), Fraction(-12, 5), Fraction(4, 2)):
+        assert hash(rational(q)) == hash(q) and rational(q) == q, q
+    assert hash(rational(-1)) == -2
+    # a coefficient that is not an int is read as Fraction(c) reads it
+    assert CycNum(("1/2", Fraction(-3, 4), True, "-5")) == CycNum((Fraction(1, 2), Fraction(-3, 4), 1, -5))
+    assert CycNum((0.5,)) == Fraction(1, 2)
+    assert (CycNum((1,)) == "1") is False
+    form = HomogPoly(1, {(1, 0, 0): 1})
+    assert form * Fraction(1, 2) == HomogPoly(1, {(1, 0, 0): Fraction(1, 2)})
+    assert True * form == form
+    with pytest.raises(TypeError):
+        form * "x"
+    with pytest.raises(TypeError):
+        form * 0.5

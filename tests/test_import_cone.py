@@ -72,7 +72,13 @@ def test_request_imports_only_its_cone(imported, request_args):
     assert layers | ({"json"} & modules) == CONES[request_args]
 
 
-def test_full_report_leaves_dataclasses_out(imported):
-    # importing dataclasses and decorating a class per record type cost more
-    # than a tenth of a cold process
-    assert "dataclasses" not in imported["--format json"]
+# what each cost a cold process more than the job it did here: dataclasses
+# decorated a class per record type, argparse (with gettext and locale)
+# read five options, and fractions (with decimal and numbers) hashed and
+# printed rationals that the field keeps as integers
+HEAVY_STDLIB = ("dataclasses", "argparse", "gettext", "locale", "fractions", "decimal", "numbers")
+
+
+@pytest.mark.parametrize("request_args", CONES)
+def test_request_leaves_heavy_stdlib_out(imported, request_args):
+    assert set(HEAVY_STDLIB) & imported[request_args] == set()
