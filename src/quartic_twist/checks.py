@@ -27,19 +27,23 @@ lookups of the records its table entry names (`theorems`).  So
 theorem names; `--section theorems` builds the sections all four name,
 and the full report every section once.  And a request imports only the
 layers its cone reads: the `bitangents` and `brauer` builders import
-their layers, a run builds its certificate forms on first read, and only
-the fault reader and the JSON renderers import `json`.
+their layers, a run reads each table on first use, and only the fault
+reader and the JSON renderers import `json`.
 
 A Fault corrupts one constant for negative-control runs, and it is the
 only way to corrupt a run; a corrupted run must produce at least one FAIL.
-It replaces one entry of one of the run's three tables, each a mapping:
-the cusp dictionary, the action matrices, the certificate forms.
+It changes one entry of one of the five tables of `_TABLES`, each a
+mapping with one rule that applies a fault: the cusp dictionary, the
+action matrices, the certificate forms, the shifts (sigma - 1)[A_0] and
+the classes [D_i - D_0] and [E].  The loader checks a fault by applying
+that rule, and a run applies the same rule once; every builder reads the
+tables only through `_RunData.table`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import theorems
 from .cyclotomic import MINUS_SQRT2, ONE, SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, rational
@@ -64,7 +68,6 @@ from .mordell_weil import (
     CLASS_D3_MINUS_D0,
     CLASS_E,
     E_BASIS,
-    MODULI,
     ORDER,
     CUSP_DICTIONARY,
     ENTRY_CUSPS,
@@ -73,7 +76,6 @@ from .mordell_weil import (
     PRINTED_SHIFTS,
     ZERO_ELEMENT,
     ActionMatrix,
-    Dictionary,
     ModElement,
     basis_class,
     cusp_class,
@@ -106,43 +108,102 @@ STATUS_FAIL = "FAIL"
 STATUS_SKIPPED = "SKIPPED(data-axiom)"
 
 PRINTED_MATRICES = {"s3": PRINTED_S3, "s5": PRINTED_S5}
+# the classes the certificates pin down, in cusp coordinates
+_CLASSES = {
+    "D1-D0": CLASS_D1_MINUS_D0,
+    "D2-D0": CLASS_D2_MINUS_D0,
+    "D3-D0": CLASS_D3_MINUS_D0,
+    "E": CLASS_E,
+}
 
 
 class Fault(NamedTuple):
     """One corrupted constant, for negative-control runs: `delta` is added
-    to the entry at `key` of the run's copy of the `target` table.  The key
-    is (entry, index) for the dictionary, the entry named as in
-    `ENTRY_CUSPS` ("alpha3" is the entry of A3), (matrix, row, col) for the
-    action matrices and (certificate, part, monomial) for the certificate
-    forms."""
+    to the entry at `key` of the run's copy of the `target` table, one of
+    the five `_TABLES`, by that table's one rule.  The key is (entry,
+    index) for the dictionary, the entry named as in `ENTRY_CUSPS`
+    ("alpha3" is the entry of A3), (matrix, row, col) for the action
+    matrices, (certificate, part, monomial) for the certificate forms and
+    (name, index) for the shifts (sigma - 1)[A_0] and for the classes
+    [D_i - D_0] and [E]."""
 
-    target: str  # "dictionary" | "matrix" | "certificate"
+    target: str  # a key of `_TABLES`
     key: tuple
     delta: int
-
-
-# target -> the fields of a fault file that make up its key, in key order
-_FAULT_KEYS = {
-    "dictionary": ("entry", "index"),
-    "matrix": ("matrix", "row", "col"),
-    "certificate": ("certificate", "part", "monomial"),
-}
 
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _coordinate(name: str, value: Any) -> int:
-    if not _is_int(value) or not 0 <= value < 6:
-        raise ValueError(f"{name} must be an integer 0..5, not {value!r}")
-    return value
+# each kind of fault field: what its value must be, and the test of it
+_KINDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "integer": ("an integer", _is_int),
+    "name": ("a name", lambda v: isinstance(v, str)),
+    "coordinate": ("an integer 0..5", lambda v: _is_int(v) and 0 <= v < 6),
+    "monomial": ("3 integer exponents",
+                 lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_int, v))),
+}
+
+
+class _Table(NamedTuple):
+    """A table a fault may corrupt: the fault file's key fields in key
+    order, each with its kind; the clean table, read on first use; and the
+    one rule that returns the table with `delta` added at a key."""
+
+    fields: dict[str, str]
+    clean: Callable[[], Mapping]
+    faulted: Callable[..., Mapping]
+
+
+def _certificate_forms() -> Forms:
+    from .certificates import certificate_forms
+
+    return certificate_forms()
+
+
+def _perturbed_forms(name: str, part: str, monomial: tuple, delta: int) -> Forms:
+    forms = dict(_certificate_forms())
+    forms[name, part] += HomogPoly.monomial(monomial, delta)
+    return forms
+
+
+def _perturbed_matrices(name: str, row: int, col: int, delta: int) -> dict[str, ActionMatrix]:
+    rows = [list(r) for r in PRINTED_MATRICES[name].rows]
+    rows[row][col] += delta
+    return {**PRINTED_MATRICES, name: ActionMatrix(rows)}
+
+
+def _added(table: Mapping[str, ModElement]) -> Callable[..., dict[str, ModElement]]:
+    """The rule of a table of classes: add delta * e_index to the named one."""
+    return lambda name, index, delta: {**table, name: table[name] + delta * E_BASIS[index]}
+
+
+_TABLES = {
+    "dictionary": _Table({"entry": "name", "index": "coordinate"},
+                         lambda: CUSP_DICTIONARY, perturbed_dictionary),
+    "matrix": _Table({"matrix": "name", "row": "coordinate", "col": "coordinate"},
+                     lambda: PRINTED_MATRICES, _perturbed_matrices),
+    "certificate": _Table({"certificate": "name", "part": "name", "monomial": "monomial"},
+                          _certificate_forms, _perturbed_forms),
+    "shift": _Table({"shift": "name", "index": "coordinate"},
+                    lambda: PRINTED_SHIFTS, _added(PRINTED_SHIFTS)),
+    "class": _Table({"class": "name", "index": "coordinate"},
+                    lambda: _CLASSES, _added(_CLASSES)),
+}
+
+
+def _faulted(fault: Fault) -> Mapping:
+    """The fault's table with the fault applied: the one rule that both
+    the loader and a run apply."""
+    return _TABLES[fault.target].faulted(*fault.key, fault.delta)
 
 
 def load_fault(path: str) -> Fault:
-    """Read a fault file.  A fault that is malformed, names nothing, leaves
-    its constant unchanged or makes an action matrix send e_6 outside the
-    2-torsion raises ValueError."""
+    """Read a fault file and check it by applying it.  A fault that is
+    malformed, names no entry, makes an entry its table rejects (an action
+    matrix that sends e_6 outside the 2-torsion, a monomial of the wrong
+    degree) or leaves its table unchanged raises ValueError."""
     import json
 
     with open(path, "r", encoding="utf-8") as handle:
@@ -153,48 +214,30 @@ def load_fault(path: str) -> Fault:
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     target = data.get("target")
-    if not isinstance(target, str) or target not in _FAULT_KEYS:
+    if not isinstance(target, str) or target not in _TABLES:
         raise ValueError(f"unknown fault target {target!r}")
-    fields = {"target", "delta", *_FAULT_KEYS[target]}
+    table = _TABLES[target]
+    fields = {"target", "delta", *table.fields}
     if data.keys() != fields:
         raise ValueError(
-            f"a {target} fault has exactly the fields {', '.join(sorted(fields))}"
+            f"a {target} fault has exactly the fields {', '.join(sorted(fields))},"
+            f" not {', '.join(sorted(data))}"
         )
-    delta, key = data["delta"], [data[field] for field in _FAULT_KEYS[target]]
-    if not _is_int(delta):
-        raise ValueError(f"delta must be an integer, not {delta!r}")
-    if target == "dictionary":
-        if not isinstance(key[0], str) or key[0] not in ENTRY_CUSPS:
-            raise ValueError(f"unknown dictionary entry {key[0]!r}")
-        modulus = MODULI[_coordinate("index", key[1])]
-    elif target == "matrix":
-        if not isinstance(key[0], str) or key[0] not in PRINTED_MATRICES:
-            raise ValueError(f"unknown matrix {key[0]!r}")
-        modulus = MODULI[_coordinate("row", key[1])]
-        if _coordinate("col", key[2]) == 5 and key[1] < 5 and delta % 2:
-            raise ValueError(
-                f"an odd delta in row {key[1] + 1} of column 6 sends e_6 outside the 2-torsion"
-            )
-    else:
-        from .certificates import certificate_forms
-
-        form, monomial = tuple(key[:2]), key[2]
-        if not all(isinstance(x, str) for x in form) or form not in certificate_forms():
-            raise ValueError(f"unknown certificate form {form!r}")
-        degree = certificate_forms()[form].degree
-        if not (
-            isinstance(monomial, list)
-            and len(monomial) == 3
-            and all(_is_int(e) and e >= 0 for e in monomial)
-            and sum(monomial) == degree
-        ):
-            raise ValueError(
-                f"monomial must be 3 exponents >= 0 of degree {degree}, not {monomial!r}"
-            )
-        key[2], modulus = tuple(monomial), 0  # no modulus: only delta 0 is no change
-    if (delta % modulus if modulus else delta) == 0:
-        raise ValueError(f"delta {delta} leaves the {target} unchanged")
-    return Fault(target, tuple(key), delta)
+    for field, kind in [("delta", "integer"), *table.fields.items()]:
+        what, valid = _KINDS[kind]
+        if not valid(data[field]):
+            raise ValueError(f"{field} must be {what}, not {data[field]!r}")
+    key = tuple(tuple(v) if isinstance(v, list) else v for v in map(data.get, table.fields))
+    fault = Fault(target, key, data["delta"])
+    try:
+        faulted = _faulted(fault)
+    except KeyError as error:
+        raise ValueError(f"unknown {target} {error}") from None
+    except ValueError as error:
+        raise ValueError(f"{target} {key}: {error}") from None
+    if faulted == table.clean():
+        raise ValueError(f"delta {fault.delta} leaves the {target} {key} unchanged")
+    return fault
 
 
 class CheckRecord(NamedTuple):
@@ -227,40 +270,24 @@ class Report(NamedTuple):
 
 
 class _RunData:
-    """Constants for one run, after fault application, and every record
+    """One run: its tables, each read through `table`, and every record
     built so far, indexed by id.  `record` is the one way to read a run:
     the checks a theorem names, the theorems themselves and `run_single`
     all go through it."""
 
-    __slots__ = ("dictionary", "matrices", "fault", "_forms", "sections", "records")
+    __slots__ = ("tables", "sections", "records")
 
-    def __init__(
-        self,
-        dictionary: Dictionary,
-        matrices: dict[str, ActionMatrix],
-        fault: Optional[Fault],
-    ):
-        self.dictionary = dictionary
-        self.matrices = matrices
-        self.fault = fault
-        self._forms: Optional[Forms] = None
+    def __init__(self, fault: Optional[Fault] = None):
+        self.tables: dict[str, Mapping] = {} if fault is None else {fault.target: _faulted(fault)}
         self.sections: dict[str, list[CheckRecord]] = {}
         self.records: dict[str, CheckRecord] = {}
 
-    @property
-    def forms(self) -> Forms:
-        """The run's certificate forms, with one entry replaced if the fault
-        names it, built on first read."""
-        if self._forms is None:
-            from .certificates import certificate_forms
-
-            forms = certificate_forms()
-            if self.fault is not None and self.fault.target == "certificate":
-                name, part, monomial = self.fault.key
-                forms = dict(forms)
-                forms[name, part] += HomogPoly.monomial(monomial, self.fault.delta)
-            self._forms = forms
-        return self._forms
+    def table(self, target: str) -> Mapping:
+        """The run's copy of one of `_TABLES`: the table the fault
+        corrupts, or the clean table, read on first use."""
+        if target not in self.tables:
+            self.tables[target] = _TABLES[target].clean()
+        return self.tables[target]
 
     def section(self, name: str) -> list[CheckRecord]:
         """The records of one section, built at most once per run through
@@ -301,24 +328,6 @@ def _unless_raised(section: str, build: Callable[[], list[CheckRecord]]) -> list
         label = f"checks of section {section} could not run"
         detail = {"error": str(error)}
         return [CheckRecord(f"{section}-builder", section, section, label, STATUS_FAIL, detail)]
-
-
-def _apply_fault(fault: Optional[Fault]) -> _RunData:
-    """The run's tables: the printed constants, with one entry replaced
-    if there is a fault; the certificate forms are built on first read."""
-    dictionary, matrices = CUSP_DICTIONARY, PRINTED_MATRICES
-    if fault is None or fault.target == "certificate":
-        pass
-    elif fault.target == "dictionary":
-        dictionary = perturbed_dictionary(*fault.key, fault.delta)
-    elif fault.target == "matrix":
-        name, row, col = fault.key
-        rows = [list(r) for r in matrices[name].rows]
-        rows[row][col] += fault.delta
-        matrices = {**matrices, name: ActionMatrix(rows)}
-    else:
-        raise ValueError(f"unknown fault target {fault.target!r}")
-    return _RunData(dictionary, matrices, fault)
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +400,6 @@ _RELATION_LABELS = {
     "D2-D0": "D_2 - D_0 = 2A_1 + 2A_2 + 2B_1 + 2B_2 - 8B_0 + div(...)",
     "D3-D0": "D_3 - D_0 = 2A1 + 2A2 - 4B0 + div(...)",
 }
-# the classes the certificates pin down, in cusp coordinates
-_CLASSES = {
-    "D1-D0": CLASS_D1_MINUS_D0,
-    "D2-D0": CLASS_D2_MINUS_D0,
-    "D3-D0": CLASS_D3_MINUS_D0,
-    "E": CLASS_E,
-}
 _BITANGENT_ROWS = _rows(
     HEADER_BITANGENTS,
     [(f"bitangent-{name.lower()}", label) for name, label in _BITANGENT_LABELS.items()]
@@ -418,8 +420,9 @@ def _bitangent_records(data: _RunData) -> list[CheckRecord]:
         e_divisor_equality,
     )
 
-    bitangents = dict(bitangent_checks(data.forms))
-    relations = dict(cusp_relation_certificates(data.forms))
+    forms, d, classes = data.table("certificate"), data.table("dictionary"), data.table("class")
+    bitangents = dict(bitangent_checks(forms))
+    relations = dict(cusp_relation_certificates(forms))
     results = [
         (bitangents[n].passed, _principal_detail(bitangents[n])) for n in _BITANGENT_LABELS
     ]
@@ -428,14 +431,11 @@ def _bitangent_records(data: _RunData) -> list[CheckRecord]:
     ]
     results.append((e_divisor_equality(), {"divisor": str(named_divisor("E"))}))
     for name in _RELATION_LABELS:
-        computed = cusp_class(cusp_representative(name), data.dictionary)
-        expected, certificate = _CLASSES[name], f"relation-{name.lower()}"
+        computed = cusp_class(cusp_representative(name), d)
+        expected, certificate = classes[name], f"relation-{name.lower()}"
         results.append((computed == expected, _class_detail(computed, expected, certificate)))
-    e_class = cusp_class(
-        2 * Divisor.point(catalog("B2")) - 2 * Divisor.point(catalog("B0")),
-        data.dictionary,
-    )
-    results.append((e_class == CLASS_E, _class_detail(e_class, CLASS_E, "e-support")))
+    e_class = cusp_class(2 * Divisor.point(catalog("B2")) - 2 * Divisor.point(catalog("B0")), d)
+    results.append((e_class == classes["E"], _class_detail(e_class, classes["E"], "e-support")))
     return _records("bitangents", results)
 
 
@@ -464,7 +464,7 @@ _DICTIONARY_ROWS = _rows(
 
 
 def _dictionary_records(data: _RunData) -> list[CheckRecord]:
-    d = data.dictionary
+    d, matrices = data.table("dictionary"), data.table("matrix")
     results: list[tuple[Optional[bool], Any]] = [
         (
             None,
@@ -481,7 +481,7 @@ def _dictionary_records(data: _RunData) -> list[CheckRecord]:
         (basis[5] == E_BASIS[5], None),
     ]
     results += [
-        (d[ENTRY_CUSPS[entry]] == data.matrices[key](E_BASIS[j - 1]) + E_BASIS[k - 1], None)
+        (d[ENTRY_CUSPS[entry]] == matrices[key](E_BASIS[j - 1]) + E_BASIS[k - 1], None)
         for entry, key, j, k in _ORBITS
     ]
     return _records("dictionary", results)
@@ -530,8 +530,8 @@ def _galois_records(data: _RunData) -> list[CheckRecord]:
             (computed[c] == table[c], {"computed": computed[c], "expected": table[c]})
             for c in CUSP_NAMES
         ]
-        derived = derive_action_matrix(computed, data.dictionary)
-        printed = data.matrices[key]
+        derived = derive_action_matrix(computed, data.table("dictionary"))
+        printed = data.table("matrix")[key]
         for j in range(6):
             expected = PRINTED_MATRICES[key].column(j)
             results.append(
@@ -588,12 +588,13 @@ _FIXED_ROWS = _rows(
 
 def _fixed_records(data: _RunData) -> list[CheckRecord]:
     results = []
-    d = data.dictionary
+    d, shifts, matrices = data.table("dictionary"), data.table("shift"), data.table("matrix")
+    d1, d2, d3, e = data.table("class").values()  # [D_i - D_0] and [E], in that order
     a0 = Divisor.point(catalog("A0"))
     for _, text, sigma, i in _AUTOMORPHISMS:
         from_dictionary = d[f"A{i}"] - d["A0"]
         from_points = cusp_class(a0.galois(sigma) - a0, d)
-        printed = PRINTED_SHIFTS[text]
+        printed = shifts[text]
         results.append(
             (
                 from_dictionary == printed == from_points,
@@ -605,7 +606,7 @@ def _fixed_records(data: _RunData) -> list[CheckRecord]:
             )
         )
 
-    s3, s5 = data.matrices["s3"], data.matrices["s5"]
+    s3, s5 = matrices["s3"], matrices["s5"]
     t3, t5 = image_table(s3), image_table(s5)
     t35, t53 = image_table(s3 * s5), image_table(s5 * s3)
     involution = all(
@@ -613,7 +614,7 @@ def _fixed_records(data: _RunData) -> list[CheckRecord]:
     )
     fixed = fixed_submodule([s3, s5])
     fixed_set = set(fixed)
-    pic0 = subgroup_generated([CLASS_D1_MINUS_D0, CLASS_D2_MINUS_D0])
+    pic0 = subgroup_generated([d1, d2])
     results += [
         (involution, None),
         (
@@ -621,18 +622,9 @@ def _fixed_records(data: _RunData) -> list[CheckRecord]:
             {"elements": [str(m) for m in fixed]},
         ),
         (fixed_set == subgroup_generated(_FIXED_GENERATORS), None),
-        (
-            fixed_set
-            == subgroup_generated([CLASS_D1_MINUS_D0, CLASS_D2_MINUS_D0, CLASS_E]),
-            None,
-        ),
-        (CLASS_D1_MINUS_D0 + CLASS_D2_MINUS_D0 == CLASS_D3_MINUS_D0, None),
-        (
-            len(pic0) == 4
-            and CLASS_E not in pic0
-            and fixed_set == pic0 | {m + CLASS_E for m in pic0},
-            None,
-        ),
+        (fixed_set == subgroup_generated([d1, d2, e]), None),
+        (d1 + d2 == d3, None),
+        (len(pic0) == 4 and e not in pic0 and fixed_set == pic0 | {m + e for m in pic0}, None),
     ]
     return _records("fixed", results)
 
@@ -655,7 +647,7 @@ _TORSOR_ROWS = _rows(
 
 
 def _torsor_records(data: _RunData) -> list[CheckRecord]:
-    s3, s5 = data.matrices["s3"], data.matrices["s5"]
+    s3, s5 = data.table("matrix")["s3"], data.table("matrix")["s5"]
     matrices = {"s3": s3, "s5": s5, "s3s5": s3 * s5}
     image5 = image_submodule(s5)
     results = [
@@ -665,7 +657,7 @@ def _torsor_records(data: _RunData) -> list[CheckRecord]:
         image = image_submodule(matrices[key])
         results.append((all((a.c[1] + a.c[2] + a.c[5]) % 2 == 0 for a in image), None))
     for key, text, *_ in _AUTOMORPHISMS:
-        shift = PRINTED_SHIFTS[text]
+        shift = data.table("shift")[text]
         results.append((not pic1_has_fixed_point(matrices[key], shift), {"shift": str(shift)}))
     return _records("torsor", results)
 
@@ -742,8 +734,8 @@ def _quadratic_records(data: _RunData) -> list[CheckRecord]:
         (pair_sum == target, {"pair": str(pair_sum), "target": str(target)})
         for _, pair_sum, target in theorems.quadratic_point_pairs()
     ]
-    classes = {ZERO_ELEMENT, CLASS_D1_MINUS_D0, CLASS_D2_MINUS_D0, CLASS_D3_MINUS_D0}
-    results.append((len(classes) == 4, None))
+    d1, d2, d3, _ = data.table("class").values()  # [D_i - D_0], then [E]
+    results.append((len({ZERO_ELEMENT, d1, d2, d3}) == 4, None))
     return _records("quadratic", results)
 
 
@@ -834,7 +826,7 @@ def build_report(
     order; failures are data, not errors."""
     if section is not None and section not in SECTIONS:
         raise ValueError(f"unknown section {section!r}")
-    data = _apply_fault(fault)
+    data = _RunData(fault)
     names = SECTIONS if section is None else (section,)
     return Report(tuple(record for name in names for record in data.section(name)))
 
@@ -846,7 +838,7 @@ def run_single(check_id: str, fault: Optional[Fault] = None) -> Report:
     in for the check."""
     if check_id not in _SECTION_OF:
         raise ValueError(f"unknown check id {check_id!r}")
-    return Report((_apply_fault(fault).record(check_id),))
+    return Report((_RunData(fault).record(check_id),))
 
 
 def list_check_ids() -> list[str]:

@@ -62,6 +62,8 @@ DEPENDENCIES: dict[str, tuple[str, ...]] = {
     "brauer-cocycle": ("brauer-cocycle",),
     "action-matrices": ("matrix-s3", "matrix-s5"),
     "torsor-searches": ("torsor-*",),
+    # the shifts (sigma - 1)[A_0] that the torsor searches read
+    "shifts": ("shift-*",),
     "degree-two-classes": ("theorem-quadratic-points",),
     # the class constants [D_i - D_0] and [E] read through the dictionary
     "dictionary": ("dict-*", "coords-*", "shift-*"),
@@ -152,7 +154,7 @@ THEOREMS = (
             "2d+1 classes with the degree-1 classes, so emptiness in degree 1 "
             "settles every odd degree",
         ),
-        ("action-matrices", "torsor-searches"),
+        ("action-matrices", "torsor-searches", "shifts"),
         (
             "the single-automorphism searches settle three quadratic fields "
             "as corollaries: sigma_5 fixes Q(sqrt(-1)), sigma_3 fixes "
@@ -195,9 +197,9 @@ def certificate_suite_passes() -> bool:
     """The fourteen exact divisor checks of a clean run: five bitangent
     cuts, three cusp relations, the E support identity, the three certified
     E identities, and the two divisor-level conjugation facts for E."""
-    from .checks import _apply_fault  # the registry imports this module
+    from .checks import _RunData  # the registry imports this module
 
-    return _apply_fault(None).holds(_CERTIFICATES)
+    return _RunData().holds(_CERTIFICATES)
 
 
 def verify_mordell_weil_structure() -> CheckRecord:

@@ -342,7 +342,7 @@ def test_criterion_09_property_suites():
 def test_criterion_10_mutation_controls():
     ok = True
     for fixture in ("fault_dictionary.json", "fault_matrix.json",
-                    "fault_certificate.json"):
+                    "fault_certificate.json", "fault_shift.json", "fault_class.json"):
         report = build_report(fault=load_fault(str(FIXTURES / fixture)))
         ok = ok and report.exit_code == 1
         ok = ok and any(r.status == "FAIL" for r in report.checks)

@@ -215,7 +215,8 @@ def test_cli_matches_golden_via_subprocess():
 
 @pytest.mark.parametrize(
     "fixture",
-    ["fault_dictionary.json", "fault_matrix.json", "fault_certificate.json"],
+    ["fault_dictionary.json", "fault_matrix.json", "fault_certificate.json",
+     "fault_shift.json", "fault_class.json"],
 )
 def test_fault_fixtures_fail(fixture, capsys):
     code = main(["--fault", str(FIXTURES / fixture)])
@@ -283,42 +284,63 @@ _DICTIONARY_FAULT = {"target": "dictionary", "entry": "gamma3", "index": 0, "del
 _MATRIX_FAULT = {"target": "matrix", "matrix": "s3", "row": 0, "col": 0, "delta": 1}
 
 
+_SHIFT_FAULT = {"target": "shift", "shift": "sigma_5", "index": 0, "delta": 2}
+_CLASS_FAULT = {"target": "class", "class": "E", "index": 3, "delta": 2}
+
+
+# each case with a part of the message that names the rejected field, entry or value
 @pytest.mark.parametrize(
-    "payload",
+    "payload, named",
     [
-        pytest.param({**_CERTIFICATE_FAULT, "certificate": "D9-D0"}, id="unknown-certificate"),
-        pytest.param({**_CERTIFICATE_FAULT, "part": "middle"}, id="unknown-part"),
-        pytest.param({**_CERTIFICATE_FAULT, "certificate": ["D1-D0"]}, id="non-string-certificate"),
-        pytest.param({**_CERTIFICATE_FAULT, "monomial": "X^2"}, id="non-list-monomial"),
-        pytest.param({**_CERTIFICATE_FAULT, "monomial": [1, 1]}, id="short-monomial"),
-        pytest.param({**_CERTIFICATE_FAULT, "monomial": [1, 0, 0]}, id="monomial-degree"),
-        pytest.param({**_CERTIFICATE_FAULT, "monomial": [3, -1, 0]}, id="negative-exponent"),
-        pytest.param({**_CERTIFICATE_FAULT, "delta": 0}, id="certificate-zero-delta"),
-        pytest.param({**_DICTIONARY_FAULT, "entry": "delta0"}, id="unknown-entry"),
-        pytest.param({**_DICTIONARY_FAULT, "entry": ["alpha0"]}, id="non-string-entry"),
-        pytest.param({**_DICTIONARY_FAULT, "index": 6}, id="index-out-of-range"),
-        pytest.param({**_DICTIONARY_FAULT, "index": -1}, id="negative-index"),
-        pytest.param({**_DICTIONARY_FAULT, "delta": 4}, id="dictionary-delta-zero-mod-4"),
-        pytest.param({**_DICTIONARY_FAULT, "index": 5, "delta": 2}, id="dictionary-delta-zero-mod-2"),
-        pytest.param({**_DICTIONARY_FAULT, "delta": "2"}, id="string-delta"),
-        pytest.param({**_DICTIONARY_FAULT, "delta": 1.5}, id="float-delta"),
-        pytest.param({**_DICTIONARY_FAULT, "delta": True}, id="boolean-delta"),
-        pytest.param({**_MATRIX_FAULT, "matrix": "s7"}, id="unknown-matrix"),
-        pytest.param({**_MATRIX_FAULT, "row": 6}, id="row-out-of-range"),
-        pytest.param({**_MATRIX_FAULT, "col": 9}, id="col-out-of-range"),
-        pytest.param({**_MATRIX_FAULT, "delta": -4}, id="matrix-delta-zero-mod-4"),
-        pytest.param({**_MATRIX_FAULT, "row": 5, "delta": 2}, id="matrix-delta-zero-mod-2"),
+        pytest.param({**_CERTIFICATE_FAULT, "certificate": "D9-D0"}, "'D9-D0'",
+                     id="unknown-certificate"),
+        pytest.param({**_CERTIFICATE_FAULT, "part": "middle"}, "'middle'", id="unknown-part"),
+        pytest.param({**_CERTIFICATE_FAULT, "certificate": ["D1-D0"]}, "certificate must be",
+                     id="non-string-certificate"),
+        pytest.param({**_CERTIFICATE_FAULT, "monomial": "X^2"}, "'X^2'", id="non-list-monomial"),
+        pytest.param({**_CERTIFICATE_FAULT, "monomial": [1, 1]}, "[1, 1]", id="short-monomial"),
+        pytest.param({**_CERTIFICATE_FAULT, "monomial": [1, 0, 0]}, "(1, 0, 0)",
+                     id="monomial-degree"),
+        pytest.param({**_CERTIFICATE_FAULT, "monomial": [3, -1, 0]}, "(3, -1, 0)",
+                     id="negative-exponent"),
+        pytest.param({**_CERTIFICATE_FAULT, "monomial": [1, 0.5, 0.5]}, "[1, 0.5, 0.5]",
+                     id="non-integer-exponent"),
+        pytest.param({**_CERTIFICATE_FAULT, "delta": 0}, "delta 0", id="certificate-zero-delta"),
+        pytest.param({**_DICTIONARY_FAULT, "entry": "delta0"}, "'delta0'", id="unknown-entry"),
+        pytest.param({**_DICTIONARY_FAULT, "entry": ["alpha0"]}, "entry must be",
+                     id="non-string-entry"),
+        pytest.param({**_DICTIONARY_FAULT, "index": 6}, "index must be", id="index-out-of-range"),
+        pytest.param({**_DICTIONARY_FAULT, "index": -1}, "index must be", id="negative-index"),
+        pytest.param({**_DICTIONARY_FAULT, "delta": 4}, "delta 4",
+                     id="dictionary-delta-zero-mod-4"),
+        pytest.param({**_DICTIONARY_FAULT, "index": 5, "delta": 2}, "delta 2",
+                     id="dictionary-delta-zero-mod-2"),
+        pytest.param({**_DICTIONARY_FAULT, "delta": "2"}, "delta must be", id="string-delta"),
+        pytest.param({**_DICTIONARY_FAULT, "delta": 1.5}, "delta must be", id="float-delta"),
+        pytest.param({**_DICTIONARY_FAULT, "delta": True}, "delta must be", id="boolean-delta"),
+        pytest.param({**_MATRIX_FAULT, "matrix": "s7"}, "'s7'", id="unknown-matrix"),
+        pytest.param({**_MATRIX_FAULT, "row": 6}, "row must be", id="row-out-of-range"),
+        pytest.param({**_MATRIX_FAULT, "col": 9}, "col must be", id="col-out-of-range"),
+        pytest.param({**_MATRIX_FAULT, "delta": -4}, "delta -4", id="matrix-delta-zero-mod-4"),
+        pytest.param({**_MATRIX_FAULT, "row": 5, "delta": 2}, "delta 2",
+                     id="matrix-delta-zero-mod-2"),
         # e_6 has order 2, so rows 1-5 of column 6 must stay even
-        pytest.param({**_MATRIX_FAULT, "col": 5, "delta": 1}, id="matrix-column-6-odd"),
-        pytest.param({**_MATRIX_FAULT, "colum": 0}, id="unknown-field"),
-        pytest.param({"target": "matrix", "matrix": "s3", "delta": 1}, id="missing-field"),
-        pytest.param({"target": ["matrix"]}, id="non-string-target"),
-        pytest.param([_MATRIX_FAULT], id="top-level-array"),
+        pytest.param({**_MATRIX_FAULT, "col": 5, "delta": 1}, "('s3', 0, 5)",
+                     id="matrix-column-6-odd"),
+        pytest.param({**_SHIFT_FAULT, "shift": "sigma_7"}, "'sigma_7'", id="unknown-shift"),
+        pytest.param({**_SHIFT_FAULT, "delta": 4}, "delta 4", id="shift-delta-zero-mod-4"),
+        pytest.param({**_CLASS_FAULT, "class": ["E"]}, "class must be", id="non-string-class"),
+        pytest.param({**_CLASS_FAULT, "index": 6}, "index must be", id="class-index-out-of-range"),
+        pytest.param({**_MATRIX_FAULT, "colum": 0}, "colum", id="unknown-field"),
+        pytest.param({"target": "matrix", "matrix": "s3", "delta": 1}, "not delta, matrix, target",
+                     id="missing-field"),
+        pytest.param({"target": ["matrix"]}, "['matrix']", id="non-string-target"),
+        pytest.param([_MATRIX_FAULT], "JSON object", id="top-level-array"),
         # raw text: too deep for the JSON decoder, which raises RecursionError
-        pytest.param("[" * 100_000, id="deeply-nested"),
+        pytest.param("[" * 100_000, "recursion", id="deeply-nested"),
     ],
 )
-def test_malformed_fault_is_usage_error(payload, tmp_path, capsys):
+def test_malformed_fault_is_usage_error(payload, named, tmp_path, capsys):
     path = tmp_path / "fault.json"
     text = payload if isinstance(payload, str) else json.dumps(payload)
     path.write_text(text, encoding="utf-8")
@@ -327,6 +349,7 @@ def test_malformed_fault_is_usage_error(payload, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("quartic-twist: bad fault file: ")
     assert captured.err.count("\n") == 1
+    assert named in captured.err, captured.err
 
 
 def test_known_id_in_collapsed_section_reports_its_builder(tmp_path, capsys):

@@ -12,7 +12,10 @@ from quartic_twist import certificates, checks, theorems
 from quartic_twist.checks import build_report, list_check_ids, load_fault, run_single
 
 FIXTURES = Path(__file__).parent / "fixtures"
-FIXTURE_NAMES = ("fault_dictionary.json", "fault_matrix.json", "fault_certificate.json")
+FIXTURE_NAMES = (
+    "fault_dictionary.json", "fault_matrix.json", "fault_certificate.json",
+    "fault_shift.json", "fault_class.json",
+)
 
 
 def _built_sections(monkeypatch) -> list[str]:
@@ -57,7 +60,7 @@ def test_single_check_builds_only_its_cone(monkeypatch):
 
 _COMMON_CONE = {"bitangents", "dictionary", "fixed", "brauer"}
 _THEOREM_CONES = {
-    "theorem-odd-torsors": {"galois", "torsor"},
+    "theorem-odd-torsors": {"galois", "fixed", "torsor"},
     "theorem-mordell-weil": _COMMON_CONE,
     "theorem-quadratic-points": _COMMON_CONE | {"quadratic"},
     "theorem-determinantal": _COMMON_CONE | {"quadratic"},

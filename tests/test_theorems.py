@@ -1,9 +1,12 @@
 """Assembled theorem records: the `theorems` section of a run, read clean
 through the `verify_*` views and corrupted through fault fixtures."""
 
+import json
+import random
 from pathlib import Path
 
 from quartic_twist.checks import build_report, load_fault
+from quartic_twist.mordell_weil import MODULI, PRINTED_SHIFTS
 from quartic_twist.theorems import (
     THEOREMS,
     certificate_suite_passes,
@@ -119,3 +122,29 @@ def test_views_are_the_clean_report_records():
     assert [record.check_id for record in records] == [t.check_id for t in THEOREMS]
     for record in records:
         assert record == clean[record.check_id]
+
+
+def _corruptions(target: str, names) -> list[dict]:
+    """Every single-coordinate corruption of a table of classes, as the
+    payloads of fault files."""
+    return [
+        {"target": target, target: name, "index": index, "delta": delta}
+        for name in names
+        for index, modulus in enumerate(MODULI)
+        for delta in range(1, modulus)
+    ]
+
+
+def test_every_shift_and_class_corruption_reaches_the_theorems(tmp_path):
+    # the torsor searches read the shifts, and every theorem but the torsor
+    # theorem reads the classes [D_i - D_0] and [E]
+    shifts = _corruptions("shift", PRINTED_SHIFTS)
+    classes = _corruptions("class", ("D1-D0", "D2-D0", "D3-D0", "E"))
+    assert (len(shifts), len(classes)) == (48, 64)
+    every = {t.check_id for t in THEOREMS}
+    expected = [every] * 48 + [every - {"theorem-odd-torsors"}] * 16
+    path = tmp_path / "fault.json"
+    for payload, failing in zip(shifts + random.Random(17).sample(classes, 16), expected):
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        report = build_report(section="theorems", fault=load_fault(str(path)))
+        assert {r.check_id for r in report.checks if r.status == "FAIL"} == failing, payload
