@@ -609,9 +609,9 @@ def _fixed_records(data: _RunData) -> list[CheckRecord]:
     s3, s5 = matrices["s3"], matrices["s5"]
     t3, t5 = image_table(s3), image_table(s5)
     t35, t53 = image_table(s3 * s5), image_table(s5 * s3)
-    involution = all(
-        t3[t3[n]] == n and t5[t5[n]] == n and t35[n] == t53[n] for n in range(ORDER)
-    )
+    codes = list(range(ORDER))
+    involution = (list(map(t3.__getitem__, t3)) == codes
+                  and list(map(t5.__getitem__, t5)) == codes and t35 == t53)
     fixed = fixed_submodule([s3, s5])
     fixed_set = set(fixed)
     pic0 = subgroup_generated([d1, d2])

@@ -14,10 +14,10 @@ divided by the norm, x times that product, which is rational; a rational
 x is inverted directly.
 
 Internally a value is a vector of eight integers over a single positive
-denominator with the gcd of all nine integers equal to 1.  That keeps the
-hot loops (polynomial products inside branch expansions) on machine
-integers instead of eight separate Fraction objects; the `coeffs`
-property exposes the usual tuple of Fractions.  Only `coeffs`, a
+denominator with the gcd of all nine integers equal to 1, which keeps the
+hot loops on machine integers; the `coeffs` property exposes the usual
+tuple of Fractions.  A product with a factor exactly 1 is the other
+factor, and one over the denominator 1 takes no gcd.  Only `coeffs`, a
 coefficient that is not an int and the hash of a non-integral rational
 import `fractions`; arithmetic and printing never load it.
 
@@ -36,6 +36,7 @@ if TYPE_CHECKING:
 Scalar = Union[int, "Fraction", "CycNum"]
 
 _N_COEFFS = 8
+_ONE_NUMS = (1, 0, 0, 0, 0, 0, 0, 0)
 
 
 def reduce_product(s: Sequence[int]) -> tuple[int, ...]:
@@ -83,7 +84,8 @@ class CycNum:
     @classmethod
     def _raw(cls, nums: Iterable[int], den: int) -> CycNum:
         self = object.__new__(cls)
-        self.nums, self.den = _normalized(nums, den)
+        # over the denominator 1 the numerators are in lowest terms
+        self.nums, self.den = (tuple(nums), 1) if den == 1 else _normalized(nums, den)
         return self
 
     @property
@@ -143,12 +145,16 @@ class CycNum:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.nums, other.nums
+        if b == _ONE_NUMS and other.den == 1:
+            return self
+        if a == _ONE_NUMS and self.den == 1:
+            return other
+        terms = [(j, bj) for j, bj in enumerate(b) if bj]
         prod = [0] * 15
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
+                for j, bj in terms:
+                    prod[i + j] += ai * bj
         return CycNum._raw(reduce_product(prod), self.den * other.den)
 
     __rmul__ = __mul__

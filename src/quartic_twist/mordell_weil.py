@@ -14,10 +14,11 @@ scratch by brute-force enumeration of all 2048 elements.
 The enumerations run over integer codes: element n of `all_elements()` has
 code n, the coordinates packed as two-bit digits (one bit for e_6).  Each
 linear map gets one image table, the codes of the images of all 2048
-elements, built by linearity from the map's six columns and kept per
-matrix value.  Fixed points, images and twisted fixed-point searches are
-scans of these tables; codes become `ModElement`s only on return, by
-lookup in one cached pass of `all_elements()`.
+elements, built by linearity from its six columns in 11 doublings of one
+comprehension each, and kept per matrix value; 2M is the image of the
+doubling map.  Fixed points, images and twisted fixed-point searches
+are scans of these tables; codes become `ModElement`s only on return,
+by lookup in one cached pass of `all_elements()`.
 """
 
 from __future__ import annotations
@@ -133,10 +134,12 @@ def decode(code: int) -> ModElement:
     return _elements()[code]
 
 
-def _add_codes(x: int, y: int) -> int:
-    """The code of the sum.  Adding the low bits of the digits carries at
-    most into each digit's own high bit; the high bits add modulo 2."""
-    return ((x & _LOW_BITS) + (y & _LOW_BITS)) ^ ((x ^ y) & _HIGH_BITS)
+def _add_codes(codes: list[int], y: int) -> list[int]:
+    """The codes of x + y for each code x.  Adding the low bits of the
+    digits carries at most into each digit's own high bit; the high bits
+    add modulo 2."""
+    low = y & _LOW_BITS
+    return [((x & _LOW_BITS) + low) ^ ((x ^ y) & _HIGH_BITS) for x in codes]
 
 
 class ActionMatrix:
@@ -309,10 +312,10 @@ def image_table(s: ActionMatrix) -> array:
     # images of the one-bit codes, lowest bit first: e_6, e_5, 2e_5, ..., e_1, 2e_1
     images = [columns[5]]
     for column in reversed(columns[:5]):
-        images += [column, _add_codes(column, column)]
+        images += [column, *_add_codes([column], column)]
     table = [0]
     for image in images:
-        table += [_add_codes(code, image) for code in table]
+        table += _add_codes(table, image)
     return array("H", table)
 
 
@@ -337,8 +340,9 @@ def image_submodule(s: ActionMatrix) -> frozenset[ModElement]:
 
 
 def two_torsion_multiples() -> frozenset[ModElement]:
-    """The subgroup 2M."""
-    return frozenset(map(decode, {_add_codes(n, n) for n in range(ORDER)}))
+    """The subgroup 2M: the image of doubling."""
+    doubling = ActionMatrix(tuple(tuple(2 * (i == j) for j in range(6)) for i in range(6)))
+    return frozenset(map(decode, set(image_table(doubling))))
 
 
 def pic1_has_fixed_point(s: ActionMatrix, shift: ModElement) -> bool:

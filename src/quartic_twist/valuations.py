@@ -30,35 +30,34 @@ read off the coordinates, and F_dep(P) is built from the solver's own
 powers of v_0 and inverted once per point.  The solver keeps the series
 v and its powers 1..d, each extended by one O(n) convolution per order
 n, so all precisions of a point together cost O(d p^2) field products
-to the highest precision p asked for; a request for a lower or an
-already reached precision solves nothing.  The solver lives on the
-point's precision-1 expansion, which every `valuation` builds first, so
-clearing `_EXPANSION_CACHE` drops it too.
+to the highest precision p asked for.
 
-Each expansion still has its own coordinate power table, per
-(point, precision): the chart, parameter and dependent coordinates
-scaled by a common denominator D, and the powers of the latter two,
-built by plain row-series products of the finished series (never from
-the solver's internal powers) and extended on demand.  The gate
-composes the curve with every expansion through that table, at the
-full precision, and raises unless every coefficient vanishes: it
-certifies the series independently of how it was solved, resumed or
-not.  The table is shared by the gate and every later composition at
-that point and precision, and it lives on the expansion.
+One branch per point: the solver and a single coordinate power table
+live on the point's precision-1 expansion, which every `valuation`
+builds first, so clearing `_EXPANSION_CACHE` drops both.  The table
+holds the chart, parameter and dependent coordinates scaled by a common
+denominator D, and the powers of the latter two as row series, built by
+plain row-series products of the solved series (never from the solver's
+internal powers).  It grows by copy-on-write, only by the orders and
+powers a request adds, and every expansion of the point reads it
+truncated at its precision.  The gate composes the curve with each new
+precision over the orders it adds, and raises unless every coefficient
+vanishes: it certifies the series independently of how it was solved,
+resumed or not.
 
-`compose` substitutes the table into a form of degree m: every monomial
-has denominator D^m, so after scaling the coefficients to their common
-denominator L the whole result is over D^m L.  Each of its coefficients
-is summed unreduced and reduced once by `reduce_product`; the result
-lists, for t^0, t^1, ..., the 8 numerators, or None when that
-coefficient is 0.  The reduced vector is canonical and the denominator
-positive, so a coefficient vanishes exactly when its entry is None, and
-it is tested for zero without building a field element.  `valuation`
-reads such compositions: it composes with expansions of precision 1, 2,
-4, 8, ... (capped at bound + 1) and stops at the first nonzero
-coefficient, so a form that does not vanish at the point costs one
-precision-1 expansion.  Only what a caller reads is normalised to
-CycNum: the coefficients `compose_with_branch` returns.
+`compose` substitutes the table into a form of degree m from a start
+order: every monomial has denominator D^m, so after scaling the
+coefficients to their common denominator L the whole result is over
+D^m L.  Each of its coefficients is summed unreduced and reduced once by
+`reduce_product`; the result lists the 8 numerators of each coefficient,
+or None when it is 0.  The reduced vector is canonical and the
+denominator positive, so a coefficient vanishes exactly when its entry
+is None, and it is tested for zero without building a field element.
+`valuation` reads coefficient n at precision n + 1, once each, and stops
+at the first nonzero one, so no point is solved, tabled or gated past
+the largest v + 1 (at most the bound) of the valuations that read it.
+Only what a caller reads is normalised to CycNum: the coefficients
+`compose_with_branch` returns.
 """
 
 from __future__ import annotations
@@ -88,9 +87,9 @@ class OrderBoundExceeded(ArithmeticError):
     """
 
 
-def _series_mul(a: RowSeries, b: RowSeries, order: int) -> RowSeries:
-    """Product of two row series, truncated at the order, over the product
-    of their denominators."""
+def _series_mul(a: RowSeries, b: RowSeries, order: int, start: int = 0) -> RowSeries:
+    """Coefficients start..order-1 of the product of two row series, over
+    the product of their denominators."""
     acc: list[Optional[list[int]]] = [None] * order
     for i, xs in a:
         if i >= order:
@@ -99,6 +98,8 @@ def _series_mul(a: RowSeries, b: RowSeries, order: int) -> RowSeries:
             n = i + j
             if n >= order:
                 break
+            if n < start:
+                continue
             s = acc[n]
             if s is None:
                 s = acc[n] = [0] * 15
@@ -125,40 +126,54 @@ def _row(c: CycNum, den: int) -> Row:
 
 
 class _PowerTable:
-    """Powers of the coordinate series along one expansion, each coordinate
-    scaled by the common denominator `den`: the chart coordinate is the
-    constant den, and `powers[axis][k]` is the row series of
-    (den * coordinate)^k for the parameter and the dependent axis.
+    """Powers of the coordinate series along one branch, each coordinate
+    scaled by the common denominator `den` of the rows tabled so far: the
+    chart coordinate is the constant den, and the state holds the powers
+    0..degree of the parameter and the dependent axis to its order.
 
-    Powers are appended on demand by copy-on-write, so a concurrent reader
-    sees a complete tuple and a duplicate extension is an equal one.
+    The table grows only by copy-on-write: the state is replaced whole,
+    so a reader sees a consistent one, a duplicate extension publishes an
+    equal one and a late shorter one a truncation, which the next reader
+    extends again.  When den grows by a factor f, the rows of each k-th
+    power are rescaled by f^k.
     """
 
-    __slots__ = ("den", "order", "powers")
+    __slots__ = ("p0", "parameter", "dependent", "_state")
 
     def __init__(self, expansion: BranchExpansion):
-        order = expansion.precision
-        p0 = expansion.center.coords[expansion.parameter]
-        den = p0.den
-        for c in expansion.series:
-            den = den * c.den // gcd(den, c.den)
-        one: RowSeries = [(0, [(0, 1)])]
-        param = [(0, _row(p0, den))] if p0 else []
-        if order > 1:
-            param.append((1, [(0, den)]))
-        dependent = [(n, _row(c, den)) for n, c in enumerate(expansion.series) if c]
-        self.den = den
-        self.order = order
-        self.powers: list[tuple[RowSeries, ...]] = [(), (), ()]
-        self.powers[expansion.parameter] = (one, param)
-        self.powers[expansion.dependent] = (one, dependent)
+        self.p0 = expansion.center.coords[expansion.parameter]
+        self.parameter, self.dependent = expansion.parameter, expansion.dependent
+        powers: list[tuple[RowSeries, ...]] = [(), (), ()]
+        powers[self.parameter] = powers[self.dependent] = ([(0, [(0, 1)])], [])
+        self._state = (1, 0, powers)
 
-    def power(self, axis: int, k: int) -> RowSeries:
-        powers = self.powers[axis]
-        while k >= len(powers):
-            powers += (_series_mul(powers[-1], powers[1], self.order),)
-        self.powers[axis] = powers
-        return powers[k]
+    def state(self, series: Series, order: int, degree: int) -> tuple:
+        """The state (den, order, powers), powers[axis][k] being the row
+        series of (den * coordinate)^k for k = 0..degree, to at least the
+        order: grown from the series, whose prefix is the one tabled."""
+        den, reached, powers = state = self._state
+        if reached >= order and len(powers[self.dependent]) > degree:
+            return state
+        order, grown = max(order, reached), den
+        for c in (self.p0, *series[reached:order]):
+            grown = grown * c.den // gcd(grown, c.den)
+        factor, den = grown // den, grown
+        param = [(n, row) for n, row in ((0, _row(self.p0, den)), (1, [(0, den)]))
+                 if reached <= n < order and row]
+        dependent = [(n, _row(c, den)) for n, c in enumerate(series[reached:order], reached) if c]
+        powers = list(powers)
+        for axis, new in ((self.parameter, param), (self.dependent, dependent)):
+            old = powers[axis]
+            if factor > 1:
+                old = [[(n, [(p, x * factor ** k) for p, x in row]) for n, row in power]
+                       for k, power in enumerate(old)]
+            table = [old[0], old[1] + new]
+            for k in range(2, max(degree + 1, len(old))):
+                kept, start = (old[k], reached) if k < len(old) else ([], 0)
+                table.append(kept + _series_mul(table[-1], table[1], order, start))
+            powers[axis] = tuple(table)
+        self._state = state = (den, order, powers)
+        return state
 
 
 class BranchExpansion:
@@ -169,9 +184,9 @@ class BranchExpansion:
     series gives the dependent coordinate to the stated precision, i.e.
     the curve equation composed with the parametrization vanishes
     mod t^precision.  The coordinate power table is built on the first
-    composition and kept with the expansion, and a precision-1 expansion
-    keeps its point's solver once a higher precision is asked for; neither
-    takes part in equality.
+    composition; every expansion of a point shares the one of its
+    precision-1 expansion, which also keeps the point's solver once a
+    higher precision is asked for.  Neither takes part in equality.
     """
 
     __slots__ = ("center", "chart", "parameter", "dependent", "series", "precision",
@@ -213,7 +228,7 @@ class BranchExpansion:
                 f"series={self.series!r}, precision={self.precision})")
 
     def power_table(self) -> _PowerTable:
-        """The coordinate power table, built once from the finished series."""
+        """The coordinate power table, built once and grown from the series."""
         table = self._table
         if table is None:
             table = self._table = _PowerTable(self)
@@ -249,7 +264,12 @@ def expand_branch(point: ProjPoint, precision: int) -> BranchExpansion:
         series=solver.series(precision),
         precision=precision,
     )
-    _check_on_curve(expansion)
+    expansion._table = base.power_table()
+    if solver.gated < precision:
+        # the lower orders were gated on the same solved prefix, which a
+        # resumed solve keeps; a late lower mark only gates orders again
+        _check_on_curve(expansion, solver.gated)
+        solver.gated = precision
     _EXPANSION_CACHE[(point, precision)] = expansion
     return expansion
 
@@ -278,15 +298,15 @@ def _first_order(point: ProjPoint) -> BranchExpansion:
         series=(coords[dependent],),
         precision=1,
     )
-    _check_on_curve(expansion)
+    _check_on_curve(expansion, 0)
     _EXPANSION_CACHE[(point, 1)] = expansion
     return expansion
 
 
-def _check_on_curve(expansion: BranchExpansion) -> None:
-    """The gate: the curve composed with the expansion vanishes to its
-    full precision."""
-    residual, _ = compose(CURVE, expansion, expansion.precision)
+def _check_on_curve(expansion: BranchExpansion, start: int) -> None:
+    """The gate: the curve composed with the expansion vanishes at the
+    orders from start to its precision."""
+    residual, _ = compose(CURVE, expansion, expansion.precision, start)
     if any(residual):
         raise AssertionError("branch expansion failed to satisfy the curve equation")
 
@@ -311,7 +331,7 @@ class _BranchSolver:
     next request extends again.
     """
 
-    __slots__ = ("c_dep", "param_terms", "slopes", "dep_partial_inv", "_state")
+    __slots__ = ("c_dep", "param_terms", "slopes", "dep_partial_inv", "gated", "_state")
 
     def __init__(self, point: ProjPoint, parameter: int, dependent: int):
         degree = CURVE.degree
@@ -320,18 +340,19 @@ class _BranchSolver:
         coeff = [ZERO] * 3
         for e, c in CURVE.terms.items():
             coeff[e.index(degree)] = c
-        v0 = point.coords[dependent]
-        v0_powers = [ONE, v0]
-        for _ in range(2, degree + 1):
+        v0, p0 = point.coords[dependent], point.coords[parameter]
+        v0_powers, p0_powers = [ONE], [ONE]
+        for _ in range(degree):
             v0_powers.append(v0_powers[-1] * v0)
+            p0_powers.append(p0_powers[-1] * p0)
         # slopes[k] = k * v_0^(k-1), the derivative of v^k in v_0
         self.slopes = [ZERO] + [k * v0_powers[k - 1] for k in range(1, degree + 1)]
         self.c_dep = coeff[dependent]
         self.dep_partial_inv = (self.c_dep * self.slopes[degree]).inv()
-        p0 = point.coords[parameter]
         # [t^n] c_par * (p_0 + t)^d, nonzero only for n <= d
-        self.param_terms = [coeff[parameter] * comb(degree, n) * p0 ** (degree - n)
+        self.param_terms = [coeff[parameter] * comb(degree, n) * p0_powers[degree - n]
                             for n in range(degree + 1)]
+        self.gated = 1  # the orders below this one are gated
         self._state: tuple[list[CycNum], list[list[CycNum]]] = (
             [v0], [[c] for c in v0_powers]
         )
@@ -369,13 +390,15 @@ class _BranchSolver:
                     powers[k][n] = powers[k][n] + slopes[k] * vn
 
 
-def compose(form: HomogPoly, expansion: BranchExpansion, order: int) -> tuple[Coefficients, int]:
-    """Substitute the expansion into a form, truncating at the order: the
-    numerators of each coefficient of the result and their one positive
-    denominator."""
+def compose(
+    form: HomogPoly, expansion: BranchExpansion, order: int, start: int = 0
+) -> tuple[Coefficients, int]:
+    """Substitute the expansion into a form: the numerators of the
+    coefficients of t^start..t^(order-1) of the result and their one
+    positive denominator."""
     if order > expansion.precision:
         raise ValueError("requested order exceeds the expansion precision")
-    table = expansion.power_table()
+    den, _, powers = expansion.power_table().state(expansion.series, order, form.degree)
     chart, parameter, dependent = expansion.chart, expansion.parameter, expansion.dependent
     common = 1
     for c in form.terms.values():
@@ -384,22 +407,24 @@ def compose(form: HomogPoly, expansion: BranchExpansion, order: int) -> tuple[Co
     for exponents, c in form.terms.items():
         i, j, k = exponents[chart], exponents[parameter], exponents[dependent]
         if j and k:
-            term = _series_mul(table.power(parameter, j), table.power(dependent, k), order)
+            term = _series_mul(powers[parameter][j], powers[dependent][k], order, start)
         else:
-            term = table.power(dependent, k) if k else table.power(parameter, j)
+            term = powers[dependent][k] if k else powers[parameter][j]
         # c over the common denominator, times the chart coordinate's
         # constant den to the power i
-        coefficient = _row(c, common * table.den ** i)
+        coefficient = _row(c, common * den ** i)
         for n, ys in term:
             if n >= order:
                 break
+            if n < start:
+                continue
             s = acc[n]
             if s is None:
                 s = acc[n] = [0] * 15
             for p, x in coefficient:
                 for q, y in ys:
                     s[p + q] += x * y
-    return [_reduced(s) for s in acc], table.den ** form.degree * common
+    return [_reduced(s) for s in acc[start:]], den ** form.degree * common
 
 
 def compose_with_branch(form: HomogPoly, expansion: BranchExpansion, order: int) -> Series:
@@ -413,23 +438,16 @@ def valuation(form: HomogPoly, point: ProjPoint, bound: int) -> int:
 
     Raises OrderBoundExceeded if every coefficient below the bound
     vanishes; callers pass bound = 4*deg(form) + 1, so that error means
-    the curve polynomial divides the form.  The expansion precision grows
-    by doubling from 1 and stops at the first nonzero coefficient.
+    the curve polynomial divides the form.  Coefficient n is read at
+    precision n + 1, once each, up to the first nonzero one.
     """
     if not form:
         raise ValueError("valuation of the zero form")
-    precision = 1
-    while True:
-        order = min(precision, bound + 1)
-        rows, _ = compose(form, expand_branch(point, order), order)
-        for n in range(min(order, bound)):
-            if rows[n]:
-                return n
-        if order == bound + 1:
-            raise OrderBoundExceeded(
-                f"form vanishes to order >= {bound} at {point}"
-            )
-        precision *= 2
+    for n in range(bound):
+        rows, _ = compose(form, expand_branch(point, n + 1), n + 1, n)
+        if rows[0]:
+            return n
+    raise OrderBoundExceeded(f"form vanishes to order >= {bound} at {point}")
 
 
 def principal_divisor_on_support(

@@ -178,16 +178,49 @@ def test_field_axioms_random():
         assert IDENTITY(a) == a
 
 
+def schoolbook_product(a, b):
+    """Oracle: the product of two elements on Fraction coefficients."""
+    raw = [Fraction(0)] * 15
+    ca, cb = a.coeffs, b.coeffs
+    for i in range(8):
+        for j in range(8):
+            raw[i + j] += ca[i] * cb[j]
+    return CycNum(schoolbook_reduce(raw))
+
+
 def test_mul_against_schoolbook_oracle_random():
     rng = random.Random(99)
     for _ in range(300):
         a, b = random_cyc(rng), random_cyc(rng)
-        raw = [Fraction(0)] * 15
-        ca, cb = a.coeffs, b.coeffs
-        for i in range(8):
-            for j in range(8):
-                raw[i + j] += ca[i] * cb[j]
-        assert a * b == CycNum(schoolbook_reduce(raw))
+        assert a * b == schoolbook_product(a, b)
+
+
+def test_mul_by_one_and_integral_products_against_schoolbook_oracle():
+    rng = random.Random(1804)
+    ones = (ONE, rational(1), Fraction(2, 2), 1)
+    values = [ZERO, ONE, -ONE, d_power(5), CycNum((Fraction(1, 2), 0, 3))]
+    values += [random_cyc(rng) for _ in range(20)]
+    for x in values:
+        for one in ones:
+            assert x * one == schoolbook_product(x, rational(one)) == x
+            assert one * x == x
+            assert (x * one).den == x.den and (one * x).nums == x.nums
+    # non-integral factors whose product is integral, where the gcd is taken
+    for p, q in ((Fraction(2, 3), Fraction(3, 2)), (Fraction(-4, 3), Fraction(9, 2)),
+                 (Fraction(1, 2), Fraction(4, 1))):
+        product = rational(p) * rational(q)
+        assert product == schoolbook_product(rational(p), rational(q)) == p * q
+        assert product.den == 1
+    half_d = CycNum((0, Fraction(1, 2), 0, 0, 0, Fraction(-3, 2)))
+    assert half_d * 2 == schoolbook_product(half_d, rational(2)) == CycNum((0, 1, 0, 0, 0, -3))
+    # sparse pairs, integral and not
+    for _ in range(300):
+        a, b = (
+            CycNum([Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3))) if rng.random() < 0.25
+                    else 0 for _ in range(8)])
+            for _ in range(2)
+        )
+        assert a * b == schoolbook_product(a, b), (a, b)
 
 
 def test_canonical_form_and_hash():

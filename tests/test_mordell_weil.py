@@ -294,10 +294,21 @@ def _random_matrix(rng):
     return ActionMatrix(rows)
 
 
+def _corrupted_matrix(rng):
+    """A printed matrix with one entry moved, as a valid matrix fault moves
+    it: column 6 stays even in rows 1-5."""
+    rows = [list(row) for row in rng.choice((PRINTED_S3, PRINTED_S5)).rows]
+    i, j = rng.randrange(6), rng.randrange(6)
+    rows[i][j] += 2 if j == 5 and i < 5 else rng.randrange(1, MODULI[i])
+    return ActionMatrix(rows)
+
+
 def _differential_matrices():
     rng = random.Random(20210712)
     printed = [PRINTED_S3, PRINTED_S5, PRINTED_S3 * PRINTED_S5, ActionMatrix.identity()]
-    return printed + [_random_matrix(rng) for _ in range(16)]
+    corrupted = [_corrupted_matrix(random.Random(seed)) for seed in (1801, 1802)]
+    assert not set(corrupted) & {PRINTED_S3, PRINTED_S5}
+    return printed + [_random_matrix(rng) for _ in range(16)] + corrupted
 
 
 def test_codes_follow_the_enumeration():

@@ -1,8 +1,10 @@
 """Branch expansions, valuations, Bezout completeness, and the concrete
 certificate suite."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from quartic_twist.certificates import (
 )
 from quartic_twist import valuations
 from quartic_twist.brauer import verify_e_identities
+from quartic_twist.checks import build_report, load_fault
 from quartic_twist.cyclotomic import (
     MINUS_SQRT2, ONE, SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, TAU, ZERO, CycNum, d_power,
     rational, zeta,
@@ -35,6 +38,7 @@ from quartic_twist.valuations import (
 
 z8 = zeta(8)
 z3 = zeta(3)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_minus_sqrt2_squares_to_two():
@@ -373,13 +377,16 @@ def test_resumed_expansions_match_per_order_reference():
 
 
 def test_resumed_expansions_under_concurrent_requests():
-    # threads share each point's solver: every thread's expansions must
-    # still be the reference truncations, whatever the interleaving
+    # threads share each point's solver and power table: every thread's
+    # expansions and compositions must still be the reference truncations,
+    # whatever the interleaving
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
     points = [CATALOG[name] for name in ("A1", "B3", "C2", "T01", "T30", "E+")]
     references = {point: _reference_expansion(point, 17) for point in points}
+    form = (X - z8 * Z) ** 2 * (X + Y - Z)
+    composed = {point: _reference_compose(form, references[point], 17) for point in points}
 
     def job(seed):
         rng = random.Random(seed)
@@ -387,8 +394,11 @@ def test_resumed_expansions_under_concurrent_requests():
         order = [1, 2, 4, 8, 16, 17, 3, 9]
         rng.shuffle(order)
         for precision in order:
-            series = expand_branch(point, precision).series
-            assert series == references[point].series[:precision], (point, precision)
+            expansion = expand_branch(point, precision)
+            assert expansion.series == references[point].series[:precision], (point, precision)
+            assert compose_with_branch(form, expansion, precision) == (
+                composed[point][:precision]
+            ), (point, precision)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -490,6 +500,44 @@ def test_on_demand_valuation_matches_full_composition_on_certificates():
             cases.extend((form, point) for point in check.support)
     assert len(cases) == 82
     for form, point in cases:
+        _assert_on_demand_matches(form, point)
+
+
+def _report_reads(monkeypatch, tmp_path, payload=None):
+    """Every (form, point) whose valuation a report reads, with the fault
+    file of the given payload or none."""
+    fault = None
+    if payload is not None:
+        path = tmp_path / "fault.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        fault = load_fault(str(path))
+    reads = {}
+    read = valuations.valuation
+
+    def recorded(form, point, bound):
+        reads[str(form), point] = (form, point, bound)
+        return read(form, point, bound)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(valuations, "valuation", recorded)
+        valuations._EXPANSION_CACHE.clear()
+        report = build_report(fault=fault)
+    assert report.exit_code == (payload is not None)
+    return reads
+
+
+def test_on_demand_valuation_matches_full_composition_where_reports_read(
+    monkeypatch, tmp_path, bench_faults
+):
+    fixture = FIXTURES / "fault_certificate.json"
+    payloads = [None, json.loads(fixture.read_text(encoding="utf-8"))]
+    payloads += random.Random(1804).sample(bench_faults.SPACES["certificate"], 9)
+    cases = {}
+    for payload in payloads:
+        cases.update(_report_reads(monkeypatch, tmp_path, payload))
+    assert len(cases) == 147  # 78 in the clean report
+    for form, point, bound in cases.values():
+        assert bound == 4 * form.degree + 1
         _assert_on_demand_matches(form, point)
 
 

@@ -2,28 +2,35 @@
 
 Field multiplications, row-series products, inversions, curve
 evaluations and element constructions are counted rather than timed, so
-the guard does not depend on the host.  A cold report makes 1,451
-CycNum multiplications (42 of them in the 6 of its 19 inversions that
-invert an irrational element, 7 each; the 13 rational ones make none) and
-424 products of row series in `valuations`, 1,875 counted operations
-against a budget of 3,000: solving each precision of an expansion from
-order 0 again (2,824 multiplications and 157 inversions: 4,347
-operations with inverses by the norm), composing along a branch on
-CycNum series (7,169 multiplications per report), or the per-order
-composition loop in `expand_branch` (about 74,000), fails it, and so does testing a point on
-the curve again (a report uses 16 distinct points; re-testing them at
-every use costs about 250 evaluations).  A report builds no partial
-derivative of the curve's form: building them per expansion (102 builds
-per report) fails the guard too.
+the guard does not depend on the host.  A cold report makes 1,187
+CycNum multiplications, 702 of which have a factor exactly 1 and return
+the other factor at once (42 of the 1,187 are in the 6 of its 19
+inversions that invert an irrational element, 7 each; the 13 rational
+ones make none), and 470 products of row series in `valuations`: 1,657
+counted operations against a budget of 3,000 (1,451 multiplications, 773
+of them by 1, and 424 row-series products with a power table per
+expansion and valuations by precision doubling).  Solving each precision
+of an expansion from order 0 again (2,824 multiplications and 157
+inversions: 4,347 operations with inverses by the norm), composing along
+a branch on CycNum series (7,169 multiplications per report), or the
+per-order composition loop in `expand_branch` (about 74,000), fails it,
+and so does testing a point on the curve again (a report uses 16
+distinct points; re-testing them at every use costs about 250
+evaluations).  A report builds no partial derivative of the curve's
+form: building them per expansion (102 builds per report) fails the
+guard too.
 
-A cold report inverts 19 field elements: F_dep(P) once at each of the
-14 points expanded beyond precision 1, and 5 divisions in the Brauer
-cocycle, which is computed once.  Inverting per precision and
-normalizing the Galois images of normalized points again costs 157.  It
-constructs 268 elements of the divisor-class module through the reducing
-constructor, 22 of them reading the six basis divisors from the cusp
-dictionary; the 2048 of the enumeration are built from coordinates
-already reduced (2,304 before).
+A cold report builds 54 expansions at 14 points, one power table per
+point (48 of each, one table per expansion, with precision doubling),
+and solves no point past the largest v + 1 of the valuations v that read
+it: 9 orders at most (14 with doubling).  It inverts 19 field elements:
+F_dep(P) once at each of the 14 points expanded beyond precision 1, and
+5 divisions in the Brauer cocycle, which is computed once.  Inverting
+per precision and normalizing the Galois images of normalized points
+again costs 157.  It constructs 268 elements of the divisor-class module
+through the reducing constructor, 22 of them reading the six basis
+divisors from the cusp dictionary; the 2048 of the enumeration are built
+from coordinates already reduced (2,304 before).
 """
 
 import os
@@ -57,9 +64,9 @@ def _count_multiplications(monkeypatch) -> list[int]:
         calls[0] += 1
         return multiply(self, other)
 
-    def counted_series(a, b, order):
+    def counted_series(a, b, order, start=0):
         calls[0] += 1
-        return series_mul(a, b, order)
+        return series_mul(a, b, order, start)
 
     monkeypatch.setattr(CycNum, "__mul__", counted)
     monkeypatch.setattr(CycNum, "__rmul__", counted)
@@ -159,26 +166,49 @@ def test_report_builds_no_partial_derivative(monkeypatch):
     assert calls[0] == 0
 
 
-def test_second_form_at_an_expansion_reuses_its_power_table(monkeypatch):
-    built = [0]
-    build = valuations._PowerTable.__init__
-
-    def counted(self, expansion):
-        built[0] += 1
-        build(self, expansion)
-
-    monkeypatch.setattr(valuations._PowerTable, "__init__", counted)
+def test_every_precision_of_a_point_reads_one_power_table(monkeypatch):
+    built = _counted(monkeypatch, valuations._PowerTable, "__init__")
     point = CATALOG["T21"]
-    valuations._EXPANSION_CACHE.pop((point, 9), None)
-    expansion = valuations.expand_branch(point, 9)
-    assert built[0] == 1  # the gate built it
-    table = expansion.power_table()
+    valuations._EXPANSION_CACHE.clear()
+    expansions = [valuations.expand_branch(point, precision) for precision in (4, 9, 2)]
     z8 = zeta(8)
     for form in (X + Y + Z, X ** 2 - z8 * Y * Z, (X - Z) ** 3):
-        valuations.compose(form, expansion, 9)
-        valuations.compose_with_branch(form, expansion, 5)
+        for expansion in expansions:
+            valuations.compose(form, expansion, expansion.precision)
+            valuations.compose_with_branch(form, expansion, 2)
     assert built[0] == 1
-    assert expansion.power_table() is table
+    table = expansions[0].power_table()
+    assert all(expansion.power_table() is table for expansion in expansions)
+    valuations._EXPANSION_CACHE.clear()
+    valuations.expand_branch(point, 4)
+    assert built[0] == 2
+
+
+def test_no_point_is_solved_past_the_orders_its_valuations_read(monkeypatch):
+    # each valuation v < bound reads the coefficients 0..v, one that
+    # exceeds the bound reads 0..bound-1
+    reads: dict = {}
+    valuation = valuations.valuation
+
+    def recorded(form, point, bound):
+        v = bound
+        try:
+            v = valuation(form, point, bound)
+            return v
+        finally:
+            reads[point] = max(reads.get(point, 0), min(v + 1, bound))
+
+    monkeypatch.setattr(valuations, "valuation", recorded)
+    _cold_report()
+    cache = valuations._EXPANSION_CACHE
+    reached = {}
+    for point, precision in cache:
+        reached[point] = max(reached.get(point, 0), precision)
+    assert reached == reads
+    for point, need in reads.items():
+        base = cache[point, 1]
+        solved = len(base._solver._state[0]) if base._solver else 1
+        assert solved <= need and base._table._state[1] <= need, point
 
 
 def test_import_leaves_dataclasses_out():
