@@ -271,7 +271,6 @@ SIGMA5_CUSP_TABLE = {
     "B0": "B2", "B1": "B3", "B2": "B0", "B3": "B1",
     "C0": "C2", "C1": "C3", "C2": "C0", "C3": "C1",
 }
-IDENTITY_CUSP_TABLE = {name: name for name in CUSP_NAMES}
 
 
 def cusp_permutation(sigma: Automorphism) -> dict[str, str]:

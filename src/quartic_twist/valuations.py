@@ -22,28 +22,20 @@ unreduced products of every pair of rows that lands on one output
 coefficient and reduces that coefficient once, by
 `cyclotomic.reduce_product`; it takes no gcd and builds no CycNum.
 
-`expand_branch` solves the dependent coordinate order by order on CycNum
-with one resumable solver per point (`_BranchSolver`).  The curve is a
-sum of pure powers a X^d + b Y^d + c Z^d, so F_a(P) = d c_a P_a^(d-1)
-vanishes exactly where the coordinate P_a does: the dependent axis is
-read off the coordinates, and F_dep(P) is built from the solver's own
-powers of v_0 and inverted once per point.  The solver keeps the series
-v and its powers 1..d, each extended by one O(n) convolution per order
-n, so all precisions of a point together cost O(d p^2) field products
-to the highest precision p asked for.
-
-One branch per point: the solver and a single coordinate power table
-live on the point's precision-1 expansion, which every `valuation`
-builds first, so clearing `_EXPANSION_CACHE` drops both.  The table
+One branch per point, in one arithmetic.  A point's `_PowerTable`, kept
+on its precision-1 expansion (so clearing `_EXPANSION_CACHE` drops it),
 holds the chart, parameter and dependent coordinates scaled by a common
-denominator D, and the powers of the latter two as row series, built by
-plain row-series products of the solved series (never from the solver's
-internal powers).  It grows by copy-on-write, only by the orders and
-powers a request adds, and every expansion of the point reads it
-truncated at its precision.  The gate composes the curve with each new
-precision over the orders it adds, and raises unless every coefficient
-vanishes: it certifies the series independently of how it was solved,
-resumed or not.
+denominator D, the powers of the latter two as row series, and the
+dependent coefficients v_n they were tabled from; it also solves them.
+On a sum of pure powers F_a(P) = d c_a P_a^(d-1) vanishes exactly where
+P_a does, so the dependent axis is read off the coordinates.  Each new
+order n grows the table by row-series products at t^n with v_n = 0,
+reads v_n off the curve composed with it (see `_PowerTable.solve`),
+grows the table again with v_n and gates it: the curve composed with it
+must vanish at t^n, which certifies v_n however it was solved.  So all
+precisions of a point cost O(d p^2) row products to the highest p asked
+for.  The table grows by copy-on-write, only by the orders and powers a
+request adds, and every expansion of the point reads it truncated.
 
 `compose` substitutes the table into a form of degree m from a start
 order: every monomial has denominator D^m, so after scaling the
@@ -57,15 +49,15 @@ is None, and it is tested for zero without building a field element.
 at the first nonzero one, so no point is solved, tabled or gated past
 the largest v + 1 (at most the bound) of the valuations that read it.
 Only what a caller reads is normalised to CycNum: the coefficients
-`compose_with_branch` returns.
+`compose_with_branch` returns and the solved v_n.
 """
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .cyclotomic import CycNum, ONE, ZERO, reduce_product
+from .cyclotomic import CycNum, ZERO, reduce_product
 from .curve import CURVE, HomogPoly, ProjPoint, on_curve
 from .divisors import Divisor
 
@@ -129,7 +121,8 @@ class _PowerTable:
     """Powers of the coordinate series along one branch, each coordinate
     scaled by the common denominator `den` of the rows tabled so far: the
     chart coordinate is the constant den, and the state holds the powers
-    0..degree of the parameter and the dependent axis to its order.
+    0..degree of the parameter and the dependent axis to its order, and
+    the dependent coefficients they were tabled from.
 
     The table grows only by copy-on-write: the state is replaced whole,
     so a reader sees a consistent one, a duplicate extension publishes an
@@ -138,42 +131,127 @@ class _PowerTable:
     power are rescaled by f^k.
     """
 
-    __slots__ = ("p0", "parameter", "dependent", "_state")
+    __slots__ = ("p0", "parameter", "dependent", "_slope_inv", "_state")
 
     def __init__(self, expansion: BranchExpansion):
         self.p0 = expansion.center.coords[expansion.parameter]
         self.parameter, self.dependent = expansion.parameter, expansion.dependent
+        self._slope_inv: Optional[CycNum] = None
         powers: list[tuple[RowSeries, ...]] = [(), (), ()]
         powers[self.parameter] = powers[self.dependent] = ([(0, [(0, 1)])], [])
-        self._state = (1, 0, powers)
+        self._state = self._grown((1, 0, powers, ()), expansion.series, 1, 1)
 
     def state(self, series: Series, order: int, degree: int) -> tuple:
-        """The state (den, order, powers), powers[axis][k] being the row
-        series of (den * coordinate)^k for k = 0..degree, to at least the
-        order: grown from the series, whose prefix is the one tabled."""
-        den, reached, powers = state = self._state
+        """The state (den, order, powers, series), powers[axis][k] being
+        the row series of (den * coordinate)^k for k = 0..degree, to at
+        least the order: grown from the series, whose prefix is the one
+        tabled, and published."""
+        state = self._state
+        grown = self._grown(state, series, order, degree)
+        if grown is not state:
+            self._state = grown
+        return grown
+
+    def _grown(self, state: tuple, series: Series, order: int, degree: int) -> tuple:
+        """The state grown from the series to at least the order and the
+        degree, or the state itself when it holds both; nothing is
+        published."""
+        den, reached, powers, tabled = state
         if reached >= order and len(powers[self.dependent]) > degree:
             return state
         order, grown = max(order, reached), den
-        for c in (self.p0, *series[reached:order]):
+        new = series[reached:order]
+        for c in (self.p0, *new):
             grown = grown * c.den // gcd(grown, c.den)
         factor, den = grown // den, grown
         param = [(n, row) for n, row in ((0, _row(self.p0, den)), (1, [(0, den)]))
                  if reached <= n < order and row]
-        dependent = [(n, _row(c, den)) for n, c in enumerate(series[reached:order], reached) if c]
+        dependent = [(n, _row(c, den)) for n, c in enumerate(new, reached) if c]
         powers = list(powers)
-        for axis, new in ((self.parameter, param), (self.dependent, dependent)):
+        for axis, rows in ((self.parameter, param), (self.dependent, dependent)):
             old = powers[axis]
             if factor > 1:
                 old = [[(n, [(p, x * factor ** k) for p, x in row]) for n, row in power]
                        for k, power in enumerate(old)]
-            table = [old[0], old[1] + new]
+            table = [old[0], old[1] + rows]
             for k in range(2, max(degree + 1, len(old))):
                 kept, start = (old[k], reached) if k < len(old) else ([], 0)
                 table.append(kept + _series_mul(table[-1], table[1], order, start))
             powers[axis] = tuple(table)
-        self._state = state = (den, order, powers)
-        return state
+        return den, order, powers, tabled + new
+
+    def solve(self, precision: int) -> Series:
+        """v_0..v_(precision-1), solving only the orders that one snapshot
+        of the state has not reached.
+
+        With F = sum of c_a * (coordinate a)^d, the chart coordinate 1 and
+        the parameter p_0 + t, [t^n] F is linear in v_n with slope
+        F_dep(P) = d * c_dep * v_0^(d-1), inverted once per point with
+        v_0^(d-1) read from the table: v_n is minus the residual [t^n] F
+        of the table grown with v_n = 0, over F_dep(P).  The table is then
+        grown again from the series with v_n and gated: the curve composed
+        with it must vanish at t^n (with a zero residual the first table
+        already is that one).  Only the whole gated state is published.
+        """
+        state = self._state
+        if state[1] >= precision:
+            return state[3][:precision]
+        degree = CURVE.degree
+        den, reached, powers, _ = state = self._grown(state, (), 0, degree)
+        inverse = self._slope_inv
+        if inverse is None:
+            if not all(max(e) == degree for e in CURVE.terms):
+                raise AssertionError("expand_branch needs a curve of pure powers")
+            c_dep = next(c for e, c in CURVE.terms.items() if e[self.dependent] == degree)
+            row = dict(powers[self.dependent][degree - 1][0][1])  # (den * v_0)^(d-1)
+            slope = CycNum._raw([degree * row.get(p, 0) for p in range(8)], den ** (degree - 1))
+            inverse = self._slope_inv = (c_dep * slope).inv()
+        for n in range(reached, precision):
+            grown = self._grown(state, state[3] + (ZERO,), n + 1, degree)
+            (residual,), residual_den = self.composed(CURVE, grown, n + 1, n)
+            if residual:
+                vn = CycNum._raw([-x for x in residual], residual_den) * inverse
+                grown = self._grown(state, state[3] + (vn,), n + 1, degree)
+                if self.composed(CURVE, grown, n + 1, n)[0][0]:
+                    raise AssertionError("branch expansion failed to satisfy the curve equation")
+            state = grown
+        self._state = state
+        return state[3]
+
+    def composed(
+        self, form: HomogPoly, state: tuple, order: int, start: int = 0
+    ) -> tuple[Coefficients, int]:
+        """The numerators of the coefficients of t^start..t^(order-1) of
+        the form along a state of the table, and their one positive
+        denominator."""
+        den, _, powers, _ = state
+        parameter, dependent = self.parameter, self.dependent
+        chart = 3 - parameter - dependent
+        common = 1
+        for c in form.terms.values():
+            common = common * c.den // gcd(common, c.den)
+        acc: list[Optional[list[int]]] = [None] * order
+        for exponents, c in form.terms.items():
+            i, j, k = exponents[chart], exponents[parameter], exponents[dependent]
+            if j and k:
+                term = _series_mul(powers[parameter][j], powers[dependent][k], order, start)
+            else:
+                term = powers[dependent][k] if k else powers[parameter][j]
+            # c over the common denominator, times the chart coordinate's
+            # constant den to the power i
+            coefficient = _row(c, common * den ** i)
+            for n, ys in term:
+                if n >= order:
+                    break
+                if n < start:
+                    continue
+                s = acc[n]
+                if s is None:
+                    s = acc[n] = [0] * 15
+                for p, x in coefficient:
+                    for q, y in ys:
+                        s[p + q] += x * y
+        return [_reduced(s) for s in acc[start:]], den ** form.degree * common
 
 
 class BranchExpansion:
@@ -185,12 +263,11 @@ class BranchExpansion:
     the curve equation composed with the parametrization vanishes
     mod t^precision.  The coordinate power table is built on the first
     composition; every expansion of a point shares the one of its
-    precision-1 expansion, which also keeps the point's solver once a
-    higher precision is asked for.  Neither takes part in equality.
+    precision-1 expansion, which also solves the point's series beyond
+    precision 1.  It takes no part in equality.
     """
 
-    __slots__ = ("center", "chart", "parameter", "dependent", "series", "precision",
-                 "_table", "_solver")
+    __slots__ = ("center", "chart", "parameter", "dependent", "series", "precision", "_table")
 
     def __init__(
         self,
@@ -208,7 +285,6 @@ class BranchExpansion:
         self.series = series
         self.precision = precision
         self._table: Optional[_PowerTable] = None
-        self._solver: Optional[_BranchSolver] = None
 
     def _fields(self) -> tuple:
         return (self.center, self.chart, self.parameter, self.dependent,
@@ -242,8 +318,9 @@ def expand_branch(point: ProjPoint, precision: int) -> BranchExpansion:
     """Expand the curve at a smooth point to the given precision.
 
     Cached per (point, precision); entries are immutable, so concurrent
-    reads and duplicate inserts are harmless.  A precision above 1 comes
-    from the point's solver, resumed from the highest order it reached.
+    reads and duplicate inserts are harmless.  A precision above 1 is
+    solved and gated by the point's power table, resumed from the highest
+    order it reached.
     """
     if precision < 1:
         raise ValueError("precision must be positive")
@@ -253,30 +330,23 @@ def expand_branch(point: ProjPoint, precision: int) -> BranchExpansion:
     base = _first_order(point)
     if precision == 1:
         return base
-    solver = base._solver
-    if solver is None:
-        solver = base._solver = _BranchSolver(point, base.parameter, base.dependent)
+    table = base.power_table()
     expansion = BranchExpansion(
         center=point,
         chart=base.chart,
         parameter=base.parameter,
         dependent=base.dependent,
-        series=solver.series(precision),
+        series=table.solve(precision),
         precision=precision,
     )
-    expansion._table = base.power_table()
-    if solver.gated < precision:
-        # the lower orders were gated on the same solved prefix, which a
-        # resumed solve keeps; a late lower mark only gates orders again
-        _check_on_curve(expansion, solver.gated)
-        solver.gated = precision
+    expansion._table = table
     _EXPANSION_CACHE[(point, precision)] = expansion
     return expansion
 
 
 def _first_order(point: ProjPoint) -> BranchExpansion:
     """The point's precision-1 expansion, from the cache or built and
-    cached; the home of the point's solver."""
+    cached; the home of the point's power table."""
     cached = _EXPANSION_CACHE.get((point, 1))
     if cached is not None:
         return cached
@@ -298,96 +368,8 @@ def _first_order(point: ProjPoint) -> BranchExpansion:
         series=(coords[dependent],),
         precision=1,
     )
-    _check_on_curve(expansion, 0)
     _EXPANSION_CACHE[(point, 1)] = expansion
     return expansion
-
-
-def _check_on_curve(expansion: BranchExpansion, start: int) -> None:
-    """The gate: the curve composed with the expansion vanishes at the
-    orders from start to its precision."""
-    residual, _ = compose(CURVE, expansion, expansion.precision, start)
-    if any(residual):
-        raise AssertionError("branch expansion failed to satisfy the curve equation")
-
-
-class _BranchSolver:
-    """Coefficients v_0, v_1, ... of the dependent coordinate at one point,
-    solved on demand and kept, so that a higher precision resumes from the
-    order already reached.
-
-    With F = sum of c_a * (coordinate a)^d, the chart coordinate is 1, the
-    parameter is p_0 + t, and [t^n] F is linear in v_n:
-        [t^n] F = c_dep * [t^n] (v_<n)^d + c_par * [t^n] (p_0 + t)^d
-                  + F_dep(P) * v_n,
-    where v_<n is the series truncated below t^n and
-    F_dep(P) = d * c_dep * v_0^(d-1).  `powers[k]` holds the coefficients
-    of v^k; its entry at order n is first computed with v_n = 0 (one
-    convolution) and then corrected by k * v_0^(k-1) * v_n.
-
-    The solved state is replaced whole, never modified in place, so a
-    concurrent reader sees a consistent state; a duplicate extension
-    publishes an equal one and a late shorter one a truncation, which the
-    next request extends again.
-    """
-
-    __slots__ = ("c_dep", "param_terms", "slopes", "dep_partial_inv", "gated", "_state")
-
-    def __init__(self, point: ProjPoint, parameter: int, dependent: int):
-        degree = CURVE.degree
-        if not all(max(e) == degree for e in CURVE.terms):
-            raise AssertionError("expand_branch needs a curve of pure powers")
-        coeff = [ZERO] * 3
-        for e, c in CURVE.terms.items():
-            coeff[e.index(degree)] = c
-        v0, p0 = point.coords[dependent], point.coords[parameter]
-        v0_powers, p0_powers = [ONE], [ONE]
-        for _ in range(degree):
-            v0_powers.append(v0_powers[-1] * v0)
-            p0_powers.append(p0_powers[-1] * p0)
-        # slopes[k] = k * v_0^(k-1), the derivative of v^k in v_0
-        self.slopes = [ZERO] + [k * v0_powers[k - 1] for k in range(1, degree + 1)]
-        self.c_dep = coeff[dependent]
-        self.dep_partial_inv = (self.c_dep * self.slopes[degree]).inv()
-        # [t^n] c_par * (p_0 + t)^d, nonzero only for n <= d
-        self.param_terms = [coeff[parameter] * comb(degree, n) * p0_powers[degree - n]
-                            for n in range(degree + 1)]
-        self.gated = 1  # the orders below this one are gated
-        self._state: tuple[list[CycNum], list[list[CycNum]]] = (
-            [v0], [[c] for c in v0_powers]
-        )
-
-    def series(self, precision: int) -> Series:
-        """v_0..v_(precision-1), solving only the orders not yet reached."""
-        v, powers = self._state
-        if len(v) < precision:
-            v, powers = list(v), [list(row) for row in powers]
-            self._extend(v, powers, precision)
-            self._state = (v, powers)
-        return tuple(v[:precision])
-
-    def _extend(self, v: list[CycNum], powers: list[list[CycNum]], precision: int) -> None:
-        """Solve the orders len(v)..precision-1 into the given copies."""
-        degree = len(powers) - 1
-        c_dep, param_terms = self.c_dep, self.param_terms
-        slopes, dep_partial_inv = self.slopes, self.dep_partial_inv
-        for n in range(len(v), precision):
-            powers[1].append(ZERO)
-            for k in range(2, degree + 1):
-                lower = powers[k - 1]
-                acc = ZERO
-                for j in range(n):
-                    if v[j] and lower[n - j]:
-                        acc = acc + lower[n - j] * v[j]
-                powers[k].append(acc)
-            residual = c_dep * powers[degree][n]
-            if n <= degree:
-                residual = residual + param_terms[n]
-            vn = -(residual * dep_partial_inv)
-            v.append(vn)
-            if vn:
-                for k in range(1, degree + 1):
-                    powers[k][n] = powers[k][n] + slopes[k] * vn
 
 
 def compose(
@@ -398,33 +380,8 @@ def compose(
     positive denominator."""
     if order > expansion.precision:
         raise ValueError("requested order exceeds the expansion precision")
-    den, _, powers = expansion.power_table().state(expansion.series, order, form.degree)
-    chart, parameter, dependent = expansion.chart, expansion.parameter, expansion.dependent
-    common = 1
-    for c in form.terms.values():
-        common = common * c.den // gcd(common, c.den)
-    acc: list[Optional[list[int]]] = [None] * order
-    for exponents, c in form.terms.items():
-        i, j, k = exponents[chart], exponents[parameter], exponents[dependent]
-        if j and k:
-            term = _series_mul(powers[parameter][j], powers[dependent][k], order, start)
-        else:
-            term = powers[dependent][k] if k else powers[parameter][j]
-        # c over the common denominator, times the chart coordinate's
-        # constant den to the power i
-        coefficient = _row(c, common * den ** i)
-        for n, ys in term:
-            if n >= order:
-                break
-            if n < start:
-                continue
-            s = acc[n]
-            if s is None:
-                s = acc[n] = [0] * 15
-            for p, x in coefficient:
-                for q, y in ys:
-                    s[p + q] += x * y
-    return [_reduced(s) for s in acc[start:]], den ** form.degree * common
+    table = expansion.power_table()
+    return table.composed(form, table.state(expansion.series, order, form.degree), order, start)
 
 
 def compose_with_branch(form: HomogPoly, expansion: BranchExpansion, order: int) -> Series:

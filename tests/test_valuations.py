@@ -359,7 +359,7 @@ def test_expansion_matches_per_order_reference():
 
 
 def test_resumed_expansions_match_per_order_reference():
-    # one solver per point serves every precision: requests in any order,
+    # one power table per point serves every precision: requests in any order,
     # lower than one already solved or repeated, give the same expansions
     rng = random.Random(9061)
     valuations._EXPANSION_CACHE.clear()
@@ -377,7 +377,7 @@ def test_resumed_expansions_match_per_order_reference():
 
 
 def test_resumed_expansions_under_concurrent_requests():
-    # threads share each point's solver and power table: every thread's
+    # threads share each point's power table: every thread's
     # expansions and compositions must still be the reference truncations,
     # whatever the interleaving
     import sys
@@ -413,20 +413,13 @@ def test_resumed_expansions_under_concurrent_requests():
         sys.setswitchinterval(interval)
 
 
-def _corrupt_newest_coefficient(monkeypatch):
-    extend = valuations._BranchSolver._extend
-
-    def corrupted(self, v, powers, precision):
-        extend(self, v, powers, precision)
-        v[-1] = v[-1] + ONE
-
-    monkeypatch.setattr(valuations._BranchSolver, "_extend", corrupted)
-
-
 def test_gate_rejects_a_corrupted_first_solve(monkeypatch):
+    # a slope inverted wrongly makes every nonzero v_n wrong: the curve
+    # composed with the table grown from it must not vanish
     point = CATALOG["T10"]
     valuations._EXPANSION_CACHE.clear()
-    _corrupt_newest_coefficient(monkeypatch)
+    inv = CycNum.inv
+    monkeypatch.setattr(CycNum, "inv", lambda self: inv(self) * 2)
     with pytest.raises(AssertionError):
         expand_branch(point, 4)
     assert (point, 4) not in valuations._EXPANSION_CACHE
@@ -439,7 +432,8 @@ def test_gate_rejects_a_corrupted_resumed_solve(monkeypatch):
     point = CATALOG["A2"]
     valuations._EXPANSION_CACHE.clear()
     assert expand_branch(point, 4) == _reference_expansion(point, 4)
-    _corrupt_newest_coefficient(monkeypatch)
+    table = expand_branch(point, 4).power_table()
+    monkeypatch.setattr(table, "_slope_inv", table._slope_inv * 2)
     with pytest.raises(AssertionError):
         expand_branch(point, 8)
     assert (point, 8) not in valuations._EXPANSION_CACHE

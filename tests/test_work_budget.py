@@ -2,35 +2,38 @@
 
 Field multiplications, row-series products, inversions, curve
 evaluations and element constructions are counted rather than timed, so
-the guard does not depend on the host.  A cold report makes 1,187
-CycNum multiplications, 702 of which have a factor exactly 1 and return
-the other factor at once (42 of the 1,187 are in the 6 of its 19
+the guard does not depend on the host.  A cold report makes 691
+CycNum multiplications, 449 of which have a factor exactly 1 and return
+the other factor at once (42 of the 691 are in the 6 of its 19
 inversions that invert an irrational element, 7 each; the 13 rational
-ones make none), and 470 products of row series in `valuations`: 1,657
-counted operations against a budget of 3,000 (1,451 multiplications, 773
-of them by 1, and 424 row-series products with a power table per
-expansion and valuations by precision doubling).  Solving each precision
-of an expansion from order 0 again (2,824 multiplications and 157
-inversions: 4,347 operations with inverses by the norm), composing along
-a branch on CycNum series (7,169 multiplications per report), or the
-per-order composition loop in `expand_branch` (about 74,000), fails it,
-and so does testing a point on the curve again (a report uses 16
-distinct points; re-testing them at every use costs about 250
-evaluations).  A report builds no partial derivative of the curve's
-form: building them per expansion (102 builds per report) fails the
-guard too.
+ones make none; 35 solve the branches: one slope per point and one
+product per nonzero solved coefficient), and 612 products of row series
+in `valuations`: 1,303 counted operations against a budget of 3,000.
+Solving the branches on CycNum beside the power tables made 1,187
+multiplications (702 of them by 1) and 470 row-series products; a power
+table per expansion with valuations by precision doubling, 1,451 (773
+by 1) and 424.  Solving each precision of an expansion from order 0
+again (2,824 multiplications and 157 inversions: 4,347 operations with
+inverses by the norm), composing along a branch on CycNum series (7,169
+multiplications per report), or the per-order composition loop in
+`expand_branch` (about 74,000), fails it, and so does testing a point
+on the curve again (a report uses 16 distinct points; re-testing them at
+every use costs about 250 evaluations).  A report builds no partial
+derivative of the curve's form: building them per expansion (102 builds
+per report) fails the guard too.
 
 A cold report builds 54 expansions at 14 points, one power table per
 point (48 of each, one table per expansion, with precision doubling),
-and solves no point past the largest v + 1 of the valuations v that read
-it: 9 orders at most (14 with doubling).  It inverts 19 field elements:
-F_dep(P) once at each of the 14 points expanded beyond precision 1, and
-5 divisions in the Brauer cocycle, which is computed once.  Inverting
-per precision and normalizing the Galois images of normalized points
-again costs 157.  It constructs 268 elements of the divisor-class module
-through the reducing constructor, 22 of them reading the six basis
-divisors from the cusp dictionary; the 2048 of the enumeration are built
-from coordinates already reduced (2,304 before).
+which solves, tables and gates the point's branch no further than the
+largest v + 1 of the valuations v that read it: 9 orders at most (14
+with doubling).  It inverts 19 field elements: F_dep(P) once at each of
+the 14 points expanded beyond precision 1, and 5 divisions in the Brauer
+cocycle, which is computed once.  Inverting per precision and
+normalizing the Galois images of normalized points again costs 157.  It
+constructs 268 elements of the divisor-class module through the
+reducing constructor, 22 of them reading the six basis divisors from the
+cusp dictionary; the 2048 of the enumeration are built from coordinates
+already reduced (2,304 before).
 """
 
 import os
@@ -206,9 +209,8 @@ def test_no_point_is_solved_past_the_orders_its_valuations_read(monkeypatch):
         reached[point] = max(reached.get(point, 0), precision)
     assert reached == reads
     for point, need in reads.items():
-        base = cache[point, 1]
-        solved = len(base._solver._state[0]) if base._solver else 1
-        assert solved <= need and base._table._state[1] <= need, point
+        _, tabled, _, solved = cache[point, 1]._table._state
+        assert len(solved) == tabled <= need, point
 
 
 def test_import_leaves_dataclasses_out():
