@@ -145,16 +145,6 @@ class EIdentityResult(NamedTuple):
     sigma5_negates_e: bool
     tau_negates_sigma3_e: bool
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.double_e.passed
-            and self.e_plus_sigma3.passed
-            and self.e_minus_sigma3.passed
-            and self.sigma5_negates_e
-            and self.tau_negates_sigma3_e
-        )
-
 
 def verify_e_identities() -> EIdentityResult:
     """Certify 2E, E + sigma_3(E) and E - sigma_3(E) as divisors of the

@@ -153,9 +153,9 @@ class ActionMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(x % MODULI[i] for x in row) for i, row in enumerate(rows))
         if len(rows) != 6 or any(len(row) != 6 for row in rows):
             raise ValueError("need a 6x6 matrix")
+        rows = tuple(tuple(x % MODULI[i] for x in row) for i, row in enumerate(rows))
         for i in range(5):
             if rows[i][5] % 2:
                 raise ValueError("column 6 must map the order-2 generator to 2-torsion")

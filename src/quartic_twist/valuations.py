@@ -22,20 +22,21 @@ unreduced products of every pair of rows that lands on one output
 coefficient and reduces that coefficient once, by
 `cyclotomic.reduce_product`; it takes no gcd and builds no CycNum.
 
-One branch per point, in one arithmetic.  A point's `_PowerTable`, kept
-on its precision-1 expansion (so clearing `_EXPANSION_CACHE` drops it),
-holds the chart, parameter and dependent coordinates scaled by a common
+One branch per point, in one arithmetic.  A point's `_Branch`, kept in
+`_EXPANSION_CACHE` (so clearing it drops the branch), picks the chart,
+parameter and dependent axes, holds their coordinates scaled by a common
 denominator D, the powers of the latter two as row series, and the
 dependent coefficients v_n they were tabled from; it also solves them.
 On a sum of pure powers F_a(P) = d c_a P_a^(d-1) vanishes exactly where
 P_a does, so the dependent axis is read off the coordinates.  Each new
 order n grows the table by row-series products at t^n with v_n = 0,
-reads v_n off the curve composed with it (see `_PowerTable.solve`),
-grows the table again with v_n and gates it: the curve composed with it
-must vanish at t^n, which certifies v_n however it was solved.  So all
+reads v_n off the curve composed with it (see `_Branch.solve`), grows
+the table again with v_n and gates it: the curve composed with it must
+vanish at t^n, which certifies v_n however it was solved.  So all
 precisions of a point cost O(d p^2) row products to the highest p asked
 for.  The table grows by copy-on-write, only by the orders and powers a
-request adds, and every expansion of the point reads it truncated.
+request adds.  An expansion is a plain value, a truncation of its
+branch's series, and every composition reads the branch it truncates.
 
 `compose` substitutes the table into a form of degree m from a start
 order: every monomial has denominator D^m, so after scaling the
@@ -117,45 +118,65 @@ def _row(c: CycNum, den: int) -> Row:
     return [(p, n * scale) for p, n in enumerate(c.nums) if n]
 
 
-class _PowerTable:
-    """Powers of the coordinate series along one branch, each coordinate
-    scaled by the common denominator `den` of the rows tabled so far: the
-    chart coordinate is the constant den, and the state holds the powers
-    0..degree of the parameter and the dependent axis to its order, and
-    the dependent coefficients they were tabled from.
+class BranchExpansion(NamedTuple):
+    """Truncated local parametrization of the curve at a smooth point.
 
-    The table grows only by copy-on-write: the state is replaced whole,
-    so a reader sees a consistent one, a duplicate extension publishes an
-    equal one and a late shorter one a truncation, which the next reader
-    extends again.  When den grows by a factor f, the rows of each k-th
-    power are rescaled by f^k.
+    The chart coordinate is the normalization coordinate (value 1); the
+    parameter coordinate runs as t around its value at the center; the
+    series gives the dependent coordinate to the stated precision, i.e.
+    the curve equation composed with the parametrization vanishes
+    mod t^precision.  It is a plain value: `compose` reads the branch at
+    the center, of which the series must be a prefix.
     """
 
-    __slots__ = ("p0", "parameter", "dependent", "_slope_inv", "_state")
+    center: ProjPoint
+    chart: int
+    parameter: int
+    dependent: int
+    series: Series
+    precision: int
 
-    def __init__(self, expansion: BranchExpansion):
-        self.p0 = expansion.center.coords[expansion.parameter]
-        self.parameter, self.dependent = expansion.parameter, expansion.dependent
+
+class _Branch:
+    """The branch of the curve at one smooth point: its axes, the inverse
+    of its slope and the state (den, order, powers, series) it solves,
+    tables and composes.  powers[axis][k] is the row series of
+    (den * coordinate)^k, k = 0..degree, of the parameter and dependent
+    axes to the order, den being the common denominator of the rows (the
+    chart coordinate is the constant den); the series lists the dependent
+    coefficients they were tabled from.
+
+    The state is replaced whole (copy-on-write), so a reader sees a
+    consistent one, a duplicate extension publishes an equal one and a
+    late shorter one a truncation, which the next reader extends again.
+    When den grows by a factor f, the rows of each k-th power are rescaled
+    by f^k.
+    """
+
+    __slots__ = ("chart", "parameter", "dependent", "p0", "_slope_inv", "_state")
+
+    def __init__(self, point: ProjPoint):
+        if not on_curve(point):
+            raise ValueError(f"{point} is not on the curve")
+        coords = point.coords
+        chart = next(i for i, c in enumerate(coords) if c)
+        first, second = [axis for axis in range(3) if axis != chart]
+        # on a sum of pure powers F_a(P) vanishes exactly where P_a does
+        parameter, dependent = (first, second) if coords[second] else (second, first)
+        if not coords[dependent]:
+            # by Euler's relation the chart's partial vanishes too
+            raise ValueError(f"curve is singular at {point}")
+        self.chart, self.parameter, self.dependent = chart, parameter, dependent
+        self.p0 = coords[parameter]
         self._slope_inv: Optional[CycNum] = None
         powers: list[tuple[RowSeries, ...]] = [(), (), ()]
-        powers[self.parameter] = powers[self.dependent] = ([(0, [(0, 1)])], [])
-        self._state = self._grown((1, 0, powers, ()), expansion.series, 1, 1)
-
-    def state(self, series: Series, order: int, degree: int) -> tuple:
-        """The state (den, order, powers, series), powers[axis][k] being
-        the row series of (den * coordinate)^k for k = 0..degree, to at
-        least the order: grown from the series, whose prefix is the one
-        tabled, and published."""
-        state = self._state
-        grown = self._grown(state, series, order, degree)
-        if grown is not state:
-            self._state = grown
-        return grown
+        powers[parameter] = powers[dependent] = ([(0, [(0, 1)])], [])
+        self._state = self._grown((1, 0, powers, ()), (coords[dependent],), 1, 1)
 
     def _grown(self, state: tuple, series: Series, order: int, degree: int) -> tuple:
-        """The state grown from the series to at least the order and the
-        degree, or the state itself when it holds both; nothing is
-        published."""
+        """The state grown from the series, whose prefix is the one tabled,
+        to at least the order and the degree, or the state itself when it
+        holds both; nothing is published."""
         den, reached, powers, tabled = state
         if reached >= order and len(powers[self.dependent]) > degree:
             return state
@@ -180,9 +201,9 @@ class _PowerTable:
             powers[axis] = tuple(table)
         return den, order, powers, tabled + new
 
-    def solve(self, precision: int) -> Series:
-        """v_0..v_(precision-1), solving only the orders that one snapshot
-        of the state has not reached.
+    def solve(self, precision: int) -> tuple:
+        """The state solved to at least the precision, solving only the
+        orders that one snapshot of the state has not reached.
 
         With F = sum of c_a * (coordinate a)^d, the chart coordinate 1 and
         the parameter p_0 + t, [t^n] F is linear in v_n with slope
@@ -195,7 +216,7 @@ class _PowerTable:
         """
         state = self._state
         if state[1] >= precision:
-            return state[3][:precision]
+            return state
         degree = CURVE.degree
         den, reached, powers, _ = state = self._grown(state, (), 0, degree)
         inverse = self._slope_inv
@@ -216,7 +237,7 @@ class _PowerTable:
                     raise AssertionError("branch expansion failed to satisfy the curve equation")
             state = grown
         self._state = state
-        return state[3]
+        return state
 
     def composed(
         self, form: HomogPoly, state: tuple, order: int, start: int = 0
@@ -254,122 +275,24 @@ class _PowerTable:
         return [_reduced(s) for s in acc[start:]], den ** form.degree * common
 
 
-class BranchExpansion:
-    """Truncated local parametrization of the curve at a smooth point.
-
-    The chart coordinate is the normalization coordinate (value 1); the
-    parameter coordinate runs as t around its value at the center; the
-    series gives the dependent coordinate to the stated precision, i.e.
-    the curve equation composed with the parametrization vanishes
-    mod t^precision.  The coordinate power table is built on the first
-    composition; every expansion of a point shares the one of its
-    precision-1 expansion, which also solves the point's series beyond
-    precision 1.  It takes no part in equality.
-    """
-
-    __slots__ = ("center", "chart", "parameter", "dependent", "series", "precision", "_table")
-
-    def __init__(
-        self,
-        center: ProjPoint,
-        chart: int,
-        parameter: int,
-        dependent: int,
-        series: Series,
-        precision: int,
-    ):
-        self.center = center
-        self.chart = chart
-        self.parameter = parameter
-        self.dependent = dependent
-        self.series = series
-        self.precision = precision
-        self._table: Optional[_PowerTable] = None
-
-    def _fields(self) -> tuple:
-        return (self.center, self.chart, self.parameter, self.dependent,
-                self.series, self.precision)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BranchExpansion):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"BranchExpansion(center={self.center!r}, chart={self.chart}, "
-                f"parameter={self.parameter}, dependent={self.dependent}, "
-                f"series={self.series!r}, precision={self.precision})")
-
-    def power_table(self) -> _PowerTable:
-        """The coordinate power table, built once and grown from the series."""
-        table = self._table
-        if table is None:
-            table = self._table = _PowerTable(self)
-        return table
+_EXPANSION_CACHE: dict[ProjPoint, _Branch] = {}
 
 
-_EXPANSION_CACHE: dict[tuple[ProjPoint, int], BranchExpansion] = {}
+def _branch(point: ProjPoint) -> _Branch:
+    """The point's branch, from the cache or built and cached."""
+    return _EXPANSION_CACHE.get(point) or _EXPANSION_CACHE.setdefault(point, _Branch(point))
 
 
 def expand_branch(point: ProjPoint, precision: int) -> BranchExpansion:
-    """Expand the curve at a smooth point to the given precision.
-
-    Cached per (point, precision); entries are immutable, so concurrent
-    reads and duplicate inserts are harmless.  A precision above 1 is
-    solved and gated by the point's power table, resumed from the highest
-    order it reached.
-    """
+    """Expand the curve at a smooth point to the given precision: the
+    point's branch, solved and gated only by the orders that no earlier
+    request reached, truncated to the precision."""
     if precision < 1:
         raise ValueError("precision must be positive")
-    cached = _EXPANSION_CACHE.get((point, precision))
-    if cached is not None:
-        return cached
-    base = _first_order(point)
-    if precision == 1:
-        return base
-    table = base.power_table()
-    expansion = BranchExpansion(
-        center=point,
-        chart=base.chart,
-        parameter=base.parameter,
-        dependent=base.dependent,
-        series=table.solve(precision),
-        precision=precision,
-    )
-    expansion._table = table
-    _EXPANSION_CACHE[(point, precision)] = expansion
-    return expansion
-
-
-def _first_order(point: ProjPoint) -> BranchExpansion:
-    """The point's precision-1 expansion, from the cache or built and
-    cached; the home of the point's power table."""
-    cached = _EXPANSION_CACHE.get((point, 1))
-    if cached is not None:
-        return cached
-    if not on_curve(point):
-        raise ValueError(f"{point} is not on the curve")
-    coords = point.coords
-    chart = next(i for i, c in enumerate(coords) if c)
-    first, second = [axis for axis in range(3) if axis != chart]
-    # on a sum of pure powers F_a(P) vanishes exactly where P_a does
-    parameter, dependent = (first, second) if coords[second] else (second, first)
-    if not coords[dependent]:
-        # by Euler's relation the chart's partial vanishes too
-        raise ValueError(f"curve is singular at {point}")
-    expansion = BranchExpansion(
-        center=point,
-        chart=chart,
-        parameter=parameter,
-        dependent=dependent,
-        series=(coords[dependent],),
-        precision=1,
-    )
-    _EXPANSION_CACHE[(point, 1)] = expansion
-    return expansion
+    branch = _branch(point)
+    series = branch.solve(precision)[3][:precision]
+    return BranchExpansion(point, branch.chart, branch.parameter, branch.dependent,
+                           series, precision)
 
 
 def compose(
@@ -377,11 +300,19 @@ def compose(
 ) -> tuple[Coefficients, int]:
     """Substitute the expansion into a form: the numerators of the
     coefficients of t^start..t^(order-1) of the result and their one
-    positive denominator."""
+    positive denominator.  The expansion must truncate its center's
+    branch, whose state grown to the form's degree is published."""
     if order > expansion.precision:
         raise ValueError("requested order exceeds the expansion precision")
-    table = expansion.power_table()
-    return table.composed(form, table.state(expansion.series, order, form.degree), order, start)
+    branch = _branch(expansion.center)
+    state = branch.solve(expansion.precision)
+    if (expansion.series != state[3][:expansion.precision]
+            or expansion[1:4] != (branch.chart, branch.parameter, branch.dependent)):
+        raise ValueError(f"the expansion is not the branch at {expansion.center}")
+    grown = branch._grown(state, (), order, form.degree)
+    if grown is not state:
+        branch._state = grown
+    return branch.composed(form, grown, order, start)
 
 
 def compose_with_branch(form: HomogPoly, expansion: BranchExpansion, order: int) -> Series:

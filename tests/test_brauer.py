@@ -98,7 +98,6 @@ def test_e_identities():
     assert result.e_minus_sigma3.passed
     assert result.sigma5_negates_e
     assert result.tau_negates_sigma3_e
-    assert result.passed
 
 
 def test_double_e_ledger():

@@ -170,6 +170,10 @@ def test_matrix_well_definedness_guard():
     bad[0][5] = 1  # sends the order-2 generator to an order-4 element
     with pytest.raises(ValueError):
         ActionMatrix(bad)
+    # the shape is checked before any row is reduced by its modulus
+    for height, width in ((7, 6), (6, 7), (5, 6)):
+        with pytest.raises(ValueError):
+            ActionMatrix([[0] * width for _ in range(height)])
 
 
 def test_involutions_and_commutation_on_all_elements():

@@ -344,9 +344,9 @@ def _reference_expansion(point, precision):
     series = [point.coords[dependent]]
     for n in range(1, precision):
         partial = BranchExpansion(
-            point, chart, parameter, dependent, tuple(series), n + 1
+            point, chart, parameter, dependent, (*series, ZERO), n + 1
         )
-        residual = compose_with_branch(CURVE, partial, n + 1)
+        residual = _reference_compose(CURVE, partial, n + 1)
         series.append(-(residual[n] * dep_partial_inv))
     return BranchExpansion(point, chart, parameter, dependent, tuple(series), precision)
 
@@ -354,12 +354,12 @@ def _reference_expansion(point, precision):
 def test_expansion_matches_per_order_reference():
     assert len(CATALOG) == 22
     for name, point in CATALOG.items():
-        valuations._EXPANSION_CACHE.pop((point, 17), None)
+        valuations._EXPANSION_CACHE.pop(point, None)
         assert expand_branch(point, 17) == _reference_expansion(point, 17), name
 
 
 def test_resumed_expansions_match_per_order_reference():
-    # one power table per point serves every precision: requests in any order,
+    # one branch per point serves every precision: requests in any order,
     # lower than one already solved or repeated, give the same expansions
     rng = random.Random(9061)
     valuations._EXPANSION_CACHE.clear()
@@ -377,7 +377,7 @@ def test_resumed_expansions_match_per_order_reference():
 
 
 def test_resumed_expansions_under_concurrent_requests():
-    # threads share each point's power table: every thread's
+    # threads share each point's branch: every thread's
     # expansions and compositions must still be the reference truncations,
     # whatever the interleaving
     import sys
@@ -422,7 +422,7 @@ def test_gate_rejects_a_corrupted_first_solve(monkeypatch):
     monkeypatch.setattr(CycNum, "inv", lambda self: inv(self) * 2)
     with pytest.raises(AssertionError):
         expand_branch(point, 4)
-    assert (point, 4) not in valuations._EXPANSION_CACHE
+    assert valuations._EXPANSION_CACHE[point]._state[1] < 4
     monkeypatch.undo()
     valuations._EXPANSION_CACHE.clear()
     assert expand_branch(point, 4) == _reference_expansion(point, 4)
@@ -432,14 +432,42 @@ def test_gate_rejects_a_corrupted_resumed_solve(monkeypatch):
     point = CATALOG["A2"]
     valuations._EXPANSION_CACHE.clear()
     assert expand_branch(point, 4) == _reference_expansion(point, 4)
-    table = expand_branch(point, 4).power_table()
-    monkeypatch.setattr(table, "_slope_inv", table._slope_inv * 2)
+    branch = valuations._EXPANSION_CACHE[point]
+    monkeypatch.setattr(branch, "_slope_inv", branch._slope_inv * 2)
     with pytest.raises(AssertionError):
         expand_branch(point, 8)
-    assert (point, 8) not in valuations._EXPANSION_CACHE
+    assert branch._state[1] < 8
     monkeypatch.undo()
     valuations._EXPANSION_CACHE.clear()
     assert expand_branch(point, 8) == _reference_expansion(point, 8)
+
+
+def test_compose_reads_only_a_truncation_of_the_branch():
+    # an expansion is a plain value: composing one that is not a prefix of
+    # its center's branch fails, where it would otherwise read another series
+    point, form = CATALOG["B1"], (X - z8 * Z) * (X + Y - Z)
+    valuations._EXPANSION_CACHE.clear()
+    expansions = [expand_branch(point, precision) for precision in range(1, 18)]
+    reference = _reference_compose(form, _reference_expansion(point, 17), 17)
+    full = expansions[-1]
+    changed = (*full.series[:4], full.series[4] + ONE, *full.series[5:])
+    for bad in (
+        full._replace(series=changed),
+        full._replace(series=full.series[:16]),
+        full._replace(parameter=full.dependent, dependent=full.parameter),
+    ):
+        with pytest.raises(ValueError):
+            valuations.compose(form, bad, 17)
+        with pytest.raises(ValueError):
+            compose_with_branch(form, bad, 17)
+    # expand_branch's own expansions compose at every precision, also along
+    # a branch built again after the cache was cleared
+    for clear in (False, True):
+        if clear:
+            valuations._EXPANSION_CACHE.clear()
+        for expansion in reversed(expansions) if clear else expansions:
+            precision = expansion.precision
+            assert compose_with_branch(form, expansion, precision) == reference[:precision]
 
 
 def test_solver_inverts_once_per_point_and_clearing_drops_it(monkeypatch):

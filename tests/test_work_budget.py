@@ -22,11 +22,11 @@ every use costs about 250 evaluations).  A report builds no partial
 derivative of the curve's form: building them per expansion (102 builds
 per report) fails the guard too.
 
-A cold report builds 54 expansions at 14 points, one power table per
-point (48 of each, one table per expansion, with precision doubling),
-which solves, tables and gates the point's branch no further than the
-largest v + 1 of the valuations v that read it: 9 orders at most (14
-with doubling).  It inverts 19 field elements: F_dep(P) once at each of
+A cold report builds 14 branches, one per point it expands, each
+holding the point's one power table (48 tables, one per expansion, with
+precision doubling), and solves, tables and gates each branch no further
+than the largest v + 1 of the valuations v that read it: 9 orders at
+most (14 with doubling).  It inverts 19 field elements: F_dep(P) once at each of
 the 14 points expanded beyond precision 1, and 5 divisions in the Brauer
 cocycle, which is computed once.  Inverting per precision and
 normalizing the Galois images of normalized points again costs 157.  It
@@ -170,7 +170,7 @@ def test_report_builds_no_partial_derivative(monkeypatch):
 
 
 def test_every_precision_of_a_point_reads_one_power_table(monkeypatch):
-    built = _counted(monkeypatch, valuations._PowerTable, "__init__")
+    built = _counted(monkeypatch, valuations._Branch, "__init__")
     point = CATALOG["T21"]
     valuations._EXPANSION_CACHE.clear()
     expansions = [valuations.expand_branch(point, precision) for precision in (4, 9, 2)]
@@ -180,8 +180,7 @@ def test_every_precision_of_a_point_reads_one_power_table(monkeypatch):
             valuations.compose(form, expansion, expansion.precision)
             valuations.compose_with_branch(form, expansion, 2)
     assert built[0] == 1
-    table = expansions[0].power_table()
-    assert all(expansion.power_table() is table for expansion in expansions)
+    assert list(valuations._EXPANSION_CACHE) == [point]
     valuations._EXPANSION_CACHE.clear()
     valuations.expand_branch(point, 4)
     assert built[0] == 2
@@ -204,13 +203,10 @@ def test_no_point_is_solved_past_the_orders_its_valuations_read(monkeypatch):
     monkeypatch.setattr(valuations, "valuation", recorded)
     _cold_report()
     cache = valuations._EXPANSION_CACHE
-    reached = {}
-    for point, precision in cache:
-        reached[point] = max(reached.get(point, 0), precision)
-    assert reached == reads
+    assert set(cache) == set(reads) and len(cache) == 14
     for point, need in reads.items():
-        _, tabled, _, solved = cache[point, 1]._table._state
-        assert len(solved) == tabled <= need, point
+        _, tabled, _, solved = cache[point]._state
+        assert len(solved) == tabled == need, point
 
 
 def test_import_leaves_dataclasses_out():
