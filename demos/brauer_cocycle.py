@@ -3,7 +3,8 @@
 The class of E = 2B_2 - 2B_0 is fixed by the Galois action, yet E is not
 equivalent to any divisor defined over Q.  The obstruction is a 2-cocycle
 on {1, tau} (tau = complex conjugation) built from the rational function
-u_tau with divisor E - tau(E); its value at (tau, tau) is -1, the
+u_tau with divisor E - tau(E) = E + sigma_3(E), a row of the certificate
+table that the cocycle reads; its value at (tau, tau) is -1, the
 non-trivial element of the real Brauer group.
 """
 
@@ -17,7 +18,8 @@ from quartic_twist import (
     reduce_mod_curve,
     verify_e_identities,
 )
-from quartic_twist.brauer import u_tau
+from quartic_twist.brauer import U_TAU
+from quartic_twist.certificates import certificate_table, product
 from quartic_twist.curve import X, Y, Z
 
 e = named_divisor("E")
@@ -25,15 +27,17 @@ print("E =", e)
 print("sigma_5(E) =", e.galois(SIGMA5), " (= -E)")
 print("tau(E)     =", e.galois(TAU))
 
-print("\nthe three certified identities:")
-result = verify_e_identities()
-print("  2E            = div((X - z8^5 Z)/(X - z8 Z)):", result.double_e.passed)
-print("  E + sigma_3 E = div(Y^2/((X - z8 Z)(X - z8^3 Z))):",
-      result.e_plus_sigma3.passed)
-print("  E - sigma_3 E = div(Y^2/((X - z8 Z)(X - z8^7 Z))):",
-      result.e_minus_sigma3.passed)
+print("\nthe three certified identities, rows of the certificate table:")
+functions = {
+    "2E": "(X - z8^5 Z)/(X - z8 Z)",
+    "E+sigma3(E)": "Y^2/((X - z8 Z)(X - z8^3 Z))",
+    "E-sigma3(E)": "Y^2/((X - z8 Z)(X - z8^7 Z))",
+}
+for name, check in verify_e_identities():
+    print(f"  {name:11s} = div({functions[name]}):", check.passed)
 
-num, den = u_tau()
+row = certificate_table()[U_TAU]
+num, den = product(row.numerator), product(row.denominator)
 print("\nu_tau = Y^2 / ((X - z8 Z)(X - z8^3 Z)) and its conjugate multiply to")
 print("  numerators:  ", num * num.galois(TAU))
 print("  denominators:", den * den.galois(TAU))

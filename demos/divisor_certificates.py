@@ -37,9 +37,9 @@ for name in ("T00", "T01"):
     print(f"  ord at {name} =", valuation(line, catalog(name), 9))
 print("2 + 2 = 4 = deg(line) * deg(quartic), so div(X + Y + Z) = 2 D_0.")
 
-print("\nthe five bitangent checks:")
+print("\nthe five bitangent checks, each a certificate with the denominator 1:")
 for name, check in bitangent_checks():
-    print(f"  {name}: complete={check.complete} passed={check.passed}")
+    print(f"  {name}: complete={check.numerator_complete} passed={check.passed}")
 
 print("\nthe flex line X - zeta_8 Z meets the curve only at B0:")
 z8 = zeta(8)

@@ -3,19 +3,27 @@
 The class of E is Galois-invariant but E is not equivalent to a divisor
 defined over Q; the obstruction is certified by an explicit 2-cocycle on
 the order-2 group {1, tau} (tau = complex conjugation) with value -1 at
-(tau, tau).  Working modulo the curve ideal only needs the single
-rewriting rule X^4 -> -Y^4 - Z^4, which is confluent, so the cocycle
-value comes out of exact polynomial normal forms.
+(tau, tau).  The three divisor identities for E (2E, E + sigma_3(E) and
+E - sigma_3(E)) are rows of the certificate table; the function of the
+row E + sigma_3(E) is u_tau, and the cocycle reads it from that row, so
+one constant feeds both.  Working modulo the curve ideal only needs the
+single rewriting rule X^4 -> -Y^4 - Z^4, which is confluent, so the
+cocycle value comes out of exact polynomial normal forms.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Optional
 
-from .cyclotomic import CycNum, ONE, SIGMA3, SIGMA5, TAU, zeta
-from .curve import HomogPoly, X, Y, Z, catalog
-from .divisors import named_divisor
-from .valuations import CertificateCheck, verify_certificate
+from .certificates import (
+    E_IDENTITIES, Certificate, Table, certificate_table, check_certificates, product,
+)
+from .cyclotomic import CycNum, ONE, TAU, zeta
+from .curve import HomogPoly, X, Z
+from .valuations import CertificateCheck
+
+# the row whose function is u_tau: E + sigma_3(E) = E - tau(E) = div(u_tau)
+U_TAU = "E+sigma3(E)"
 
 GroupLabel = str  # "1" or "tau"
 
@@ -59,17 +67,10 @@ def product_of_linear_forms() -> HomogPoly:
     powers of zeta_8 are exactly the fourth roots of -1, so this expands
     to X^4 + Z^4."""
     z8 = zeta(8)
-    product = HomogPoly.monomial((0, 0, 0), 1)
+    form = HomogPoly.monomial((0, 0, 0), 1)
     for k in (1, 3, 5, 7):
-        product = product * (X - z8 ** k * Z)
-    return product
-
-
-def u_tau() -> tuple[HomogPoly, HomogPoly]:
-    """The rational function u_tau = Y^2 / ((X - zeta_8 Z)(X - zeta_8^3 Z))
-    whose divisor is E - tau(E), as a (numerator, denominator) pair."""
-    z8 = zeta(8)
-    return Y ** 2, (X - z8 * Z) * (X - z8 ** 3 * Z)
+        form = form * (X - z8 ** k * Z)
+    return form
 
 
 def _scalar_ratio(numerator: HomogPoly, denominator: HomogPoly) -> CycNum:
@@ -86,14 +87,17 @@ def _scalar_ratio(numerator: HomogPoly, denominator: HomogPoly) -> CycNum:
     return lam
 
 
-def cocycle_tau_tau() -> CycNum:
-    """The cocycle value a_(tau,tau) = u_tau * tau(u_tau).
+def cocycle_tau_tau(u_tau: Optional[Certificate] = None) -> CycNum:
+    """The cocycle value a_(tau,tau) = u_tau * tau(u_tau), u_tau being the
+    function of the given row (by default the clean `U_TAU` row),
+    Y^2 / ((X - zeta_8 Z)(X - zeta_8^3 Z)).
 
     The product of the two denominators is X^4 + Z^4 and the product of
     the numerators is Y^4; on the curve Y^4 = -(X^4 + Z^4), so the value
     is the scalar lam with Y^4 = lam (X^4 + Z^4) mod the curve ideal.
     """
-    num, den = u_tau()
+    row = u_tau or certificate_table()[U_TAU]
+    num, den = product(row.numerator), product(row.denominator)
     num_product = num * num.galois(TAU)
     den_product = den * den.galois(TAU)
     if den_product != product_of_linear_forms():
@@ -101,11 +105,13 @@ def cocycle_tau_tau() -> CycNum:
     return _scalar_ratio(reduce_mod_curve(num_product), reduce_mod_curve(den_product))
 
 
-def cocycle_table() -> dict[tuple[GroupLabel, GroupLabel], CycNum]:
+def cocycle_table(
+    u_tau: Optional[Certificate] = None,
+) -> dict[tuple[GroupLabel, GroupLabel], CycNum]:
     """The full 2-cocycle on {1, tau}.  With u_1 = 1 every value involving
     the identity is 1; the only computed entry is a_(tau,tau)."""
     table = {(s, t): ONE for s in _GROUP for t in _GROUP}
-    table[("tau", "tau")] = cocycle_tau_tau()
+    table[("tau", "tau")] = cocycle_tau_tau(u_tau)
     return table
 
 
@@ -135,38 +141,7 @@ def cocycle_identity_holds(
     return True
 
 
-class EIdentityResult(NamedTuple):
-    """The three certified principal-divisor identities for E together with
-    the divisor-level conjugation facts."""
-
-    double_e: CertificateCheck
-    e_plus_sigma3: CertificateCheck
-    e_minus_sigma3: CertificateCheck
-    sigma5_negates_e: bool
-    tau_negates_sigma3_e: bool
-
-
-def verify_e_identities() -> EIdentityResult:
-    """Certify 2E, E + sigma_3(E) and E - sigma_3(E) as divisors of the
-    explicit rational functions, plus sigma_5(E) = -E and
-    tau(E) = -sigma_3(E) as exact divisor identities."""
-    z8 = zeta(8)
-    e = named_divisor("E")
-    sigma3_e = e.galois(SIGMA3)
-    b_points = [catalog(f"B{i}") for i in range(4)]
-
-    double_e = verify_certificate(
-        2 * e, X - z8 ** 5 * Z, X - z8 * Z, [catalog("E+"), catalog("E-")]
-    )
-    num, den = u_tau()
-    e_plus = verify_certificate(e + sigma3_e, num, den, b_points)
-    e_minus = verify_certificate(
-        e - sigma3_e, num, (X - z8 * Z) * (X - z8 ** 7 * Z), b_points
-    )
-    return EIdentityResult(
-        double_e=double_e,
-        e_plus_sigma3=e_plus,
-        e_minus_sigma3=e_minus,
-        sigma5_negates_e=e.galois(SIGMA5) == -e,
-        tau_negates_sigma3_e=e.galois(TAU) == -sigma3_e,
-    )
+def verify_e_identities(table: Optional[Table] = None) -> list[tuple[str, CertificateCheck]]:
+    """The certificates 2E, E + sigma_3(E) and E - sigma_3(E): the rows
+    `E_IDENTITIES` of the table (by default the clean one)."""
+    return check_certificates(E_IDENTITIES, table)

@@ -1,16 +1,24 @@
-"""The concrete principal-divisor certificates for the quartic.
+"""The principal-divisor certificates of the report, as one table.
 
-Two families are verified with rational-function certificates:
+Every divisor identity the report certifies is a row of
+`certificate_table()`: claimed = div(G) - div(H), with the claimed
+divisor, the numerator G and the denominator H as tuples of factors (the
+empty tuple is the constant 1), and the support by point names.  One
+verifier, `valuations.verify_certificate`, checks every row; valuations
+add over factors.  The eleven rows:
 
-* the four rational bitangents cut out twice the contact divisors
-  D0..D3, and the conic X^2 + Y^2 + Z^2 cuts out their sum;
-* each difference D_i - D_0 equals a cusp-supported divisor plus the
-  divisor of an explicit rational function G/H, which pins down the class
-  of D_i - D_0 in cusp coordinates.
+* 2D_0..2D_3: the four rational bitangents cut out twice the contact
+  divisors D_0..D_3, and the conic X^2 + Y^2 + Z^2 cuts out their sum;
+* D1-D0..D3-D0: each difference D_i - D_0 equals a cusp-supported
+  divisor plus div(G/H), which pins down the class of D_i - D_0 in cusp
+  coordinates;
+* 2E, E+sigma3(E), E-sigma3(E): the divisors of the rational functions
+  behind the Brauer obstruction of E = 2B_2 - 2B_0; the function of
+  E + sigma_3(E) is u_tau, which the cocycle reads.
 
-The eleven forms are one table, `certificate_forms()`, keyed
-(certificate, part); both families read their forms from it, or from a
-run's copy of it with one coefficient corrupted.
+A certificate fault corrupts one of the eleven forms of
+`certificate_forms()`, the parts of the first eight rows, and replaces
+that part of a run's copy of the table with the single faulted form.
 
 All support sets are closed under the relevant Galois action and large
 enough to be Bezout-complete, so every check is an exact computation.
@@ -19,93 +27,33 @@ enough to be Bezout-complete, so every check is an exact computation.
 from __future__ import annotations
 
 import functools
+import operator
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .cyclotomic import MINUS_SQRT2, zeta
+from .cyclotomic import MINUS_SQRT2, SIGMA3, zeta
 from .curve import HomogPoly, ProjPoint, X, Y, Z, catalog
 from .divisors import Divisor, from_cusp_support, named_divisor
-from .valuations import (
-    CertificateCheck,
-    principal_divisor_on_support,
-    verify_certificate,
-)
+from .valuations import CertificateCheck, verify_certificate
+
+
+class Certificate(NamedTuple):
+    """claimed = div(product of the numerator) - div(product of the
+    denominator), checked on the named support points."""
+
+    claimed: Divisor
+    numerator: tuple[HomogPoly, ...]
+    denominator: tuple[HomogPoly, ...]
+    support: tuple[str, ...]
+
 
 # (certificate name, "numerator" | "denominator") -> form
 Forms = Mapping[tuple[str, str], HomogPoly]
+Table = Mapping[str, Certificate]
 
-
-class PrincipalDivisorCheck(NamedTuple):
-    """Outcome of checking  claimed = div(form)  over a support set."""
-
-    claimed: Divisor
-    form: HomogPoly
-    support: tuple[ProjPoint, ...]
-    orders: tuple[int, ...]
-    complete: bool
-    passed: bool
-
-
-def verify_principal_divisor(
-    claimed: Divisor, form: HomogPoly, support: Sequence[ProjPoint]
-) -> PrincipalDivisorCheck:
-    support = tuple(support)
-    divisor, complete = principal_divisor_on_support(form, support)
-    orders = tuple(divisor.coefficient(p) for p in support)
-    return PrincipalDivisorCheck(
-        claimed, form, support, orders, complete, complete and divisor == claimed
-    )
-
-
-BITANGENT_LINES = {
-    "L0": X + Y + Z,
-    "L1": X - Y + Z,
-    "L2": X + Y - Z,
-    "L3": X - Y - Z,
-}
-
-
-@functools.cache
-def certificate_forms() -> Forms:
-    """The eleven certificate forms: the bitangent lines L_i of the
-    certificates 2D_i, the conic, and the numerator G and denominator H
-    of each cusp relation D_i - D_0.  Read-only: a fault corrupts a copy."""
-    z8, c = zeta(8), MINUS_SQRT2
-    return MappingProxyType({
-        **{(f"2D{i}", "numerator"): BITANGENT_LINES[f"L{i}"] for i in range(4)},
-        ("conic", "numerator"): X ** 2 + Y ** 2 + Z ** 2,
-        ("D1-D0", "numerator"): (X - z8 * Z) * (X - Y + Z),
-        ("D1-D0", "denominator"): (X ** 2 + Y ** 2 + Z ** 2) + c * (Y ** 2 - X * Z),
-        ("D2-D0", "numerator"): (X - z8 * Z) ** 2 * (X + Y - Z),
-        ("D2-D0", "denominator"):
-            (X ** 2 + Y ** 2 + Z ** 2) * (X + Y) - c * Z * (X ** 2 + X * Y + Y ** 2),
-        ("D3-D0", "numerator"): (X - z8 * Z) * (X - Y - Z),
-        ("D3-D0", "denominator"):
-            (X ** 2 - Y ** 2 - 2 * Y * Z - Z ** 2) + c * (Y ** 2 + Y * Z + Z ** 2),
-    })
-
-
-def bitangent_checks(
-    forms: Optional[Forms] = None,
-) -> list[tuple[str, PrincipalDivisorCheck]]:
-    """The five single-form checks: 2 D_i = div(L_i) and
-    D_0 + D_1 + D_2 + D_3 = div(X^2 + Y^2 + Z^2), on `forms` (by default
-    the clean table)."""
-    forms = forms or certificate_forms()
-    checks = []
-    for i in range(4):
-        claimed = 2 * named_divisor(f"D{i}")
-        support = [catalog(f"T{i}0"), catalog(f"T{i}1")]
-        form = forms[f"2D{i}", "numerator"]
-        checks.append((f"2D{i}", verify_principal_divisor(claimed, form, support)))
-    total = Divisor.zero()
-    for i in range(4):
-        total = total + named_divisor(f"D{i}")
-    support = [catalog(f"T{i}{j}") for i in range(4) for j in range(2)]
-    form = forms["conic", "numerator"]
-    checks.append(("conic", verify_principal_divisor(total, form, support)))
-    return checks
-
+BITANGENTS = ("2D0", "2D1", "2D2", "2D3", "conic")
+RELATIONS = ("D1-D0", "D2-D0", "D3-D0")
+E_IDENTITIES = ("2E", "E+sigma3(E)", "E-sigma3(E)")
 
 # cusp-supported representatives of the classes [D_i - D_0]
 CUSP_REPRESENTATIVES = {
@@ -113,33 +61,108 @@ CUSP_REPRESENTATIVES = {
     "D2-D0": {"A1": 2, "A2": 2, "B1": 2, "B2": 2, "B0": -8},
     "D3-D0": {"A1": 2, "A2": 2, "B0": -4},
 }
-# the support each cusp relation is checked on
-RELATION_SUPPORTS = {
-    "D1-D0": ("T00", "T01", "T10", "T11", "B0", "B1", "B2"),
-    "D2-D0": ("T00", "T01", "T20", "T21", "A1", "A2", "B0", "B1", "B2"),
-    "D3-D0": ("T00", "T01", "T30", "T31", "A1", "A2", "B0"),
-}
 
 
 def cusp_representative(name: str) -> Divisor:
     return from_cusp_support(CUSP_REPRESENTATIVES[name])
 
 
-def cusp_relation_certificates(
-    forms: Optional[Forms] = None,
+@functools.cache
+def certificate_table() -> Table:
+    """The eleven certified identities, keyed by certificate name, in
+    report order.  Read-only: a fault corrupts a copy."""
+    z8, c = zeta(8), MINUS_SQRT2
+    d = [named_divisor(f"D{i}") for i in range(4)]
+    e = named_divisor("E")
+    sigma3_e = e.galois(SIGMA3)
+    lines = (X + Y + Z, X - Y + Z, X + Y - Z, X - Y - Z)
+    conic = X ** 2 + Y ** 2 + Z ** 2
+
+    def contact(*i: int) -> tuple[str, ...]:
+        return tuple(f"T{k}{j}" for k in i for j in range(2))
+
+    def relation(i: int, g: HomogPoly, h: HomogPoly, cusps: tuple[str, ...]) -> Certificate:
+        claimed = d[i] - d[0] - cusp_representative(f"D{i}-D0")
+        return Certificate(claimed, (g,), (h,), contact(0, i) + cusps)
+
+    b = ("B0", "B1", "B2", "B3")
+    return MappingProxyType({
+        **{f"2D{i}": Certificate(2 * d[i], (lines[i],), (), contact(i)) for i in range(4)},
+        "conic": Certificate(d[0] + d[1] + d[2] + d[3], (conic,), (), contact(0, 1, 2, 3)),
+        "D1-D0": relation(1, (X - z8 * Z) * lines[1], conic + c * (Y ** 2 - X * Z),
+                          ("B0", "B1", "B2")),
+        "D2-D0": relation(2, (X - z8 * Z) ** 2 * lines[2],
+                          conic * (X + Y) - c * Z * (X ** 2 + X * Y + Y ** 2),
+                          ("A1", "A2", "B0", "B1", "B2")),
+        "D3-D0": relation(3, (X - z8 * Z) * lines[3],
+                          (X ** 2 - Y ** 2 - 2 * Y * Z - Z ** 2) + c * (Y ** 2 + Y * Z + Z ** 2),
+                          ("A1", "A2", "B0")),
+        "2E": Certificate(2 * e, (X - z8 ** 5 * Z,), (X - z8 * Z,), ("E+", "E-")),
+        # u_tau = Y^2 / ((X - zeta_8 Z)(X - zeta_8^3 Z))
+        "E+sigma3(E)": Certificate(e + sigma3_e, (Y ** 2,), ((X - z8 * Z) * (X - z8 ** 3 * Z),), b),
+        "E-sigma3(E)": Certificate(e - sigma3_e, (Y ** 2,), ((X - z8 * Z) * (X - z8 ** 7 * Z),), b),
+    })
+
+
+def product(factors: Sequence[HomogPoly]) -> HomogPoly:
+    """The product of a nonempty tuple of factors."""
+    return functools.reduce(operator.mul, factors)
+
+
+@functools.cache
+def certificate_forms() -> Forms:
+    """The eleven forms a certificate fault may corrupt: each part of the
+    bitangent and relation rows that is not the constant 1, as the product
+    of its factors."""
+    table = certificate_table()
+    return MappingProxyType({
+        (name, part): product(getattr(table[name], part))
+        for name in BITANGENTS + RELATIONS
+        for part in ("numerator", "denominator")
+        if getattr(table[name], part)
+    })
+
+
+def faulted_table(name: str, part: str, monomial: tuple, delta: int) -> Table:
+    """The table with delta times the monomial added to the form (name, part)
+    of `certificate_forms()`: that part of its row becomes the faulted form."""
+    form = certificate_forms()[name, part] + HomogPoly.monomial(monomial, delta)
+    row = certificate_table()[name]._replace(**{part: (form,)})
+    return {**certificate_table(), name: row}
+
+
+def check_certificates(
+    names: Sequence[str], table: Optional[Table] = None
 ) -> list[tuple[str, CertificateCheck]]:
-    """The three certified identities  D_i - D_0 = (cusp divisor) + div(G/H),
-    on `forms` (by default the clean table)."""
-    forms = forms or certificate_forms()
+    """The named rows of the table (by default the clean one), each checked
+    by `verify_certificate`."""
+    table = table or certificate_table()
     checks = []
-    for name, support_names in RELATION_SUPPORTS.items():
-        claimed = (
-            named_divisor(f"D{name[1]}") - named_divisor("D0") - cusp_representative(name)
-        )
-        numerator, denominator = forms[name, "numerator"], forms[name, "denominator"]
-        support = [catalog(n) for n in support_names]
-        checks.append((name, verify_certificate(claimed, numerator, denominator, support)))
+    for name in names:
+        row = table[name]
+        support = [catalog(n) for n in row.support]
+        check = verify_certificate(row.claimed, row.numerator, row.denominator, support)
+        checks.append((name, check))
     return checks
+
+
+def verify_principal_divisor(
+    claimed: Divisor, form: HomogPoly, support: Sequence[ProjPoint]
+) -> CertificateCheck:
+    """claimed = div(form): the certificate with the denominator 1."""
+    return verify_certificate(claimed, (form,), (), support)
+
+
+def bitangent_checks(table: Optional[Table] = None) -> list[tuple[str, CertificateCheck]]:
+    """2 D_i = div(L_i) and D_0 + D_1 + D_2 + D_3 = div(X^2 + Y^2 + Z^2)."""
+    return check_certificates(BITANGENTS, table)
+
+
+def cusp_relation_certificates(
+    table: Optional[Table] = None,
+) -> list[tuple[str, CertificateCheck]]:
+    """The three identities  D_i - D_0 = (cusp divisor) + div(G/H)."""
+    return check_certificates(RELATIONS, table)
 
 
 def e_divisor_equality() -> bool:

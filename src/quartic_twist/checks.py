@@ -34,24 +34,26 @@ A Fault corrupts one constant for negative-control runs, and it is the
 only way to corrupt a run; a corrupted run must produce at least one FAIL.
 It changes one entry of one of the five tables of `_TABLES`, each a
 mapping with one rule that applies a fault: the cusp dictionary, the
-action matrices, the certificate forms, the shifts (sigma - 1)[A_0] and
-the classes [D_i - D_0] and [E].  The loader checks a fault by applying
-that rule, and a run applies the same rule once; every builder reads the
-tables only through `_RunData.table`.
+action matrices, the certificate table (a fault reaches the eleven forms
+of its bitangent and relation rows), the shifts (sigma - 1)[A_0] and the
+classes [D_i - D_0] and [E].  The loader checks a fault by applying that
+rule, and a run applies the same rule once; every builder reads the
+tables only through `_RunData.table`, so the `bitangents` and `brauer`
+sections verify the rows of the run's certificate table and the cocycle
+reads u_tau from its row.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import theorems
-from .cyclotomic import MINUS_SQRT2, ONE, SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, rational
+from .cyclotomic import MINUS_SQRT2, ONE, SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, TAU, rational
 from .curve import (
     CUSP_NAMES,
     SIGMA3_CUSP_TABLE,
     SIGMA5_CUSP_TABLE,
-    HomogPoly,
     X,
     Z,
     catalog,
@@ -88,9 +90,6 @@ from .mordell_weil import (
     subgroup_generated,
     two_torsion_multiples,
 )
-
-if TYPE_CHECKING:
-    from .certificates import Forms
 
 HEADER_BITANGENTS = "Points of tangency of bitangents"
 HEADER_DICTIONARY = "Check linear equivalences of divisors"
@@ -156,16 +155,10 @@ class _Table(NamedTuple):
     faulted: Callable[..., Mapping]
 
 
-def _certificate_forms() -> Forms:
-    from .certificates import certificate_forms
+def _certificates():
+    from . import certificates  # imported by the runs that read the table
 
-    return certificate_forms()
-
-
-def _perturbed_forms(name: str, part: str, monomial: tuple, delta: int) -> Forms:
-    forms = dict(_certificate_forms())
-    forms[name, part] += HomogPoly.monomial(monomial, delta)
-    return forms
+    return certificates
 
 
 def _perturbed_matrices(name: str, row: int, col: int, delta: int) -> dict[str, ActionMatrix]:
@@ -185,7 +178,8 @@ _TABLES = {
     "matrix": _Table({"matrix": "name", "row": "coordinate", "col": "coordinate"},
                      lambda: PRINTED_MATRICES, _perturbed_matrices),
     "certificate": _Table({"certificate": "name", "part": "name", "monomial": "monomial"},
-                          _certificate_forms, _perturbed_forms),
+                          lambda: _certificates().certificate_table(),
+                          lambda *key: _certificates().faulted_table(*key)),
     "shift": _Table({"shift": "name", "index": "coordinate"},
                     lambda: PRINTED_SHIFTS, _added(PRINTED_SHIFTS)),
     "class": _Table({"class": "name", "index": "coordinate"},
@@ -358,15 +352,15 @@ def _records(
     ]
 
 
-def _principal_detail(check) -> dict:
-    return {
-        "support": [point_name(p) for p in check.support],
-        "orders": list(check.orders),
-        "complete": check.complete,
-    }
-
-
 def _certificate_detail(check) -> dict:
+    """The support, orders and completeness of a certificate with the
+    denominator 1, the ledger of any other."""
+    if not check.denominator:
+        return {
+            "support": [point_name(p) for p in check.support],
+            "orders": [row.numerator_order for row in check.ledger],
+            "complete": check.numerator_complete,
+        }
     return {
         "numerator_complete": check.numerator_complete,
         "denominator_complete": check.denominator_complete,
@@ -387,23 +381,24 @@ def _class_detail(computed: ModElement, expected: ModElement, certificate: str) 
     return {"computed": str(computed), "expected": str(expected), "certificate": certificate}
 
 
-# certificate name -> label
-_BITANGENT_LABELS = {
-    "2D0": "2 D_0 = div(x + y + z)",
-    "2D1": "2 D_1 = div(x - y + z)",
-    "2D2": "2 D_2 = div(x + y - z)",
-    "2D3": "2 D_3 = div(x - y - z)",
-    "conic": "D_0 + D_1 + D_2 + D_3 = div(X^2 + Y^2 + Z^2)",
-}
-_RELATION_LABELS = {
-    "D1-D0": "D_1 - D_0 = 2B_1 + 2B_2 - 4B_0 + div(...)",
-    "D2-D0": "D_2 - D_0 = 2A_1 + 2A_2 + 2B_1 + 2B_2 - 8B_0 + div(...)",
-    "D3-D0": "D_3 - D_0 = 2A1 + 2A2 - 4B0 + div(...)",
+# certificate name -> (check id, label): the rows of the certificate table in
+# table order, the first eight in the bitangents section, the last three in brauer
+_CERTIFICATE_ROWS = {
+    "2D0": ("bitangent-2d0", "2 D_0 = div(x + y + z)"),
+    "2D1": ("bitangent-2d1", "2 D_1 = div(x - y + z)"),
+    "2D2": ("bitangent-2d2", "2 D_2 = div(x + y - z)"),
+    "2D3": ("bitangent-2d3", "2 D_3 = div(x - y - z)"),
+    "conic": ("bitangent-conic", "D_0 + D_1 + D_2 + D_3 = div(X^2 + Y^2 + Z^2)"),
+    "D1-D0": ("relation-d1-d0", "D_1 - D_0 = 2B_1 + 2B_2 - 4B_0 + div(...)"),
+    "D2-D0": ("relation-d2-d0", "D_2 - D_0 = 2A_1 + 2A_2 + 2B_1 + 2B_2 - 8B_0 + div(...)"),
+    "D3-D0": ("relation-d3-d0", "D_3 - D_0 = 2A1 + 2A2 - 4B0 + div(...)"),
+    "2E": ("brauer-2e", "2E = div((X - z8^5 * Z)/(X - z8 * Z))"),
+    "E+sigma3(E)": ("brauer-e-plus", "E + sigma_3(E) = div(Y^2/((X - z8 * Z) * (X - z8^3 * Z)))"),
+    "E-sigma3(E)": ("brauer-e-minus", "E - sigma_3(E) = div(Y^2/((X - z8 * Z) * (X - z8^7 * Z)))"),
 }
 _BITANGENT_ROWS = _rows(
     HEADER_BITANGENTS,
-    [(f"bitangent-{name.lower()}", label) for name, label in _BITANGENT_LABELS.items()]
-    + [(f"relation-{name.lower()}", label) for name, label in _RELATION_LABELS.items()]
+    list(_CERTIFICATE_ROWS.values())[:8]
     + [("e-support", "E = 2B_2 - 2B_0")]
     + [
         (f"coords-{name.lower()}", f"{name.replace('-', ' - ')} = {value}")
@@ -414,25 +409,20 @@ _BITANGENT_ROWS = _rows(
 
 def _bitangent_records(data: _RunData) -> list[CheckRecord]:
     from .certificates import (
+        RELATIONS,
         bitangent_checks,
         cusp_relation_certificates,
         cusp_representative,
         e_divisor_equality,
     )
 
-    forms, d, classes = data.table("certificate"), data.table("dictionary"), data.table("class")
-    bitangents = dict(bitangent_checks(forms))
-    relations = dict(cusp_relation_certificates(forms))
-    results = [
-        (bitangents[n].passed, _principal_detail(bitangents[n])) for n in _BITANGENT_LABELS
-    ]
-    results += [
-        (relations[n].passed, _certificate_detail(relations[n])) for n in _RELATION_LABELS
-    ]
+    table, d, classes = data.table("certificate"), data.table("dictionary"), data.table("class")
+    checked = bitangent_checks(table) + cusp_relation_certificates(table)
+    results = [(check.passed, _certificate_detail(check)) for _, check in checked]
     results.append((e_divisor_equality(), {"divisor": str(named_divisor("E"))}))
-    for name in _RELATION_LABELS:
+    for name in RELATIONS:
         computed = cusp_class(cusp_representative(name), d)
-        expected, certificate = classes[name], f"relation-{name.lower()}"
+        expected, certificate = classes[name], _CERTIFICATE_ROWS[name][0]
         results.append((computed == expected, _class_detail(computed, expected, certificate)))
     e_class = cusp_class(2 * Divisor.point(catalog("B2")) - 2 * Divisor.point(catalog("B0")), d)
     results.append((e_class == classes["E"], _class_detail(e_class, classes["E"], "e-support")))
@@ -664,10 +654,8 @@ def _torsor_records(data: _RunData) -> list[CheckRecord]:
 
 _BRAUER_ROWS = _rows(
     HEADER_BRAUER,
-    [
-        ("brauer-2e", "2E = div((X - z8^5 * Z)/(X - z8 * Z)"),
-        ("brauer-e-plus", "E + sigma_3(E) = div(Y^2/((X - z8 * Z) * (X - z8^3 * Z)))"),
-        ("brauer-e-minus", "E - sigma_3(E) = div(Y^2/((X - z8 * Z) * (X - z8^7 * Z)))"),
+    list(_CERTIFICATE_ROWS.values())[8:]
+    + [
         ("brauer-sigma5-e", "sigma_5(E) = -E"),
         ("brauer-tau-e", "sigma_3 sigma_5(E) = -sigma_3(E)"),
         ("brauer-product", "(X - z8 Z)(X - z8^3 Z)(X - z8^5 Z)(X - z8^7 Z) = X^4 + Z^4"),
@@ -680,6 +668,7 @@ _BRAUER_ROWS = _rows(
 
 def _brauer_records(data: _RunData) -> list[CheckRecord]:
     from .brauer import (
+        U_TAU,
         cocycle_identity_holds,
         cocycle_table,
         product_of_linear_forms,
@@ -687,17 +676,18 @@ def _brauer_records(data: _RunData) -> list[CheckRecord]:
         verify_e_identities,
     )
 
-    identities = verify_e_identities()
+    certificates = data.table("certificate")
     results = [
         (check.passed, _certificate_detail(check))
-        for check in (identities.double_e, identities.e_plus_sigma3, identities.e_minus_sigma3)
+        for _, check in verify_e_identities(certificates)
     ]
+    e = named_divisor("E")
     results += [
-        (identities.sigma5_negates_e, None),
-        (identities.tau_negates_sigma3_e, None),
+        (e.galois(SIGMA5) == -e, None),
+        (e.galois(TAU) == -e.galois(SIGMA3), None),
         (product_of_linear_forms() == X ** 4 + Z ** 4, None),
     ]
-    table = cocycle_table()
+    table = cocycle_table(certificates[U_TAU])
     value = table[("tau", "tau")]
     results += [
         (value == rational(-1), {"value": str(value)}),

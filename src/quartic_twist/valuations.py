@@ -10,7 +10,8 @@ Because a degree-m form meets the quartic with total intersection number
 the complete principal divisor of G: no zeros were missed.  That is the
 completeness criterion used by `verify_certificate` to check divisor
 identities of the shape  claimed = div(G) - div(H)  exactly, without any
-general linear-equivalence machinery.
+general linear-equivalence machinery; G and H are products of factors,
+each checked on its own, since valuations add over factors.
 
 Cost model.  A series along a branch is a list of integer rows over one
 positive denominator: for each nonzero t^n coefficient, in ascending n,
@@ -364,11 +365,12 @@ class LedgerRow(NamedTuple):
 
 
 class CertificateCheck(NamedTuple):
-    """Outcome of checking  claimed = div(numerator) - div(denominator)."""
+    """Outcome of checking  claimed = div(numerator) - div(denominator),
+    each given as a tuple of factors."""
 
     claimed: Divisor
-    numerator: HomogPoly
-    denominator: HomogPoly
+    numerator: tuple[HomogPoly, ...]
+    denominator: tuple[HomogPoly, ...]
     support: tuple[ProjPoint, ...]
     ledger: tuple[LedgerRow, ...]
     numerator_complete: bool
@@ -379,33 +381,38 @@ class CertificateCheck(NamedTuple):
 
 def verify_certificate(
     claimed: Divisor,
-    numerator: HomogPoly,
-    denominator: HomogPoly,
+    numerator: Sequence[HomogPoly],
+    denominator: Sequence[HomogPoly],
     support: Sequence[ProjPoint],
 ) -> CertificateCheck:
     """Check a principal-divisor certificate exactly.
 
-    The certificate passes when both forms have Bezout-complete divisors
-    over the support and their difference equals the claimed divisor
-    pointwise (in particular it vanishes off the claimed support).
+    The numerator G and the denominator H are tuples of factors, the empty
+    tuple being the constant 1 (so a one-form certificate has the
+    denominator ()); each factor is checked on its own.  Any degrees with
+    deg(claimed) = 4 (deg G - deg H) are accepted.  The certificate passes
+    when both products have Bezout-complete divisors over the support and
+    their difference equals the claimed divisor pointwise (in particular it
+    vanishes off the claimed support).
     """
-    if numerator.degree != denominator.degree:
-        raise ValueError("numerator and denominator degrees differ")
-    support = tuple(support)
+    numerator, denominator, support = tuple(numerator), tuple(denominator), tuple(support)
+    degree = sum(f.degree for f in numerator) - sum(f.degree for f in denominator)
+    if claimed.degree() != 4 * degree:
+        raise ValueError("the claimed degree is not 4 (deg numerator - deg denominator)")
     support_set = set(support)
     for point in claimed.support():
         if point not in support_set:
             raise ValueError(f"claimed support point {point} missing from support")
 
-    div_num, num_complete = principal_divisor_on_support(numerator, support)
-    div_den, den_complete = principal_divisor_on_support(denominator, support)
+    # valuations add over factors; a product is complete when each factor is
+    products = []
+    for factors in (numerator, denominator):
+        parts = [principal_divisor_on_support(f, support) for f in factors]
+        products.append((sum((d for d, _ in parts), Divisor.zero()), all(c for _, c in parts)))
+    (div_num, num_complete), (div_den, den_complete) = products
     ledger = tuple(
-        LedgerRow(
-            point=point,
-            numerator_order=div_num.coefficient(point),
-            denominator_order=div_den.coefficient(point),
-            claimed=claimed.coefficient(point),
-        )
+        LedgerRow(point, div_num.coefficient(point), div_den.coefficient(point),
+                  claimed.coefficient(point))
         for point in support
     )
     if not (num_complete and den_complete):

@@ -6,17 +6,19 @@ from fractions import Fraction
 import pytest
 
 from quartic_twist.brauer import (
+    U_TAU,
     cocycle_identity_holds,
     cocycle_table,
     cocycle_tau_tau,
     product_of_linear_forms,
     reduce_mod_curve,
     trivial_unit_cocycle_table,
-    u_tau,
     verify_e_identities,
 )
-from quartic_twist.cyclotomic import CycNum, ONE, TAU, rational, zeta
+from quartic_twist.certificates import certificate_table
+from quartic_twist.cyclotomic import CycNum, ONE, SIGMA3, SIGMA5, TAU, rational, zeta
 from quartic_twist.curve import CURVE, HomogPoly, X, Y, Z, catalog
+from quartic_twist.divisors import named_divisor
 
 z8 = zeta(8)
 
@@ -64,12 +66,23 @@ def test_product_of_linear_forms():
 
 
 def test_tau_conjugates_u_tau_denominator():
-    _, den = u_tau()
+    row = certificate_table()[U_TAU]
+    (num,), (den,) = row.numerator, row.denominator
+    assert num == Y ** 2 and den == (X - z8 * Z) * (X - z8 ** 3 * Z)
     assert den.galois(TAU) == (X - z8 ** 7 * Z) * (X - z8 ** 5 * Z)
 
 
 def test_cocycle_value():
     assert cocycle_tau_tau() == rational(-1)
+
+
+def test_cocycle_reads_u_tau_from_its_row():
+    row = certificate_table()[U_TAU]
+    assert cocycle_tau_tau(row) == rational(-1)
+    # u_tau = 2 Y^2 / (...) has the same divisor, and u_tau tau(u_tau) = -4
+    scaled = row._replace(numerator=(2 * Y ** 2,))
+    assert cocycle_tau_tau(scaled) == rational(-4)
+    assert cocycle_table(scaled)[("tau", "tau")] == rational(-4)
 
 
 def test_cocycle_tables():
@@ -92,17 +105,20 @@ def test_cocycle_identity_rejects_wrong_table():
 
 
 def test_e_identities():
-    result = verify_e_identities()
-    assert result.double_e.passed
-    assert result.e_plus_sigma3.passed
-    assert result.e_minus_sigma3.passed
-    assert result.sigma5_negates_e
-    assert result.tau_negates_sigma3_e
+    result = dict(verify_e_identities())
+    assert list(result) == ["2E", "E+sigma3(E)", "E-sigma3(E)"]
+    assert result["2E"].passed
+    assert result["E+sigma3(E)"].passed
+    assert result["E-sigma3(E)"].passed
+    e = named_divisor("E")
+    assert result["E+sigma3(E)"].claimed == e + e.galois(SIGMA3)
+    assert e.galois(SIGMA5) == -e
+    assert e.galois(TAU) == -e.galois(SIGMA3)
 
 
 def test_double_e_ledger():
-    result = verify_e_identities()
-    rows = {row.point: row for row in result.double_e.ledger}
+    result = dict(verify_e_identities())
+    rows = {row.point: row for row in result["2E"].ledger}
     e_plus, e_minus = catalog("E+"), catalog("E-")
     assert rows[e_plus].numerator_order == 4
     assert rows[e_plus].denominator_order == 0

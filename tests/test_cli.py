@@ -295,6 +295,14 @@ _CLASS_FAULT = {"target": "class", "class": "E", "index": 3, "delta": 2}
         pytest.param({**_CERTIFICATE_FAULT, "certificate": "D9-D0"}, "'D9-D0'",
                      id="unknown-certificate"),
         pytest.param({**_CERTIFICATE_FAULT, "part": "middle"}, "'middle'", id="unknown-part"),
+        # the forms of the E identities are rows of the table, but no fault reaches them
+        pytest.param({**_CERTIFICATE_FAULT, "certificate": "2E", "monomial": [1, 0, 0]},
+                     "unknown certificate ('2E', 'numerator')", id="brauer-form-2e"),
+        pytest.param({**_CERTIFICATE_FAULT, "certificate": "E+sigma3(E)", "part": "denominator"},
+                     "unknown certificate ('E+sigma3(E)', 'denominator')", id="brauer-form-u-tau"),
+        # a one-form certificate has the denominator 1, which is no form
+        pytest.param({**_CERTIFICATE_FAULT, "certificate": "2D0", "part": "denominator",
+                      "monomial": [1, 0, 0]}, "('2D0', 'denominator')", id="one-form-denominator"),
         pytest.param({**_CERTIFICATE_FAULT, "certificate": ["D1-D0"]}, "certificate must be",
                      id="non-string-certificate"),
         pytest.param({**_CERTIFICATE_FAULT, "monomial": "X^2"}, "'X^2'", id="non-list-monomial"),

@@ -58,7 +58,7 @@ def test_builders_read_the_tables_only_through_the_run():
     ]
     assert len(builders) == len(checks.SECTIONS)
     tables = {"CUSP_DICTIONARY", "PRINTED_SHIFTS", "_CLASSES", "certificate_forms",
-              "PRINTED_MATRICES"}
+              "certificate_table", "PRINTED_MATRICES"}
     for builder in builders:
         read = [n for n in _names(builder) if n in tables or n.startswith("CLASS_")]
         if builder.name == "_galois_records":
@@ -88,3 +88,25 @@ def test_no_fault_target_is_compared_with_a_literal():
             assert not (names_target and any(map(_is_string_literal, operands))), (
                 ast.unparse(node)
             )
+
+
+def test_certificate_rows_name_the_table_in_order():
+    from quartic_twist.certificates import (
+        BITANGENTS, E_IDENTITIES, RELATIONS, certificate_table,
+    )
+
+    names = [*BITANGENTS, *RELATIONS, *E_IDENTITIES]
+    assert list(checks._CERTIFICATE_ROWS) == list(certificate_table()) == names
+
+
+def test_u_tau_is_one_constant_for_both_records():
+    # a run whose u_tau is scaled by 2: its divisor, so brauer-e-plus, holds,
+    # and the cocycle reads the same row, so it moves to -4
+    data = checks._RunData()
+    table = dict(data.table("certificate"))
+    row = table["E+sigma3(E)"]
+    table["E+sigma3(E)"] = row._replace(numerator=(2 * row.numerator[0],))
+    data.tables["certificate"] = table
+    assert data.record("brauer-e-plus").status == "OK"
+    cocycle = data.record("brauer-cocycle")
+    assert cocycle.status == "FAIL" and cocycle.detail == {"value": "-4"}

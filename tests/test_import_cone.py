@@ -27,7 +27,7 @@ CONES = {
     "--check dict-alpha0": BASE,
     "--section galois": BASE,
     "--check theorem-odd-torsors": BASE,
-    "--check brauer-cocycle": BASE | {"brauer", "valuations"},
+    "--check brauer-cocycle": BASE | {"brauer", "valuations", "certificates"},
     "--fault tests/fixtures/fault_matrix.json --check matrix-s3": BASE | {"json"},
     "--format json": EVERY_LAYER,
 }

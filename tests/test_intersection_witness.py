@@ -24,9 +24,9 @@ from math import comb
 
 import pytest
 
-from quartic_twist.brauer import u_tau
-from quartic_twist.certificates import RELATION_SUPPORTS, certificate_forms
-from quartic_twist.curve import CATALOG, CURVE, CUSP_NAMES, HomogPoly, X, Z, catalog
+from quartic_twist.certificates import E_IDENTITIES, certificate_table
+from quartic_twist.certificates import product as product_of_factors
+from quartic_twist.curve import CATALOG, CURVE, CUSP_NAMES, HomogPoly, catalog
 from quartic_twist.cyclotomic import ONE, ZERO, rational, zeta
 from quartic_twist.valuations import valuation
 
@@ -114,17 +114,13 @@ def test_witness_reproduces_fultons_example():
 
 
 def certificate_supports():
-    """Each certificate form with the support its certificate is checked on."""
-    forms = certificate_forms()
-    tangency = [catalog(f"T{i}{j}") for i in range(4) for j in range(2)]
-    for (name, part), form in forms.items():
-        if name == "conic":
-            support = tangency
-        elif name in RELATION_SUPPORTS:
-            support = [catalog(n) for n in RELATION_SUPPORTS[name]]
-        else:
-            support = [catalog(f"T{name[2]}0"), catalog(f"T{name[2]}1")]
-        yield (name, part), form, support
+    """Each factor of each row of the certificate table, with the support
+    its certificate is checked on."""
+    for name, row in certificate_table().items():
+        support = [catalog(n) for n in row.support]
+        for part in ("numerator", "denominator"):
+            for form in getattr(row, part):
+                yield (name, part), form, support
 
 
 def test_certificate_forms_on_their_supports():
@@ -133,7 +129,22 @@ def test_certificate_forms_on_their_supports():
         # the witness alone exhausts the divisor of the form on the curve
         assert assert_witness_agrees(form, support) == 4 * form.degree, key
         checked += 1
-    assert checked == 11
+    # 11 forms of the bitangent and relation rows, 6 of the E identities
+    assert checked == 17
+
+
+def test_e_identity_forms_on_their_supports():
+    # the functions behind the Brauer obstruction, each part as one form:
+    # (X - z8^5 Z) / (X - z8 Z), u_tau and its sigma_3 partner
+    table = certificate_table()
+    checked = 0
+    for name in E_IDENTITIES:
+        row = table[name]
+        support = [catalog(n) for n in row.support]
+        for form in (product_of_factors(row.numerator), product_of_factors(row.denominator)):
+            assert assert_witness_agrees(form, support) == 4 * form.degree, name
+            checked += 1
+    assert checked == 6
 
 
 def test_cusp_tangent_lines_meet_to_order_four():
@@ -141,19 +152,6 @@ def test_cusp_tangent_lines_meet_to_order_four():
         point = CATALOG[name]
         line = tangent_line(point)
         assert witness(line, point) == 4 == valuation(line, point, 5), name
-
-
-def test_e_identity_forms_on_their_supports():
-    numerator, denominator = u_tau()
-    b_points = [catalog(f"B{i}") for i in range(4)]
-    pairs = [
-        (X - z8 ** 5 * Z, X - z8 * Z, [catalog("E+"), catalog("E-")]),
-        (numerator, denominator, b_points),
-        (numerator, (X - z8 * Z) * (X - z8 ** 7 * Z), b_points),
-    ]
-    for num, den, support in pairs:
-        for form in (num, den):
-            assert assert_witness_agrees(form, support) == 4 * form.degree
 
 
 COEFFICIENTS = (ZERO, ZERO, ONE, -ONE, rational(2), rational(-3), z8, zeta(3), zeta(24, 5))

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from quartic_twist.certificates import (
-    BITANGENT_LINES,
+    BITANGENTS,
     bitangent_checks,
-    certificate_forms,
+    certificate_table,
     cusp_relation_certificates,
     cusp_representative,
     e_divisor_equality,
@@ -19,7 +19,7 @@ from quartic_twist.certificates import (
 )
 from quartic_twist import valuations
 from quartic_twist.brauer import verify_e_identities
-from quartic_twist.checks import build_report, load_fault
+from quartic_twist.checks import Fault, _faulted, build_report, load_fault
 from quartic_twist.cyclotomic import (
     MINUS_SQRT2, ONE, SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, TAU, ZERO, CycNum, d_power,
     rational, zeta,
@@ -39,6 +39,13 @@ from quartic_twist.valuations import (
 z8 = zeta(8)
 z3 = zeta(3)
 FIXTURES = Path(__file__).parent / "fixtures"
+# the four bitangent lines, the numerators of the rows 2D_0..2D_3
+BITANGENT_LINES = [certificate_table()[name].numerator[0] for name in BITANGENTS[:4]]
+
+
+def _orders(check):
+    """The numerator's order at each support point."""
+    return tuple(row.numerator_order for row in check.ledger)
 
 
 def test_minus_sqrt2_squares_to_two():
@@ -118,25 +125,25 @@ def test_valuation_rejects_zero_form():
 
 def test_bitangent_checks_pass():
     for name, check in bitangent_checks():
-        assert check.complete, name
+        assert check.numerator_complete and check.denominator_complete, name
         assert check.passed, name
     # the contact orders themselves: 2 at each tangency point
-    line = BITANGENT_LINES["L0"]
     _, check = bitangent_checks()[0]
-    assert check.orders == (2, 2)
+    assert _orders(check) == (2, 2)
 
 
 def test_conic_orders_are_simple():
     _, check = bitangent_checks()[4]
-    assert check.orders == (1,) * 8
+    assert _orders(check) == (1,) * 8
 
 
 def test_incomplete_support_detected():
+    # the claim has the degree 4 of a line's divisor, which the support misses
     check = verify_principal_divisor(
-        2 * Divisor.point(catalog("T00")), BITANGENT_LINES["L0"], [catalog("T00")]
+        4 * Divisor.point(catalog("T00")), BITANGENT_LINES[0], [catalog("T00")]
     )
-    assert not check.complete and not check.passed
-    assert check.orders == (2,)
+    assert not check.numerator_complete and not check.passed
+    assert _orders(check) == (2,)
 
 
 def test_cusp_relation_certificates_pass():
@@ -170,9 +177,10 @@ def test_negative_control_without_cusp_correction():
 
 
 def test_perturbed_certificate_fails():
-    forms = dict(certificate_forms())
-    forms["D1-D0", "numerator"] += HomogPoly.monomial((2, 0, 0), 1)
-    results = dict(cusp_relation_certificates(forms))
+    table = _faulted(Fault("certificate", ("D1-D0", "numerator", (2, 0, 0)), 1))
+    clean = certificate_table()["D1-D0"].numerator[0]
+    assert table["D1-D0"].numerator == (clean + HomogPoly.monomial((2, 0, 0), 1),)
+    results = dict(cusp_relation_certificates(table))
     assert not results["D1-D0"].passed
     assert results["D2-D0"].passed and results["D3-D0"].passed
     # the run's copy is corrupted, the table itself is not
@@ -181,15 +189,58 @@ def test_perturbed_certificate_fails():
 
 def test_certificate_degree_mismatch_rejected():
     with pytest.raises(ValueError):
-        verify_certificate(Divisor.zero(), X, X ** 2, [catalog("B0")])
+        verify_certificate(Divisor.zero(), (X,), (X ** 2,), [catalog("B0")])
+
+
+def test_certificate_degrees_must_fit_the_claimed_degree():
+    # deg(claimed) = 4 (deg G - deg H) is the one rule on degrees
+    support = [catalog("T00"), catalog("T01")]
+    d0 = named_divisor("D0")
+    with pytest.raises(ValueError):
+        verify_certificate(2 * d0, (BITANGENT_LINES[0],), (X - z8 * Z,), support)
+    with pytest.raises(ValueError):
+        verify_certificate(d0, (BITANGENT_LINES[0],), (), support)
+    assert verify_certificate(2 * d0, (BITANGENT_LINES[0],), (), support).passed
+    assert verify_certificate(
+        2 * d0, (BITANGENT_LINES[0], X - z8 * Z), (X - z8 * Z,), support + [catalog("B0")]
+    ).passed
+
+
+def test_empty_denominator_composes_nothing(monkeypatch):
+    composed = []
+    compose = valuations.compose
+
+    def recorded(form, *args, **kwargs):
+        composed.append(form)
+        return compose(form, *args, **kwargs)
+
+    monkeypatch.setattr(valuations, "compose", recorded)
+    row = certificate_table()["2D0"]
+    check = verify_certificate(row.claimed, row.numerator, (), map(catalog, row.support))
+    assert check.passed and check.denominator == ()
+    assert composed and set(map(str, composed)) == {str(row.numerator[0])}
+    assert all(r.denominator_order == 0 for r in check.ledger)
+
+
+def test_factored_numerator_gives_the_ledger_of_its_product():
+    # (X - z8 Z)^2 (X + Y - Z), the numerator of D_2 - D_0, factor by factor
+    row = certificate_table()["D2-D0"]
+    factors = (X - z8 * Z, X - z8 * Z, X + Y - Z)
+    support = [catalog(n) for n in row.support]
+    product = verify_certificate(row.claimed, row.numerator, row.denominator, support)
+    factored = verify_certificate(row.claimed, factors, row.denominator, support)
+    assert row.numerator == (factors[0] * factors[1] * factors[2],)
+    assert factored.numerator == factors
+    assert factored.ledger == product.ledger
+    assert factored[5:] == product[5:] and factored.passed
 
 
 def test_certificate_requires_claimed_support():
     with pytest.raises(ValueError):
         verify_certificate(
             Divisor.point(catalog("B0")) - Divisor.point(catalog("B1")),
-            X - z8 * Z,
-            X - z8 ** 3 * Z,
+            (X - z8 * Z,),
+            (X - z8 ** 3 * Z,),
             [catalog("B0")],
         )
 
@@ -209,13 +260,13 @@ CERT_FORMS = None
 def _certificate_forms():
     global CERT_FORMS
     if CERT_FORMS is None:
-        forms = list(BITANGENT_LINES.values())
+        forms = list(BITANGENT_LINES)
         forms.append(X ** 2 + Y ** 2 + Z ** 2)
         forms.extend([X - z8 ** k * Z for k in (1, 3, 5, 7)])
         forms.append(Y)
         for _, check in cusp_relation_certificates():
-            forms.append(check.numerator)
-            forms.append(check.denominator)
+            forms.extend(check.numerator)
+            forms.extend(check.denominator)
         CERT_FORMS = forms
     return CERT_FORMS
 
@@ -247,7 +298,7 @@ def test_valuation_additivity_random():
 def test_galois_equivariance_of_valuations():
     lifts = (SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, TAU)
     for _, check in cusp_relation_certificates():
-        for form in (check.numerator, check.denominator):
+        for form in check.numerator + check.denominator:
             bound = 4 * form.degree + 1
             for point in check.support:
                 v = valuation(form, point, bound)
@@ -510,15 +561,8 @@ def _assert_on_demand_matches(form, point):
 
 def test_on_demand_valuation_matches_full_composition_on_certificates():
     cases = []
-    for _, check in bitangent_checks():
-        cases.extend((check.form, point) for point in check.support)
-    identities = verify_e_identities()
-    certificates = [check for _, check in cusp_relation_certificates()]
-    certificates += [
-        identities.double_e, identities.e_plus_sigma3, identities.e_minus_sigma3
-    ]
-    for check in certificates:
-        for form in (check.numerator, check.denominator):
+    for _, check in bitangent_checks() + cusp_relation_certificates() + verify_e_identities():
+        for form in check.numerator + check.denominator:
             cases.extend((form, point) for point in check.support)
     assert len(cases) == 82
     for form, point in cases:
@@ -576,7 +620,7 @@ def test_on_demand_valuation_matches_full_composition_random():
     # random forms times 0..deg lines through the point, so that orders
     # from 0 up to several precision doublings occur
     rng = random.Random(20211)
-    lines = [X - z8 ** k * Z for k in (1, 3, 5, 7)] + list(BITANGENT_LINES.values())
+    lines = [X - z8 ** k * Z for k in (1, 3, 5, 7)] + BITANGENT_LINES
     lines += [X, Y, Z]
     points = sorted(set(CATALOG.values()), key=lambda p: p.sort_key())
     orders = set()
@@ -616,9 +660,8 @@ def test_order_bound_exceeded_for_curve_times_line():
 def _reference_forms():
     """The curve, every certificate form and the forms of the E identities."""
     forms = [CURVE] + _certificate_forms()
-    identities = verify_e_identities()
-    for check in (identities.double_e, identities.e_plus_sigma3, identities.e_minus_sigma3):
-        forms += [check.numerator, check.denominator]
+    for _, check in verify_e_identities():
+        forms += [*check.numerator, *check.denominator]
     return forms
 
 
