@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections import namedtuple
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import MINUS_SQRT2, SIGMA3, zeta
 from .curve import HomogPoly, ProjPoint, X, Y, Z, catalog
@@ -37,14 +38,11 @@ from .divisors import Divisor, from_cusp_support, named_divisor
 from .valuations import CertificateCheck, verify_certificate
 
 
-class Certificate(NamedTuple):
-    """claimed = div(product of the numerator) - div(product of the
-    denominator), checked on the named support points."""
-
-    claimed: Divisor
-    numerator: tuple[HomogPoly, ...]
-    denominator: tuple[HomogPoly, ...]
-    support: tuple[str, ...]
+Certificate = namedtuple("Certificate", "claimed numerator denominator support")
+Certificate.__doc__ = """claimed = div(product of the numerator) - div(product of
+the denominator), checked on the named support points: the claimed
+Divisor, the numerator and the denominator as tuples of HomogPoly factors,
+and the support as a tuple of catalog names."""
 
 
 # (certificate name, "numerator" | "denominator") -> form

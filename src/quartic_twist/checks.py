@@ -45,8 +45,9 @@ reads u_tau from its row.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from . import theorems
 from .cyclotomic import MINUS_SQRT2, ONE, SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, TAU, rational
@@ -116,19 +117,15 @@ _CLASSES = {
 }
 
 
-class Fault(NamedTuple):
-    """One corrupted constant, for negative-control runs: `delta` is added
-    to the entry at `key` of the run's copy of the `target` table, one of
-    the five `_TABLES`, by that table's one rule.  The key is (entry,
-    index) for the dictionary, the entry named as in `ENTRY_CUSPS`
-    ("alpha3" is the entry of A3), (matrix, row, col) for the action
-    matrices, (certificate, part, monomial) for the certificate forms and
-    (name, index) for the shifts (sigma - 1)[A_0] and for the classes
-    [D_i - D_0] and [E]."""
-
-    target: str  # a key of `_TABLES`
-    key: tuple
-    delta: int
+Fault = namedtuple("Fault", "target key delta")
+Fault.__doc__ = """One corrupted constant, for negative-control runs: `delta`
+(an int) is added to the entry at `key` (a tuple) of the run's copy of
+the `target` table (a str), one of the five `_TABLES`, by that table's one
+rule.  The key is (entry, index) for the dictionary, the entry named as in
+`ENTRY_CUSPS` ("alpha3" is the entry of A3), (matrix, row, col) for the
+action matrices, (certificate, part, monomial) for the certificate forms
+and (name, index) for the shifts (sigma - 1)[A_0] and for the classes
+[D_i - D_0] and [E]."""
 
 
 def _is_int(value: Any) -> bool:
@@ -145,14 +142,11 @@ _KINDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
 }
 
 
-class _Table(NamedTuple):
-    """A table a fault may corrupt: the fault file's key fields in key
-    order, each with its kind; the clean table, read on first use; and the
-    one rule that returns the table with `delta` added at a key."""
-
-    fields: dict[str, str]
-    clean: Callable[[], Mapping]
-    faulted: Callable[..., Mapping]
+_Table = namedtuple("_Table", "fields clean faulted")
+_Table.__doc__ = """A table a fault may corrupt: `fields`, the fault file's key
+fields in key order, each with its kind (a dict of str to str); `clean`,
+which returns the clean table, read on first use; and `faulted`, the one
+rule that returns the table with `delta` added at a key."""
 
 
 def _certificates():
@@ -234,17 +228,17 @@ def load_fault(path: str) -> Fault:
     return fault
 
 
-class CheckRecord(NamedTuple):
-    check_id: str
-    section: str
-    header: str
-    label: str
-    status: str
-    detail: Any = None
+CheckRecord = namedtuple("CheckRecord", "check_id section header label status detail",
+                         defaults=(None,))
+CheckRecord.__doc__ = """One verified identity: its id, section key, header and
+label (each a str), its status (`STATUS_OK`, `STATUS_FAIL` or
+`STATUS_SKIPPED`) and a JSON-friendly detail ledger, None by default."""
 
 
-class Report(NamedTuple):
-    checks: tuple[CheckRecord, ...]
+class Report(namedtuple("Report", "checks")):
+    """The records of a run (a tuple of CheckRecord), in canonical order."""
+
+    __slots__ = ()
 
     @property
     def summary(self) -> dict[str, int]:
@@ -541,8 +535,9 @@ def _galois_records(data: _RunData) -> list[CheckRecord]:
                  "printed": [list(r) for r in printed.rows]},
             )
         )
+        # coordinate by coordinate: both images of a normalized point start with 1
         agree = all(
-            catalog(n).galois(sigma) == catalog(n).galois(lift) for n in names
+            sigma(c) == lift(c) for n in names for c in catalog(n).coords
         ) and sigma(MINUS_SQRT2) == lift(MINUS_SQRT2)
         lifts.append((agree, {"lifts": [sigma.exponent, lift.exponent]}))
     return _records("galois", results + matrices + lifts)
@@ -598,10 +593,10 @@ def _fixed_records(data: _RunData) -> list[CheckRecord]:
 
     s3, s5 = matrices["s3"], matrices["s5"]
     t3, t5 = image_table(s3), image_table(s5)
-    t35, t53 = image_table(s3 * s5), image_table(s5 * s3)
+    # on all 2048 codes n: t3[t3[n]] = n = t5[t5[n]] and t3[t5[n]] = t5[t3[n]]
     codes = list(range(ORDER))
-    involution = (list(map(t3.__getitem__, t3)) == codes
-                  and list(map(t5.__getitem__, t5)) == codes and t35 == t53)
+    involution = (list(map(t3.__getitem__, t3)) == codes == list(map(t5.__getitem__, t5))
+                  and list(map(t3.__getitem__, t5)) == list(map(t5.__getitem__, t3)))
     fixed = fixed_submodule([s3, s5])
     fixed_set = set(fixed)
     pic0 = subgroup_generated([d1, d2])

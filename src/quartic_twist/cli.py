@@ -2,12 +2,15 @@
 
 Runs the full check suite (or one section, or one check) and prints a
 text or JSON report.  Exit status: 0 when nothing failed, 1 when any
-check failed, 2 on usage errors, each reported as one line on stderr.
+check failed, 2 on usage errors and when the output cannot be written
+(a closed pipe, a full disk), each reported as one line on stderr.
 A table-driven parser reads the five options as `argparse` did, without its import.
 """
 
 from __future__ import annotations
 
+import gc
+import os
 import re
 import sys
 from typing import NoReturn, Optional, Sequence
@@ -36,9 +39,22 @@ Exact verification of the divisor, Galois-module and Brauer computations on x^4 
 
 
 def _usage_error(message: str) -> NoReturn:
-    """A usage error is one line on stderr, `quartic-twist: <message>`."""
+    """A usage error, or an output that cannot be written, is one line on
+    stderr, `quartic-twist: <message>`, and exit 2."""
     sys.stderr.write(f"quartic-twist: {message}\n")
     raise SystemExit(2)
+
+
+def _write(text: str) -> None:
+    """Write the output in one write and flush it.  An output that cannot be
+    written is a one-line error, exit 2; what is left in the buffer then
+    goes to the null device, so that the flush at exit reports nothing."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as error:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _usage_error(f"cannot write output: {error.strerror or error}")
 
 
 def _option(token: str) -> Optional[tuple[str, Optional[str]]]:
@@ -89,7 +105,7 @@ def _parse(argv: Sequence[str]) -> dict[str, str | bool]:
         if name in _REQUESTS and other:
             _usage_error(f"argument {name}: not allowed with argument {other}")
         if name in ("-h", "--help"):
-            sys.stdout.write(_HELP)
+            _write(_HELP)
             raise SystemExit(0)
         parsed[name[2:]] = True if value is None else value
     unrecognized += argv[end:]
@@ -99,14 +115,24 @@ def _parse(argv: Sequence[str]) -> dict[str, str | bool]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
+    """Answer one request and return its exit status.  The cyclic garbage
+    collector is paused while it runs, since a request frees no cycle worth
+    scanning for, and the caller's setting is restored."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _answer(_parse(sys.argv[1:] if argv is None else argv))
+    finally:
+        if collecting:
+            gc.enable()
 
+
+def _answer(args: dict[str, str | bool]) -> int:
     if args.get("list"):
         for option in ("fault", "format"):
             if option in args:
                 _usage_error(f"argument --list: not allowed with argument --{option}")
-        for check_id in list_check_ids():
-            print(check_id)
+        _write("".join(f"{check_id}\n" for check_id in list_check_ids()))
         return 0
 
     fault = None
@@ -126,8 +152,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"quartic-twist: {error}", file=sys.stderr)
         return 2
 
-    rendered = render_json(report) if args.get("format") == "json" else render_text(report)
-    sys.stdout.write(rendered)
+    _write(render_json(report) if args.get("format") == "json" else render_text(report))
     return report.exit_code
 
 

@@ -111,18 +111,25 @@ class HomogPoly:
         return HomogPoly(max(self.degree - 1, 0), terms)
 
     def evaluate(self, point: ProjPoint) -> CycNum:
-        """Value at the normalized representative of the point."""
-        coords = point.coords
-        powers = []
-        for axis in range(3):
-            top = max((e[axis] for e in self.terms), default=0)
-            row = [ONE]
-            for _ in range(top):
-                row.append(row[-1] * coords[axis])
-            powers.append(row)
+        """Value at the normalized representative of the point.  Each term
+        multiplies its coefficient by the powers of its variables with a
+        nonzero exponent only, each power computed once: a term with a
+        variable that is 0 there is 0, and a variable that is 1 adds no
+        factor."""
+        powers = [[ONE, x] for x in point.coords]  # powers[axis][e] = x^e, grown on use
         total = ZERO
-        for (i, j, k), c in self.terms.items():
-            total = total + c * powers[0][i] * powers[1][j] * powers[2][k]
+        for exponents, c in self.terms.items():
+            for e, row in zip(exponents, powers):
+                if e:
+                    x = row[1]
+                    if not x:
+                        break
+                    if x != ONE:
+                        while len(row) <= e:
+                            row.append(row[-1] * x)
+                        c = c * row[e]
+            else:
+                total = total + c
         return total
 
     def galois(self, sigma: Automorphism) -> HomogPoly:
@@ -218,21 +225,24 @@ def on_curve(point: ProjPoint) -> bool:
 # named points
 
 def _build_catalog() -> dict[str, ProjPoint]:
-    z8 = zeta(8)
-    z4 = zeta(4)
-    z3 = zeta(3)
+    """The named points, each written normalized, so that none is inverted:
+    the cusps A_i = (0 : zeta_4^i : zeta_8^7), B_i = (zeta_4^i : 0 : zeta_8^7)
+    and C_i = (zeta_8 zeta_4^i : 1 : 0) as the paper prints them are
+    (0 : 1 : w), (1 : 0 : w) and (1 : w : 0) with w = zeta_8^(7 - 2i)."""
+    z3, z3_squared = zeta(3), zeta(3, 2)
     points: dict[str, ProjPoint] = {}
     for i in range(4):
-        points[f"A{i}"] = ProjPoint(0, z4 ** i, z8 ** 7)
-        points[f"B{i}"] = ProjPoint(z4 ** i, 0, z8 ** 7)
-        points[f"C{i}"] = ProjPoint(z8 * z4 ** i, 1, 0)
+        w = zeta(8, 7 - 2 * i)
+        points[f"A{i}"] = ProjPoint(0, 1, w)
+        points[f"B{i}"] = ProjPoint(1, 0, w)
+        points[f"C{i}"] = ProjPoint(1, w, 0)
     # points of tangency of the four rational bitangents, in conjugate pairs
     signs = {"0": (1, 1), "1": (-1, 1), "2": (1, -1), "3": (-1, -1)}
     for label, (sy, sz) in signs.items():
-        points[f"T{label}0"] = ProjPoint(1, sy * z3, sz * z3 ** 2)
-        points[f"T{label}1"] = ProjPoint(1, sy * z3 ** 2, sz * z3)
-    points["E+"] = ProjPoint(1, 0, z8 ** 3)
-    points["E-"] = ProjPoint(1, 0, z8 ** 7)
+        points[f"T{label}0"] = ProjPoint(1, sy * z3, sz * z3_squared)
+        points[f"T{label}1"] = ProjPoint(1, sy * z3_squared, sz * z3)
+    points["E+"] = ProjPoint(1, 0, zeta(8, 3))
+    points["E-"] = ProjPoint(1, 0, zeta(8, 7))
     return points
 
 
@@ -256,8 +266,10 @@ def catalog(name: str) -> ProjPoint:
 
 
 def point_name(point: ProjPoint) -> str:
-    """Catalog name of a point if it has one, else its coordinates."""
-    return _POINT_NAME.get(point, str(point))
+    """Catalog name of a point if it has one, else its coordinates; only an
+    unnamed point is formatted."""
+    name = _POINT_NAME.get(point)
+    return str(point) if name is None else name
 
 
 # cusp permutations induced by the two Galois generators

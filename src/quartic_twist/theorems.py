@@ -16,7 +16,8 @@ record of a clean run, which builds only that theorem's cone.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from .cyclotomic import CONJ_ZETA3
 from .curve import catalog
@@ -27,23 +28,19 @@ if TYPE_CHECKING:
     from .checks import CheckRecord
 
 
-class Constituent(NamedTuple):
-    """One step of a theorem: the records it rests on, or a control that
-    does not depend on the run."""
+Constituent = namedtuple("Constituent", "check_id label records control",
+                         defaults=((), None))
+Constituent.__doc__ = """One step of a theorem, with an id and a label (each a
+str): the records it rests on, a tuple of id patterns, or a control, a
+callable returning a bool that does not depend on the run, None by
+default."""
 
-    check_id: str
-    label: str
-    records: tuple[str, ...] = ()
-    control: Optional[Callable[[], bool]] = None
-
-
-class Theorem(NamedTuple):
-    check_id: str
-    label: str
-    constituents: tuple[Constituent, ...]
-    assumptions: tuple[str, ...]
-    depends_on: tuple[str, ...]
-    notes: tuple[str, ...] = ()
+Theorem = namedtuple("Theorem", "check_id label constituents assumptions depends_on notes",
+                     defaults=((),))
+Theorem.__doc__ = """A headline result: its id and label (each a str), its
+constituents (a tuple of Constituent), and its assumptions, the names of
+`DEPENDENCIES` it depends on and its notes (each a tuple of str; no notes
+by default)."""
 
 
 _CERTIFICATES = (

@@ -35,9 +35,11 @@ reads v_n off the curve composed with it (see `_Branch.solve`), grows
 the table again with v_n and gates it: the curve composed with it must
 vanish at t^n, which certifies v_n however it was solved.  So all
 precisions of a point cost O(d p^2) row products to the highest p asked
-for.  The table grows by copy-on-write, only by the orders and powers a
-request adds.  An expansion is a plain value, a truncation of its
-branch's series, and every composition reads the branch it truncates.
+for; the powers of the parameter axis, (p_0 + t)^k, are complete once
+tabled past t^k and are not multiplied again.  The table grows by
+copy-on-write, only by the orders and powers a request adds.  An
+expansion is a plain value, a truncation of its branch's series, and
+every composition reads the branch it truncates.
 
 `compose` substitutes the table into a form of degree m from a start
 order: every monomial has denominator D^m, so after scaling the
@@ -56,8 +58,9 @@ Only what a caller reads is normalised to CycNum: the coefficients
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cyclotomic import CycNum, ZERO, reduce_product
 from .curve import CURVE, HomogPoly, ProjPoint, on_curve
@@ -119,23 +122,19 @@ def _row(c: CycNum, den: int) -> Row:
     return [(p, n * scale) for p, n in enumerate(c.nums) if n]
 
 
-class BranchExpansion(NamedTuple):
-    """Truncated local parametrization of the curve at a smooth point.
+BranchExpansion = namedtuple("BranchExpansion",
+                             "center chart parameter dependent series precision")
+BranchExpansion.__doc__ = """Truncated local parametrization of the curve at a
+smooth point, the center (a ProjPoint).
 
-    The chart coordinate is the normalization coordinate (value 1); the
-    parameter coordinate runs as t around its value at the center; the
-    series gives the dependent coordinate to the stated precision, i.e.
-    the curve equation composed with the parametrization vanishes
-    mod t^precision.  It is a plain value: `compose` reads the branch at
-    the center, of which the series must be a prefix.
-    """
-
-    center: ProjPoint
-    chart: int
-    parameter: int
-    dependent: int
-    series: Series
-    precision: int
+The chart coordinate is the normalization coordinate (value 1); the
+parameter coordinate runs as t around its value at the center; the
+series (a tuple of CycNum) gives the dependent coordinate to the stated
+precision, i.e. the curve equation composed with the parametrization
+vanishes mod t^precision.  The chart, parameter and dependent axes and
+the precision are ints.  It is a plain value: `compose` reads the branch
+at the center, of which the series must be a prefix.
+"""
 
 
 class _Branch:
@@ -198,7 +197,13 @@ class _Branch:
             table = [old[0], old[1] + rows]
             for k in range(2, max(degree + 1, len(old))):
                 kept, start = (old[k], reached) if k < len(old) else ([], 0)
-                table.append(kept + _series_mul(table[-1], table[1], order, start))
+                # the product adds the orders start..order-1, and (p_0 + t)^k
+                # has no term past t^k, nor below it when p_0 = 0
+                if start < order and (
+                    axis != self.parameter or (start <= k and (k < order or bool(self.p0)))
+                ):
+                    kept = kept + _series_mul(table[-1], table[1], order, start)
+                table.append(kept)
             powers[axis] = tuple(table)
         return den, order, powers, tabled + new
 
@@ -357,26 +362,23 @@ def principal_divisor_on_support(
     return divisor, divisor.degree() == 4 * form.degree
 
 
-class LedgerRow(NamedTuple):
-    point: ProjPoint
-    numerator_order: int
-    denominator_order: int
-    claimed: int
+LedgerRow = namedtuple("LedgerRow", "point numerator_order denominator_order claimed")
+LedgerRow.__doc__ = """One support point (a ProjPoint) of a certificate and the
+orders (ints) of the numerator, of the denominator and of the claimed
+divisor there."""
 
-
-class CertificateCheck(NamedTuple):
-    """Outcome of checking  claimed = div(numerator) - div(denominator),
-    each given as a tuple of factors."""
-
-    claimed: Divisor
-    numerator: tuple[HomogPoly, ...]
-    denominator: tuple[HomogPoly, ...]
-    support: tuple[ProjPoint, ...]
-    ledger: tuple[LedgerRow, ...]
-    numerator_complete: bool
-    denominator_complete: bool
-    passed: bool
-    reason: str = ""
+CertificateCheck = namedtuple(
+    "CertificateCheck",
+    "claimed numerator denominator support ledger numerator_complete"
+    " denominator_complete passed reason",
+    defaults=("",),
+)
+CertificateCheck.__doc__ = """Outcome of checking  claimed = div(numerator) -
+div(denominator): the claimed Divisor, the numerator and the denominator
+as tuples of HomogPoly factors, the support as a tuple of ProjPoint, the
+ledger as a tuple of LedgerRow, whether each product's divisor is complete
+on the support and whether the certificate passed (bools), and the reason
+it failed (a str, empty when it passed)."""
 
 
 def verify_certificate(

@@ -2,6 +2,7 @@
 exit codes, fault injection."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +212,59 @@ def test_cli_matches_golden_via_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout == GOLDEN.read_text(encoding="utf-8")
+
+
+# an unwritable output ends in one line on stderr and exit 2, buffered or not
+_BUFFERING = {"unbuffered": {"PYTHONUNBUFFERED": "1"}, "buffered": {}}
+_CANNOT_WRITE = "quartic-twist: cannot write output: "
+
+
+def _cli_env(buffering: str) -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, **_BUFFERING[buffering]}
+
+
+@pytest.mark.parametrize("buffering", _BUFFERING)
+def test_list_into_a_reader_that_closes_after_one_line(buffering):
+    process = subprocess.Popen(
+        [sys.executable, "-m", "quartic_twist", "--list"], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=_cli_env(buffering),
+    )
+    assert process.stdout.readline() == "bitangent-2d0\n"
+    process.stdout.close()
+    code = process.wait()
+    err = process.stderr.read()
+    process.stderr.close()
+    # the ids go out in one write, so the reader most often has them all
+    assert (code, err) in ((0, ""), (2, _CANNOT_WRITE + "Broken pipe\n"))
+
+
+@pytest.mark.parametrize("buffering", _BUFFERING)
+@pytest.mark.parametrize("request_args", [[], ["--list"], ["--help"], ["--format", "json"]])
+def test_output_into_a_pipe_with_no_reader(request_args, buffering):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "quartic_twist", *request_args], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, env=_cli_env(buffering),
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (2, _CANNOT_WRITE + "Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("buffering", _BUFFERING)
+@pytest.mark.parametrize("request_args", [[], ["--list"]])
+def test_output_onto_a_full_device(request_args, buffering):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "quartic_twist", *request_args], stdout=full,
+            stderr=subprocess.PIPE, text=True, env=_cli_env(buffering),
+        )
+    expected = _CANNOT_WRITE + "No space left on device\n"
+    assert (result.returncode, result.stderr) == (2, expected)
 
 
 @pytest.mark.parametrize(

@@ -66,6 +66,25 @@ def test_catalog_points():
         catalog("Q7")
 
 
+def test_catalog_points_are_the_printed_coordinates_normalized():
+    # the coordinates as the paper prints them, normalized by inverting the
+    # first nonzero one: the catalog writes them already normalized
+    printed = {}
+    for i in range(4):
+        printed[f"A{i}"] = (0, z4 ** i, z8 ** 7)
+        printed[f"B{i}"] = (z4 ** i, 0, z8 ** 7)
+        printed[f"C{i}"] = (z8 * z4 ** i, 1, 0)
+    for label, (sy, sz) in {"0": (1, 1), "1": (-1, 1), "2": (1, -1), "3": (-1, -1)}.items():
+        printed[f"T{label}0"] = (1, sy * z3, sz * z3 ** 2)
+        printed[f"T{label}1"] = (1, sy * z3 ** 2, sz * z3)
+    printed["E+"] = (1, 0, z8 ** 3)
+    printed["E-"] = (1, 0, z8 ** 7)
+    assert list(CATALOG) == list(printed)
+    for name, coords in printed.items():
+        scale = next(rational(1) / c for c in coords if c)
+        assert CATALOG[name].coords == tuple(scale * c for c in coords), name
+
+
 def test_all_catalog_points_on_smooth_locus():
     partials = [CURVE.partial(axis) for axis in range(3)]
     for name, point in CATALOG.items():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from quartic_twist.checks import Fault, run_single
+from quartic_twist.checks import PRINTED_MATRICES, Fault, run_single
 from quartic_twist.curve import (
     CUSP_NAMES,
     SIGMA3_CUSP_TABLE,
@@ -187,6 +187,26 @@ def test_involutions_and_commutation_on_all_elements():
     assert PRINTED_S3 * PRINTED_S3 == identity
     assert PRINTED_S5 * PRINTED_S5 == identity
     assert s3s5 == s5s3
+
+
+def test_involution_verdict_is_the_matrix_product_verdict(bench_faults):
+    # `involution` composes the tables of s_3 and s_5 code by code; on every
+    # valid matrix corruption it must agree with the tables of s_3 s_5 and
+    # s_5 s_3, the products taken as matrices
+    codes = list(range(ORDER))
+    verdicts = []
+    for payload in bench_faults.matrix_faults():
+        name, row, col, delta = (payload[k] for k in ("matrix", "row", "col", "delta"))
+        rows = [list(r) for r in PRINTED_MATRICES[name].rows]
+        rows[row][col] += delta
+        s3, s5 = {**PRINTED_MATRICES, name: ActionMatrix(rows)}.values()
+        t3, t5 = image_table(s3), image_table(s5)
+        expected = (list(map(t3.__getitem__, t3)) == codes == list(map(t5.__getitem__, t5))
+                    and image_table(s3 * s5) == image_table(s5 * s3))
+        (record,) = run_single("involution", Fault("matrix", (name, row, col), delta)).checks
+        assert (record.check_id, record.status) == ("involution", "OK" if expected else "FAIL")
+        verdicts.append(expected)
+    assert len(verdicts) == 172 and any(verdicts) and not all(verdicts)
 
 
 def test_fixed_submodule():
