@@ -232,7 +232,7 @@ def test_list_into_a_reader_that_closes_after_one_line(buffering):
     )
     assert process.stdout.readline() == "bitangent-2d0\n"
     process.stdout.close()
-    code = process.wait()
+    code = process.wait(timeout=120)
     err = process.stderr.read()
     process.stderr.close()
     # the ids go out in one write, so the reader most often has them all

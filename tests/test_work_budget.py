@@ -105,7 +105,8 @@ def test_full_report_multiplication_budget(monkeypatch):
 
 def test_full_report_makes_few_empty_row_products(monkeypatch):
     # 158 products of row series whose coefficients at the orders asked for
-    # are all 0: the powers of dependent series with zero coefficients
+    # are all 0: powers of dependent series whose new coefficients are 0, and
+    # compositions at orders below a product's lowest term
     empty = [0]
     series_mul = valuations._series_mul
 
@@ -244,22 +245,22 @@ def test_no_point_is_solved_past_the_orders_its_valuations_read(monkeypatch):
         assert len(solved) == tabled == need, point
 
 
-def test_import_leaves_dataclasses_out():
-    # importing dataclasses and decorating a class per record type cost more
-    # than a tenth of a cold process
-    code = "import sys, quartic_twist; print('dataclasses' in sys.modules)"
-    assert _run_python(code).stdout.strip() == "False"
-
-
-def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """`python -c code args` in a fresh process that imports this checkout."""
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """`python -c code` in a fresh process that imports this checkout."""
     src = str(Path(curve.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
+
+
+def test_import_leaves_dataclasses_out():
+    # importing dataclasses and decorating a class per record type cost more
+    # than a tenth of a cold process
+    code = "import sys, quartic_twist; print('dataclasses' in sys.modules)"
+    assert _run_python(code).stdout.strip() == "False"
 
 
 def test_report_through_main_collects_nothing_and_restores_the_collector(capsys):
@@ -316,7 +317,7 @@ print(len(calls))
     assert _run_python(code).stdout == "0\n"
 
 
-def test_text_report_formats_only_the_field_elements_it_prints(monkeypatch, capsys):
+def test_text_report_formats_25_field_elements(monkeypatch, capsys):
     calls = _counted(monkeypatch, CycNum, "__str__")
     valuations._EXPANSION_CACHE.clear()
     mordell_weil.image_table.cache_clear()
