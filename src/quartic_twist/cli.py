@@ -3,7 +3,7 @@
 Runs the full check suite (or one section, or one check) and prints a
 text or JSON report.  Exit status: 0 when nothing failed, 1 when any
 check failed, 2 on usage errors and when the output cannot be written
-(a closed pipe, a full disk), each reported as one line on stderr.
+(a closed pipe or stdout, a full disk), each reported as one line on stderr.
 A table-driven parser reads the five options as `argparse` did, without its import.
 """
 
@@ -49,6 +49,8 @@ def _write(text: str) -> None:
     """Write the output in one write and flush it.  An output that cannot be
     written is a one-line error, exit 2; what is left in the buffer then
     goes to the null device, so that the flush at exit reports nothing."""
+    if sys.stdout is None:  # the process started with its stdout closed
+        _usage_error("cannot write output: standard output is closed")
     try:
         sys.stdout.write(text)
         sys.stdout.flush()

@@ -254,6 +254,16 @@ def test_output_into_a_pipe_with_no_reader(request_args, buffering):
     assert (result.returncode, result.stderr) == (2, _CANNOT_WRITE + "Broken pipe\n")
 
 
+@pytest.mark.parametrize("request_args", [[], ["--list"]])
+def test_output_with_stdout_closed(request_args):
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "quartic_twist", *request_args],
+        stderr=subprocess.PIPE, text=True,
+    )
+    expected = _CANNOT_WRITE + "standard output is closed\n"
+    assert (result.returncode, result.stderr) == (2, expected)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 @pytest.mark.parametrize("buffering", _BUFFERING)
 @pytest.mark.parametrize("request_args", [[], ["--list"]])
