@@ -1,34 +1,50 @@
-"""The output corpus: every request of the CLI with its exit code and the
+"""The output corpora: every request of the CLI with its exit code and the
 SHA-256 of its stdout and its stderr, one line per request in
-`tests/golden/outputs.sha256`.
+`tests/golden/outputs.sha256`, and the full report under each valid
+one-constant corruption, one line per corruption in
+`tests/golden/faults.sha256`.
 
     python3 tools/outputs.py
 
-rewrites the file and prints each request whose line changed, was added
-or was removed.  The requests are the full report, `--list`, each
-`--section` and each `--check`, in text and in JSON, clean and under each
-fixture `tests/fixtures/fault_*.json`.  Each runs in this process through
+rewrites both files and prints each line that changed, was added or was
+removed.  The requests are the full report, `--list`, each `--section`
+and each `--check`, in text and in JSON, clean and under each fixture
+`tests/fixtures/fault_*.json`.  Each runs in this process through
 `quartic_twist.cli.main`, from the repository root, so a fixture path
 reads the same in every line.  A line reads
 
     <exit code> <sha256 of stdout> <sha256 of stderr> quartic-twist <argv>
 
-with the output encoded as UTF-8.  `tests/test_outputs.py` re-runs every
-request against the file, and one request per format in a fresh process.
-Standard library only.
+with the output encoded as UTF-8.  The corruptions are the 552 that
+`perfbench/faults.py` generates (imported read-only), the 60 odd
+dictionary corruptions it leaves out, and every shift and class
+corruption: 724 in all.  Each is loaded as a fault file and builds one
+report, rendered in both formats; a line reads
+
+    <exit code> <sha256 of the text report> <sha256 of the JSON report> <fault payload>
+
+with the payload as compact JSON with sorted keys.  `tests/test_outputs.py`
+re-runs every request against the first file, one request per format in
+a fresh process, and a seeded tenth of the corruptions against the
+second.  A full rewrite takes about 15 s in one process.  Standard
+library only.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
+import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "golden" / "outputs.sha256"
+FAULT_CORPUS = ROOT / "tests" / "golden" / "faults.sha256"
 PROGRAM = "quartic-twist"
 
 sys.path.insert(0, str(ROOT / "src"))
@@ -79,24 +95,80 @@ def run(argv: tuple[str, ...]) -> str:
 
 
 def read(path: Path = CORPUS) -> dict[str, str]:
-    """The committed lines, keyed by request (`quartic-twist <argv>`)."""
+    """The committed lines, keyed by request (`quartic-twist <argv>`) or,
+    in the fault corpus, by payload."""
     if not path.exists():
         return {}
     lines = path.read_text(encoding="utf-8").splitlines()
     return {text.split(" ", 3)[3]: text for text in lines}
 
 
+def _bench_faults():
+    """`perfbench/faults.py`, imported by path without writing bytecode."""
+    spec = importlib.util.spec_from_file_location("faults", ROOT / "perfbench" / "faults.py")
+    module = importlib.util.module_from_spec(spec)
+    writing, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writing
+    return module
+
+
+def fault_payloads() -> list[dict]:
+    """Every corruption of the fault corpus, as a fault file's payload: the
+    benchmark's 552, then the dictionary corruptions it leaves out, then
+    every corruption of a shift and of a class."""
+    from quartic_twist.mordell_weil import ENTRY_CUSPS, MODULI, PRINTED_SHIFTS
+
+    bench = _bench_faults()
+    payloads = [fault for target in bench.TARGETS for fault in bench.SPACES[target]]
+    coordinates = [(index, delta) for index, modulus in enumerate(MODULI)
+                   for delta in range(1, modulus)]
+    dictionary = [{"target": "dictionary", "entry": entry, "index": index, "delta": delta}
+                  for entry in ENTRY_CUSPS for index, delta in coordinates]
+    payloads += [fault for fault in dictionary if fault not in payloads]
+    for target, names in (("shift", PRINTED_SHIFTS), ("class", ("D1-D0", "D2-D0", "D3-D0", "E"))):
+        payloads += [{"target": target, target: name, "index": index, "delta": delta}
+                     for name in names for index, delta in coordinates]
+    return payloads
+
+
+def payload_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def run_fault(payload: dict) -> str:
+    """The fault corpus line of one corruption: one report under it, read
+    through the fault loader, rendered as text and as JSON."""
+    from quartic_twist.checks import build_report, load_fault, render_json, render_text
+
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "fault.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        report = build_report(fault=load_fault(path))
+    text, data = (render(report).encode("utf-8") for render in (render_text, render_json))
+    return " ".join([str(report.exit_code), digest(text), digest(data), payload_text(payload)])
+
+
+def _rewrite(path: Path, new: dict[str, str], what: str) -> None:
+    """Write the lines of `new` to the corpus at `path` and print what changed."""
+    old = read(path)
+    path.write_text("".join(text + "\n" for text in new.values()), encoding="utf-8")
+    changed = [key for key in new if old.get(key) != new[key]]
+    removed = [key for key in old if key not in new]
+    for key in changed:
+        print(("changed: " if key in old else "added: ") + key)
+    for key in removed:
+        print("removed: " + key)
+    print(f"{len(new)} {what}, {len(changed)} changed or added, {len(removed)} removed")
+
+
 def main() -> int:
-    old = read()
-    new = {" ".join((PROGRAM, *argv)): run(argv) for argv in requests()}
-    CORPUS.write_text("".join(text + "\n" for text in new.values()), encoding="utf-8")
-    changed = [request for request in new if old.get(request) != new[request]]
-    removed = [request for request in old if request not in new]
-    for request in changed:
-        print(("changed: " if request in old else "added: ") + request)
-    for request in removed:
-        print("removed: " + request)
-    print(f"{len(new)} requests, {len(changed)} changed or added, {len(removed)} removed")
+    _rewrite(CORPUS, {" ".join((PROGRAM, *argv)): run(argv) for argv in requests()}, "requests")
+    _rewrite(FAULT_CORPUS, {payload_text(p): run_fault(p) for p in fault_payloads()},
+             "corruptions")
     return 0
 
 
