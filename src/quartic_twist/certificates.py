@@ -9,9 +9,9 @@ add over factors.  The eleven rows:
 
 * 2D_0..2D_3: the four rational bitangents cut out twice the contact
   divisors D_0..D_3, and the conic X^2 + Y^2 + Z^2 cuts out their sum;
-* D1-D0..D3-D0: each difference D_i - D_0 equals a cusp-supported
-  divisor plus div(G/H), which pins down the class of D_i - D_0 in cusp
-  coordinates;
+* D1-D0..D3-D0: each difference D_i - D_0 equals the cusp divisor of the
+  same name in `divisors.CUSP_SUPPORTS` plus div(G/H), which pins down the
+  class of D_i - D_0 in cusp coordinates;
 * 2E, E+sigma3(E), E-sigma3(E): the divisors of the rational functions
   behind the Brauer obstruction of E = 2B_2 - 2B_0; the function of
   E + sigma_3(E) is u_tau, which the cocycle reads.
@@ -34,7 +34,7 @@ from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import MINUS_SQRT2, SIGMA3, zeta
 from .curve import HomogPoly, ProjPoint, X, Y, Z, catalog
-from .divisors import Divisor, from_cusp_support, named_divisor
+from .divisors import CUSP_SUPPORTS, Divisor, from_cusp_support, named_divisor
 from .valuations import CertificateCheck, verify_certificate
 
 
@@ -53,18 +53,6 @@ BITANGENTS = ("2D0", "2D1", "2D2", "2D3", "conic")
 RELATIONS = ("D1-D0", "D2-D0", "D3-D0")
 E_IDENTITIES = ("2E", "E+sigma3(E)", "E-sigma3(E)")
 
-# cusp-supported representatives of the classes [D_i - D_0]
-CUSP_REPRESENTATIVES = {
-    "D1-D0": {"B1": 2, "B2": 2, "B0": -4},
-    "D2-D0": {"A1": 2, "A2": 2, "B1": 2, "B2": 2, "B0": -8},
-    "D3-D0": {"A1": 2, "A2": 2, "B0": -4},
-}
-
-
-def cusp_representative(name: str) -> Divisor:
-    return from_cusp_support(CUSP_REPRESENTATIVES[name])
-
-
 @functools.cache
 def certificate_table() -> Table:
     """The eleven certified identities, keyed by certificate name, in
@@ -80,7 +68,7 @@ def certificate_table() -> Table:
         return tuple(f"T{k}{j}" for k in i for j in range(2))
 
     def relation(i: int, g: HomogPoly, h: HomogPoly, cusps: tuple[str, ...]) -> Certificate:
-        claimed = d[i] - d[0] - cusp_representative(f"D{i}-D0")
+        claimed = d[i] - d[0] - named_divisor(f"D{i}-D0")
         return Certificate(claimed, (g,), (h,), contact(0, i) + cusps)
 
     b = ("B0", "B1", "B2", "B3")
@@ -164,7 +152,6 @@ def cusp_relation_certificates(
 
 
 def e_divisor_equality() -> bool:
-    """E = 2 B_2 - 2 B_0 as an exact identity of divisors."""
-    b2 = Divisor.point(catalog("B2"))
-    b0 = Divisor.point(catalog("B0"))
-    return named_divisor("E") == 2 * b2 - 2 * b0
+    """E = 2 B_2 - 2 B_0, the row "E" of `CUSP_SUPPORTS`, as an exact
+    identity of divisors."""
+    return named_divisor("E") == from_cusp_support(CUSP_SUPPORTS["E"])

@@ -5,9 +5,10 @@ for filtering, a header string for grouping in text output, a label, a
 status, and a JSON-friendly detail ledger.  The twelve entries of the
 cusp dictionary, the classes [P - B_0] keyed by cusp P, are data axioms
 (established by an external Riemann-Roch computation) and are reported as
-SKIPPED(data-axiom); their consistency with the basis divisors
-`BASIS_CUSP_SUPPORT` and all of their downstream consequences are OK/FAIL
-checks.
+SKIPPED(data-axiom); their consistency with the basis divisors and all
+of their downstream consequences are OK/FAIL checks.  Every class a check
+takes is `class_of` a cusp divisor, a row of `divisors.CUSP_SUPPORTS` or
+a cusp moved by an automorphism, read through the run's dictionary.
 
 Ids, headers and labels come from static tables, one row per check
 (`SECTION_ROWS`), generated from the name tables: the cusp names, the
@@ -64,7 +65,7 @@ from .curve import (
     point_name,
     quadratic_points,
 )
-from .divisors import Divisor, named_divisor
+from .divisors import CUSP_SUPPORTS, Divisor, named_divisor
 from .mordell_weil import (
     CLASS_D1_MINUS_D0,
     CLASS_D2_MINUS_D0,
@@ -80,7 +81,7 @@ from .mordell_weil import (
     ZERO_ELEMENT,
     ActionMatrix,
     ModElement,
-    basis_class,
+    class_of,
     cusp_class,
     derive_action_matrix,
     fixed_submodule,
@@ -402,24 +403,16 @@ _BITANGENT_ROWS = _rows(
 
 
 def _bitangent_records(data: _RunData) -> list[CheckRecord]:
-    from .certificates import (
-        RELATIONS,
-        bitangent_checks,
-        cusp_relation_certificates,
-        cusp_representative,
-        e_divisor_equality,
-    )
+    from .certificates import bitangent_checks, cusp_relation_certificates, e_divisor_equality
 
     table, d, classes = data.table("certificate"), data.table("dictionary"), data.table("class")
     checked = bitangent_checks(table) + cusp_relation_certificates(table)
     results = [(check.passed, _certificate_detail(check)) for _, check in checked]
     results.append((e_divisor_equality(), {"divisor": str(named_divisor("E"))}))
-    for name in RELATIONS:
-        computed = cusp_class(cusp_representative(name), d)
-        expected, certificate = classes[name], _CERTIFICATE_ROWS[name][0]
+    for name, expected in classes.items():  # [D_i - D_0] and [E], in that order
+        computed = class_of(CUSP_SUPPORTS[name], d)
+        certificate = "e-support" if name == "E" else _CERTIFICATE_ROWS[name][0]
         results.append((computed == expected, _class_detail(computed, expected, certificate)))
-    e_class = cusp_class(2 * Divisor.point(catalog("B2")) - 2 * Divisor.point(catalog("B0")), d)
-    results.append((e_class == classes["E"], _class_detail(e_class, classes["E"], "e-support")))
     return _records("bitangents", results)
 
 
@@ -459,7 +452,7 @@ def _dictionary_records(data: _RunData) -> list[CheckRecord]:
         )
         for cusp in ENTRY_CUSPS.values()
     ]
-    basis = tuple(basis_class(f"e{j + 1}", d) for j in range(6))
+    basis = tuple(class_of(CUSP_SUPPORTS[f"e{j + 1}"], d) for j in range(6))
     results += [
         (basis[:5] == E_BASIS[:5] and d["B0"] == ZERO_ELEMENT, None),
         (basis[5] == E_BASIS[5], None),

@@ -3,7 +3,8 @@
 Runs the full check suite (or one section, or one check) and prints a
 text or JSON report.  Exit status: 0 when nothing failed, 1 when any
 check failed, 2 on usage errors and when the output cannot be written
-(a closed pipe or stdout, a full disk), each reported as one line on stderr.
+(a closed pipe or stdout, a full disk), each reported as one line on
+stderr; the status stays 2 when stderr itself is closed or unwritable.
 A table-driven parser reads the five options as `argparse` did, without its import.
 """
 
@@ -38,10 +39,23 @@ Exact verification of the divisor, Galois-module and Brauer computations on x^4 
 """
 
 
+def _complain(message: str) -> None:
+    """One line `quartic-twist: <message>` on stderr.  A closed or unwritable
+    stderr loses the line, and what is left in its buffer goes to the null
+    device, so that the flush at exit changes no exit status."""
+    if sys.stderr is None:  # the process started with its stderr closed
+        return
+    try:
+        sys.stderr.write(f"quartic-twist: {message}\n")
+        sys.stderr.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def _usage_error(message: str) -> NoReturn:
     """A usage error, or an output that cannot be written, is one line on
-    stderr, `quartic-twist: <message>`, and exit 2."""
-    sys.stderr.write(f"quartic-twist: {message}\n")
+    stderr and exit 2."""
+    _complain(message)
     raise SystemExit(2)
 
 
@@ -142,7 +156,7 @@ def _answer(args: dict[str, str | bool]) -> int:
         try:
             fault = load_fault(args["fault"])
         except (OSError, ValueError) as error:
-            print(f"quartic-twist: bad fault file: {error}", file=sys.stderr)
+            _complain(f"bad fault file: {error}")
             return 2
 
     try:
@@ -151,7 +165,7 @@ def _answer(args: dict[str, str | bool]) -> int:
         else:
             report = build_report(section=args.get("section"), fault=fault)
     except ValueError as error:
-        print(f"quartic-twist: {error}", file=sys.stderr)
+        _complain(str(error))
         return 2
 
     _write(render_json(report) if args.get("format") == "json" else render_text(report))

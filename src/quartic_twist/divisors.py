@@ -1,10 +1,12 @@
 """Formal Z-linear combinations of points on the quartic.
 
 Divisors are maps from normalized points to nonzero integers; support is
-restricted to points on the curve, so equality of divisors is exact.  The
-constructor, `Divisor.point` and `galois` check that every support point
-lies on the curve; sums, differences and multiples combine supports that
-were already checked and skip the test.
+restricted to points on the curve, so equality of divisors is exact.  Every
+divisor, sums, differences and multiples included, is built by the one
+constructor, which checks that each support point lies on the curve; a
+point already checked costs one lookup in the cache of `curve.on_curve`.
+`CUSP_SUPPORTS` writes, by cusp name, every cusp divisor whose class the
+report takes.
 """
 
 from __future__ import annotations
@@ -28,14 +30,6 @@ class Divisor:
                     raise ValueError(f"support point {point} is not on the curve")
                 clean[point] = n
         self._coeffs = clean
-
-    @classmethod
-    def _checked_support(cls, coeffs: Mapping[ProjPoint, int]) -> Divisor:
-        """A divisor whose support points are already known to lie on the
-        curve; zero coefficients are dropped."""
-        self = object.__new__(cls)
-        self._coeffs = {p: n for p, n in coeffs.items() if n}
-        return self
 
     @classmethod
     def point(cls, point: ProjPoint, multiplicity: int = 1) -> Divisor:
@@ -74,10 +68,10 @@ class Divisor:
         coeffs = dict(self._coeffs)
         for point, n in other._coeffs.items():
             coeffs[point] = coeffs.get(point, 0) + n
-        return Divisor._checked_support(coeffs)
+        return Divisor(coeffs)
 
     def __neg__(self) -> Divisor:
-        return Divisor._checked_support({p: -n for p, n in self._coeffs.items()})
+        return Divisor({p: -n for p, n in self._coeffs.items()})
 
     def __sub__(self, other: Divisor) -> Divisor:
         return self + (-other)
@@ -85,7 +79,7 @@ class Divisor:
     def __mul__(self, n: int) -> Divisor:
         if not isinstance(n, int):
             return NotImplemented
-        return Divisor._checked_support({p: n * m for p, m in self._coeffs.items()})
+        return Divisor({p: n * m for p, m in self._coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -117,14 +111,20 @@ class Divisor:
 # ---------------------------------------------------------------------------
 # named divisors
 
-# cusp-supported divisors underlying the module basis of divisor classes
-BASIS_CUSP_SUPPORT: dict[str, dict[str, int]] = {
+# name -> {cusp: n}: the basis e1..e6 of the divisor-class module, the cusp
+# divisors in the classes [D_i - D_0] that the relation certificates pin
+# down, and E
+CUSP_SUPPORTS: dict[str, dict[str, int]] = {
     "e1": {"A1": 1, "B0": -1},
     "e2": {"A2": 1, "B0": -1},
     "e3": {"B1": 1, "B0": -1},
     "e4": {"B2": 1, "B0": -1},
     "e5": {"C1": 1, "B0": -1},
     "e6": {"A1": 1, "B1": 1, "C1": 1, "A2": 1, "B2": 1, "C2": 1, "B0": -6},
+    "D1-D0": {"B1": 2, "B2": 2, "B0": -4},
+    "D2-D0": {"A1": 2, "A2": 2, "B1": 2, "B2": 2, "B0": -8},
+    "D3-D0": {"A1": 2, "A2": 2, "B0": -4},
+    "E": {"B2": 2, "B0": -2},
 }
 
 
@@ -134,12 +134,13 @@ def from_cusp_support(support: Mapping[str, int]) -> Divisor:
 
 def named_divisor(name: str) -> Divisor:
     """Divisors referred to by name: the bitangent contact divisors D0..D3,
-    the degree-0 divisor E, and the cusp differences e1..e6."""
+    the degree-0 divisor E = 2E+ - 2E-, and each other row of
+    `CUSP_SUPPORTS` (the row "E" is the cusp divisor equal to E)."""
     if name in ("D0", "D1", "D2", "D3"):
         i = name[1]
         return Divisor.point(catalog(f"T{i}0")) + Divisor.point(catalog(f"T{i}1"))
     if name == "E":
         return 2 * Divisor.point(catalog("E+")) - 2 * Divisor.point(catalog("E-"))
-    if name in BASIS_CUSP_SUPPORT:
-        return from_cusp_support(BASIS_CUSP_SUPPORT[name])
+    if name in CUSP_SUPPORTS:
+        return from_cusp_support(CUSP_SUPPORTS[name])
     raise ValueError(f"unknown named divisor {name!r}")

@@ -2,14 +2,17 @@
 Galois module structure.
 
 The group is M = (Z/4)^5 + Z/2 with basis e_1..e_6 of cusp-difference
-classes, whose cusp divisors are `BASIS_CUSP_SUPPORT`.  The dictionary,
-keyed by cusp, gives the class [P - B_0] of each of the twelve cusps P in
-that basis (the paper's alpha_i = [A_i - B_0], beta_i = [B_i - B_0],
-gamma_i = [C_i - B_0]).  It is carried as constant data (it is
-established by an external Riemann-Roch computation and is cross-checked
-here only for internal consistency); everything downstream - action
-matrices, fixed submodules, images, torsor searches - is recomputed from
-scratch by brute-force enumeration of all 2048 elements.
+classes, whose cusp divisors are the rows e1..e6 of
+`divisors.CUSP_SUPPORTS`.  The dictionary, keyed by cusp, gives the class
+[P - B_0] of each of the twelve cusps P in that basis (the paper's
+alpha_i = [A_i - B_0], beta_i = [B_i - B_0], gamma_i = [C_i - B_0]).  It
+is carried as constant data (it is established by an external
+Riemann-Roch computation and is cross-checked here only for internal
+consistency).  `class_of` reads every class the report takes from it:
+the sum of n * [P - B_0] over the cusps P of a degree-0 cusp divisor,
+B_0 included.  Everything downstream - action matrices, fixed
+submodules, images, torsor searches - is recomputed from scratch by
+brute-force enumeration of all 2048 elements.
 
 The enumerations run over integer codes: element n of `all_elements()` has
 code n, the coordinates packed as two-bit digits (one bit for e_6).  Each
@@ -30,7 +33,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .curve import CUSP_BY_POINT
-from .divisors import BASIS_CUSP_SUPPORT, Divisor
+from .divisors import CUSP_SUPPORTS, Divisor
 
 MODULI = (4, 4, 4, 4, 4, 2)
 
@@ -253,50 +256,41 @@ def perturbed_dictionary(name: str, index: int, delta: int) -> Dictionary:
     return {**CUSP_DICTIONARY, cusp: CUSP_DICTIONARY[cusp] + delta * E_BASIS[index]}
 
 
-def basis_class(name: str, dictionary: Dictionary = CUSP_DICTIONARY) -> ModElement:
-    """The class of the basis divisor `name` ("e1".."e6") of
-    `BASIS_CUSP_SUPPORT` read from the dictionary: the sum of n * [P - B_0]
-    over its cusps P other than B_0.  The B_0 term is left out, as each
-    entry already is a difference with B_0."""
+def class_of(support: Mapping[str, int], dictionary: Dictionary = CUSP_DICTIONARY) -> ModElement:
+    """The class of a degree-0 divisor supported on the twelve cusps, keyed
+    by cusp name: the sum of n * [P - B_0] over its cusps P, B_0 included."""
+    if sum(support.values()) != 0:
+        raise ValueError("a cusp class needs a degree-0 divisor")
     total = ZERO_ELEMENT
-    for cusp, n in BASIS_CUSP_SUPPORT[name].items():
-        if cusp != "B0":
-            total = total + n * dictionary[cusp]
+    for cusp, n in support.items():
+        total = total + n * dictionary[cusp]
     return total
 
 
 def cusp_class(
     divisor: Divisor, dictionary: Dictionary = CUSP_DICTIONARY
 ) -> ModElement:
-    """Divisor class of a degree-0 divisor supported on the twelve cusps.
-
-    Writes the divisor as an integer combination of the differences
-    [cusp - B_0] and sums the dictionary entries.
-    """
-    if divisor.degree() != 0:
-        raise ValueError("cusp_class needs a degree-0 divisor")
-    total = ZERO_ELEMENT
+    """Divisor class of a degree-0 divisor supported on the twelve cusps:
+    `class_of` its support, by cusp name."""
+    support = {}
     for point, n in divisor.items():
         name = CUSP_BY_POINT.get(point)
         if name is None:
             raise ValueError(f"support point {point} is not a cusp")
-        total = total + n * dictionary[name]
-    return total
+        support[name] = n
+    return class_of(support, dictionary)
 
 
 def derive_action_matrix(
     permutation: Mapping[str, str], dictionary: Dictionary = CUSP_DICTIONARY
 ) -> ActionMatrix:
     """Matrix of a Galois element from its cusp permutation: permute the
-    cusp divisor underlying each basis class and re-expand."""
-    columns = []
-    for i in range(6):
-        support = BASIS_CUSP_SUPPORT[f"e{i + 1}"]
-        column = ZERO_ELEMENT
-        for cusp, n in support.items():
-            column = column + n * dictionary[permutation[cusp]]
-        columns.append(column)
-    return ActionMatrix.from_columns(columns)
+    cusp divisor underlying each basis class and take its class."""
+    return ActionMatrix.from_columns([
+        class_of({permutation[cusp]: n for cusp, n in CUSP_SUPPORTS[f"e{i + 1}"].items()},
+                 dictionary)
+        for i in range(6)
+    ])
 
 
 @functools.lru_cache(maxsize=32)

@@ -277,6 +277,49 @@ def test_output_onto_a_full_device(request_args, buffering):
     assert (result.returncode, result.stderr) == (2, expected)
 
 
+# three usage errors and an unwritable output: each exits 2 whatever
+# becomes of the line on stderr
+_EXIT_2_REQUESTS = [["--check", "nope"], ["--section", "bogus"], ["--fault", "/nonexistent"],
+                    ["--list"]]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("buffering", _BUFFERING)
+@pytest.mark.parametrize("request_args", _EXIT_2_REQUESTS)
+def test_exit_2_with_stderr_on_a_full_device(request_args, buffering):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "quartic_twist", *request_args], stdout=full,
+            stderr=full, env=_cli_env(buffering),
+        )
+    assert result.returncode == 2
+
+
+@pytest.mark.parametrize("buffering", _BUFFERING)
+@pytest.mark.parametrize("request_args", _EXIT_2_REQUESTS)
+def test_exit_2_with_stderr_closed(request_args, buffering):
+    # stdout is a pipe with no reader, so `--list` cannot write either
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "quartic_twist",
+             *request_args], stdout=write_end, env=_cli_env(buffering),
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+
+
+def test_usage_errors_in_process_with_no_stderr(monkeypatch):
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(["--check", "nope"]) == 2
+    assert main(["--fault", "/nonexistent"]) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--section", "bogus"])
+    assert exit_info.value.code == 2
+
+
 @pytest.mark.parametrize(
     "fixture",
     ["fault_dictionary.json", "fault_matrix.json", "fault_certificate.json",

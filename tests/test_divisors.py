@@ -5,8 +5,9 @@ import random
 import pytest
 
 from quartic_twist.cyclotomic import IDENTITY, SIGMA3, SIGMA3_ALT, SIGMA5
-from quartic_twist.curve import CATALOG, ProjPoint, catalog
-from quartic_twist.divisors import BASIS_CUSP_SUPPORT, Divisor, named_divisor
+from quartic_twist import divisors
+from quartic_twist.curve import CATALOG, HomogPoly, ProjPoint, catalog
+from quartic_twist.divisors import CUSP_SUPPORTS, Divisor, named_divisor
 
 
 def test_group_identities():
@@ -29,8 +30,9 @@ def test_degrees():
     assert named_divisor("E").degree() == 0
     d1, d2 = named_divisor("D1"), named_divisor("D2")
     assert (d1 + d2).degree() == d1.degree() + d2.degree()
-    for name in BASIS_CUSP_SUPPORT:
+    for name in CUSP_SUPPORTS:  # the basis, the three [D_i - D_0] and E
         assert named_divisor(name).degree() == 0
+    assert len(CUSP_SUPPORTS) == 10
 
 
 def test_named_divisor_d1():
@@ -48,6 +50,7 @@ def test_named_divisor_e():
     assert e == 2 * Divisor.point(catalog("E+")) - 2 * Divisor.point(catalog("E-"))
     # also an exact identity of divisors, not merely of classes
     assert e == 2 * Divisor.point(catalog("B2")) - 2 * Divisor.point(catalog("B0"))
+    assert CUSP_SUPPORTS["E"] == {"B2": 2, "B0": -2}
 
 
 def test_unknown_name():
@@ -154,3 +157,18 @@ def test_arithmetic_drops_zero_coefficients():
         assert hash(zero) == hash(Divisor.zero())
     partial = d - Divisor.point(catalog("T20"))
     assert catalog("T20") not in partial.support()
+
+
+def test_arithmetic_checks_each_point_by_one_cache_lookup(monkeypatch):
+    # sums, differences and multiples test their support through the one
+    # constructor, and a point already tested costs no new evaluation
+    d, e = named_divisor("D2"), named_divisor("E")
+    tested, evaluated = [], []
+    on_curve, evaluate = divisors.on_curve, HomogPoly.evaluate
+    monkeypatch.setattr(divisors, "on_curve", lambda p: tested.append(p) or on_curve(p))
+    monkeypatch.setattr(HomogPoly, "evaluate",
+                        lambda self, p: evaluated.append(p) or evaluate(self, p))
+    for result in (d + e, d - e, -d, 3 * d, e * -2):
+        assert set(result.support()) <= set(tested)
+    assert set(tested) == set(d.support()) | set(e.support())
+    assert evaluated == []

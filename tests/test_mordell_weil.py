@@ -12,7 +12,7 @@ from quartic_twist.curve import (
     SIGMA5_CUSP_TABLE,
     catalog,
 )
-from quartic_twist.divisors import Divisor, named_divisor
+from quartic_twist.divisors import CUSP_SUPPORTS, Divisor, named_divisor
 from quartic_twist.mordell_weil import (
     CLASS_D1_MINUS_D0,
     CLASS_D2_MINUS_D0,
@@ -30,6 +30,7 @@ from quartic_twist.mordell_weil import (
     ActionMatrix,
     ModElement,
     all_elements,
+    class_of,
     cusp_class,
     decode,
     derive_action_matrix,
@@ -87,8 +88,13 @@ def _basis_consistent(d) -> bool:
 
 def _gamma2_consistent(d) -> bool:
     """gamma_2 rearranges the definition
-    e_6 = alpha_1 + alpha_2 + beta_1 + beta_2 + gamma_1 + gamma_2."""
-    return d["A1"] + d["A2"] + d["B1"] + d["B2"] + d["C1"] + d["C2"] == e6
+    e_6 = [A_1 + A_2 + B_1 + B_2 + C_1 + C_2 - 6 B_0]
+        = alpha_1 + alpha_2 + beta_1 + beta_2 + gamma_1 + gamma_2 - 6 beta_0."""
+    return _sum_of_six(d) - 6 * d["B0"] == e6
+
+
+def _sum_of_six(d):
+    return d["A1"] + d["A2"] + d["B1"] + d["B2"] + d["C1"] + d["C2"]
 
 
 def test_dictionary_consistency():
@@ -103,19 +109,31 @@ def test_dictionary_consistency():
     assert CUSP_DICTIONARY["C3"] == PRINTED_S5(e5) + e4
 
 
-def test_consistency_checks_under_every_dictionary_corruption():
-    """Each single-coordinate corruption of one entry, 192 of them, gets the
-    verdicts of the two definitions written out above.  The 10 odd
-    corruptions of beta_0 in e_1..e_5 fail dict-basis and leave
-    dict-gamma2-e6 OK: e_6 is read without its B_0 term."""
-    status = {True: "OK", False: "FAIL"}
-    corruptions = [
+def _corruptions() -> list[tuple[str, int, int]]:
+    """Each single-coordinate corruption of one dictionary entry: 192."""
+    return [
         (entry, index, delta)
         for entry in ENTRY_CUSPS
         for index, modulus in enumerate(MODULI)
         for delta in range(1, modulus)
     ]
+
+
+def test_consistency_checks_under_every_dictionary_corruption():
+    """Each single-coordinate corruption of one entry, 192 of them, gets the
+    verdicts of the two definitions written out above.  e_6 is read with
+    its -6 beta_0 term, as every class is, so the 10 odd corruptions of
+    beta_0 in e_1..e_5 fail both dict-basis and dict-gamma2-e6; without
+    that term they would leave dict-gamma2-e6 OK."""
+    status = {True: "OK", False: "FAIL"}
+    corruptions = _corruptions()
     assert len(corruptions) == 192
+    # the corruptions whose e_6 verdict the -6 beta_0 term decides
+    decided_by_b0 = [
+        c for c in corruptions
+        if _gamma2_consistent(d := perturbed_dictionary(*c)) != (_sum_of_six(d) == e6)
+    ]
+    assert decided_by_b0 == [("beta0", index, delta) for index in range(5) for delta in (1, 3)]
     for entry, index, delta in corruptions:
         fault = Fault("dictionary", (entry, index), delta)
         d = perturbed_dictionary(entry, index, delta)
@@ -143,13 +161,34 @@ def test_cusp_class_rejects_bad_input():
 
 
 def test_bitangent_class_relation_from_certified_representatives():
-    from quartic_twist.certificates import cusp_representative
-
-    d1 = cusp_class(cusp_representative("D1-D0"))
-    d2 = cusp_class(cusp_representative("D2-D0"))
-    d3 = cusp_class(cusp_representative("D3-D0"))
+    d1 = cusp_class(named_divisor("D1-D0"))
+    d2 = cusp_class(named_divisor("D2-D0"))
+    d3 = cusp_class(named_divisor("D3-D0"))
     assert (d1, d2, d3) == (CLASS_D1_MINUS_D0, CLASS_D2_MINUS_D0, CLASS_D3_MINUS_D0)
     assert d1 + d2 == d3
+
+
+def test_every_cusp_support_has_one_class_under_every_dictionary():
+    # the class map over cusp names agrees with the one over divisors, for the
+    # clean dictionary and for each of the 192 corruptions
+    dictionaries = [CUSP_DICTIONARY] + [perturbed_dictionary(*c) for c in _corruptions()]
+    assert len(CUSP_SUPPORTS) == 10
+    for name, support in CUSP_SUPPORTS.items():
+        assert sum(support.values()) == 0, name
+        divisor = named_divisor(name)
+        for d in dictionaries:
+            assert cusp_class(divisor, d) == class_of(support, d), name
+    assert [class_of(CUSP_SUPPORTS[f"e{j}"]) for j in range(1, 7)] == list(E_BASIS)
+    classes = [class_of(CUSP_SUPPORTS[name]) for name in ("D1-D0", "D2-D0", "D3-D0", "E")]
+    assert classes == [CLASS_D1_MINUS_D0, CLASS_D2_MINUS_D0, CLASS_D3_MINUS_D0, CLASS_E]
+
+
+def test_class_of_reads_b0_and_needs_degree_zero():
+    moved = perturbed_dictionary("beta0", 0, 1)  # [B_0 - B_0] corrupted to e_1
+    assert class_of({"A1": 1, "B0": -1}, moved) == ZERO_ELEMENT
+    assert class_of({"B0": 6, "C2": -6}, moved) == 2 * e1 - 6 * moved["C2"]
+    with pytest.raises(ValueError):
+        class_of({"A1": 1})
 
 
 def test_derived_matrices_match_printed():

@@ -13,7 +13,6 @@ from quartic_twist.certificates import (
     bitangent_checks,
     certificate_table,
     cusp_relation_certificates,
-    cusp_representative,
     e_divisor_equality,
     verify_principal_divisor,
 )
@@ -251,7 +250,7 @@ def test_e_divisor_equality():
 
 def test_cusp_representatives_have_degree_zero():
     for name in ("D1-D0", "D2-D0", "D3-D0"):
-        assert cusp_representative(name).degree() == 0
+        assert named_divisor(name).degree() == 0
 
 
 CERT_FORMS = None

@@ -34,10 +34,17 @@ most (14 with doubling).  It inverts 19 field elements: F_dep(P) once at each of
 the 14 points expanded beyond precision 1, and 5 divisions in the Brauer
 cocycle, which is computed once.  Inverting per precision and
 normalizing the Galois images of normalized points again costs 157.  It
-constructs 268 elements of the divisor-class module through the
-reducing constructor, 22 of them reading the six basis divisors from the
-cusp dictionary; the 2048 of the enumeration are built from coordinates
-already reduced (2,304 before).
+constructs 280 elements of the divisor-class module through the
+reducing constructor, 34 of them reading the six basis divisors from the
+cusp dictionary, B_0 included (268 and 22 when the basis classes left
+out the B_0 term); the 2048 of the enumeration are built from
+coordinates already reduced (2,304 before).  Every divisor goes through
+the one constructor, which tests its support on the curve: a cold report
+builds 181 divisors, 98 of them sums, differences and multiples, and
+still evaluates the curve at 16 points, since a point already tested is
+one cache lookup.  Before, a second constructor built 106 such results
+unchecked, of 195 divisors; taking the classes `coords-*` and the
+divisor of `e-support` from the table of cusp supports builds 14 fewer.
 
 Work whose result a report throws away is pinned at what the report
 keeps.  A report runs with the cyclic garbage collector paused: it frees
