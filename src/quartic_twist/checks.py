@@ -37,17 +37,19 @@ It changes one entry of one of the five tables of `_TABLES`, each a
 mapping with one rule that applies a fault: the cusp dictionary, the
 action matrices, the certificate table (a fault reaches the eleven forms
 of its bitangent and relation rows), the shifts (sigma - 1)[A_0] and the
-classes [D_i - D_0] and [E].  The loader checks a fault by applying that
-rule, and a run applies the same rule once; every builder reads the
-tables only through `_RunData.table`, so the `bitangents` and `brauer`
-sections verify the rows of the run's certificate table and the cocycle
-reads u_tau from its row.
+classes [D_i - D_0] and [E].  The loader's check, `parse_fault`, applies
+that rule, a run applies it once, and `fault_space` is the fault space:
+each candidate of a table that `parse_fault` accepts.  Every builder
+reads the tables only through `_RunData.table`, so the `bitangents` and
+`brauer` sections verify the rows of the run's certificate table and the
+cocycle reads u_tau from its row.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import product
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from . import theorems
@@ -75,6 +77,7 @@ from .mordell_weil import (
     ORDER,
     CUSP_DICTIONARY,
     ENTRY_CUSPS,
+    MODULI,
     PRINTED_S3,
     PRINTED_S5,
     PRINTED_SHIFTS,
@@ -143,11 +146,12 @@ _KINDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
 }
 
 
-_Table = namedtuple("_Table", "fields clean faulted")
+_Table = namedtuple("_Table", "fields clean faulted candidates")
 _Table.__doc__ = """A table a fault may corrupt: `fields`, the fault file's key
 fields in key order, each with its kind (a dict of str to str); `clean`,
-which returns the clean table, read on first use; and `faulted`, the one
-rule that returns the table with `delta` added at a key."""
+which returns the clean table, read on first use; `faulted`, the one
+rule that returns the table with `delta` added at a key; and `candidates`,
+which returns the (key, delta) pairs `fault_space` tries, keys as in a file."""
 
 
 def _certificates():
@@ -167,18 +171,36 @@ def _added(table: Mapping[str, ModElement]) -> Callable[..., dict[str, ModElemen
     return lambda name, index, delta: {**table, name: table[name] + delta * E_BASIS[index]}
 
 
+def _modular(*parts: Iterable) -> Callable[[], list]:
+    """Each delta 1..modulus-1 at each key of the product of the parts,
+    whose second part indexes `MODULI`: a class's coordinate, a matrix row."""
+    return lambda: [(key, delta) for key in product(*parts)
+                    for delta in range(1, MODULI[key[1]])]
+
+
+def _form_candidates() -> list:
+    """-2, -1, 1 and 2 on each monomial of each certificate form."""
+    return [((name, part, [a, b, form.degree - a - b]), delta)
+            for (name, part), form in _certificates().certificate_forms().items()
+            for a in range(form.degree + 1) for b in range(form.degree + 1 - a)
+            for delta in (-2, -1, 1, 2)]
+
+
 _TABLES = {
     "dictionary": _Table({"entry": "name", "index": "coordinate"},
-                         lambda: CUSP_DICTIONARY, perturbed_dictionary),
+                         lambda: CUSP_DICTIONARY, perturbed_dictionary,
+                         _modular(ENTRY_CUSPS, range(6))),
     "matrix": _Table({"matrix": "name", "row": "coordinate", "col": "coordinate"},
-                     lambda: PRINTED_MATRICES, _perturbed_matrices),
+                     lambda: PRINTED_MATRICES, _perturbed_matrices,
+                     _modular(PRINTED_MATRICES, range(6), range(6))),
     "certificate": _Table({"certificate": "name", "part": "name", "monomial": "monomial"},
                           lambda: _certificates().certificate_table(),
-                          lambda *key: _certificates().faulted_table(*key)),
+                          lambda *key: _certificates().faulted_table(*key), _form_candidates),
     "shift": _Table({"shift": "name", "index": "coordinate"},
-                    lambda: PRINTED_SHIFTS, _added(PRINTED_SHIFTS)),
+                    lambda: PRINTED_SHIFTS, _added(PRINTED_SHIFTS),
+                    _modular(PRINTED_SHIFTS, range(6))),
     "class": _Table({"class": "name", "index": "coordinate"},
-                    lambda: _CLASSES, _added(_CLASSES)),
+                    lambda: _CLASSES, _added(_CLASSES), _modular(_CLASSES, range(6))),
 }
 
 
@@ -189,17 +211,21 @@ def _faulted(fault: Fault) -> Mapping:
 
 
 def load_fault(path: str) -> Fault:
-    """Read a fault file and check it by applying it.  A fault that is
-    malformed, names no entry, makes an entry its table rejects (an action
-    matrix that sends e_6 outside the 2-torsion, a monomial of the wrong
-    degree) or leaves its table unchanged raises ValueError."""
+    """Read a fault file and check it with `parse_fault`."""
     import json
 
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            return parse_fault(json.load(handle))
         except RecursionError as error:
             raise ValueError(str(error)) from None
+
+
+def parse_fault(data: Any) -> Fault:
+    """Check a fault file's payload by applying it.  A fault that is
+    malformed, names no entry, makes an entry its table rejects (an action
+    matrix that sends e_6 outside the 2-torsion, a monomial of the wrong
+    degree) or leaves its table unchanged raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     target = data.get("target")
@@ -227,6 +253,21 @@ def load_fault(path: str) -> Fault:
     if faulted == table.clean():
         raise ValueError(f"delta {fault.delta} leaves the {target} {key} unchanged")
     return fault
+
+
+def fault_space(target: str) -> list[dict]:
+    """Every valid corruption of one of `_TABLES`, as fault-file payloads
+    in the order of its candidates: those that `parse_fault` accepts."""
+    table = _TABLES[target]
+    space = []
+    for key, delta in table.candidates():
+        payload = {"target": target, **dict(zip(table.fields, key)), "delta": delta}
+        try:
+            parse_fault(payload)
+        except ValueError:
+            continue
+        space.append(payload)
+    return space
 
 
 CheckRecord = namedtuple("CheckRecord", "check_id section header label status detail",
@@ -672,7 +713,8 @@ def _brauer_records(data: _RunData) -> list[CheckRecord]:
     e = named_divisor("E")
     results += [
         (e.galois(SIGMA5) == -e, None),
-        (e.galois(TAU) == -e.galois(SIGMA3), None),
+        # tau(E) = -sigma_3(E), with sigma_3(E) read from its certificate row
+        (e.galois(TAU) + certificates["E+sigma3(E)"].claimed == e, None),
         (product_of_linear_forms() == X ** 4 + Z ** 4, None),
     ]
     table = cocycle_table(certificates[U_TAU])

@@ -170,7 +170,3 @@ def _answer(args: dict[str, str | bool]) -> int:
 
     _write(render_json(report) if args.get("format") == "json" else render_text(report))
     return report.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

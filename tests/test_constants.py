@@ -1,7 +1,7 @@
 """Each printed constant is written once: a label that states a constant
 is rendered from the clean constant, so no fault moves it, a section
-builder reads a constant only through its run, and the certificate forms
-are one table that the benchmark's fault generator agrees with."""
+builder reads a constant only through its run, and the benchmark's
+fault generator draws from the program's one fault space."""
 
 import ast
 import json
@@ -9,9 +9,10 @@ import random
 import re
 from pathlib import Path
 
+import pytest
+
 from quartic_twist import checks
-from quartic_twist.certificates import certificate_forms
-from quartic_twist.checks import build_report, load_fault
+from quartic_twist.checks import build_report, fault_space, load_fault, parse_fault
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_NAMES = (
@@ -21,24 +22,62 @@ FIXTURE_NAMES = (
 
 
 def _rows(fault=None) -> list[tuple[str, str, str]]:
-    return [(r.check_id, r.header, r.label) for r in build_report(fault=fault).checks]
+    """The rows of a full report; a section that could not run (the galois
+    section under the 60 odd dictionary corruptions, whose derived matrix
+    is no map on M) stands as the rows its builder record replaces."""
+    rows = []
+    for r in build_report(fault=fault).checks:
+        if r.check_id == f"{r.section}-builder":
+            rows += checks.SECTION_ROWS[r.section]
+        else:
+            rows.append((r.check_id, r.header, r.label))
+    return rows
 
 
-def test_a_fault_moves_no_label(bench_faults, tmp_path):
+def test_a_fault_moves_no_label(tmp_path):
     clean = _rows()
     paths = [FIXTURES / name for name in FIXTURE_NAMES]
     rng = random.Random(12)
-    for target in sorted(bench_faults.SPACES):
-        for n, payload in enumerate(rng.sample(bench_faults.SPACES[target], 3)):
+    for target in sorted(checks._TABLES):
+        for n, payload in enumerate(rng.sample(fault_space(target), 3)):
             paths.append(tmp_path / f"{target}-{n}.json")
             paths[-1].write_text(json.dumps(payload), encoding="utf-8")
     for path in paths:
         assert _rows(load_fault(str(path))) == clean, path.read_text(encoding="utf-8")
 
 
-def test_forms_table_matches_the_fault_generator(bench_faults):
-    degrees = [(key, form.degree) for key, form in certificate_forms().items()]
-    assert degrees == list(bench_faults.CERTIFICATE_FORMS.items())
+def test_the_benchmark_draws_from_the_fault_space(bench_faults):
+    # each benchmark space is an ordered subsequence of `fault_space`, the
+    # whole of it for the matrices and the certificate forms
+    for target in bench_faults.TARGETS:
+        space = iter(fault_space(target))
+        assert all(payload in space for payload in bench_faults.SPACES[target]), target
+    for target in ("matrix", "certificate"):
+        assert bench_faults.SPACES[target] == fault_space(target)
+    # the dictionary corruptions it leaves out: an odd delta in e_1..e_5 of
+    # an entry whose cusp an automorphism sends into e_6's support
+    left_out = [p for p in fault_space("dictionary") if p not in bench_faults.SPACES["dictionary"]]
+    assert len(left_out) == 60 and left_out == [
+        p for p in fault_space("dictionary")
+        if p["entry"] in bench_faults.E6_IMAGE_ENTRIES and p["index"] < 5 and p["delta"] % 2
+    ]
+
+
+def test_the_fault_space_drops_only_what_the_loader_rejects():
+    # of every candidate, only the 20 odd deltas in column 6, rows 1-5, of
+    # an action matrix are invalid: they send e_6 outside the 2-torsion
+    dropped = []
+    for target, table in checks._TABLES.items():
+        space = fault_space(target)
+        candidates = [{"target": target, **dict(zip(table.fields, key)), "delta": delta}
+                      for key, delta in table.candidates()]
+        dropped += [payload for payload in candidates if payload not in space]
+    assert len(dropped) == 20
+    for payload in dropped:
+        assert (payload["target"], payload["col"], payload["delta"] % 2) == ("matrix", 5, 1)
+        assert payload["row"] < 5
+        with pytest.raises(ValueError, match="2-torsion"):
+            parse_fault(payload)
 
 
 def _names(node: ast.AST) -> list[str]:

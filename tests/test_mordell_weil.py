@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from quartic_twist.checks import PRINTED_MATRICES, Fault, run_single
+from quartic_twist.checks import PRINTED_MATRICES, Fault, fault_space, run_single
 from quartic_twist.curve import (
     CUSP_NAMES,
     SIGMA3_CUSP_TABLE,
@@ -22,7 +22,6 @@ from quartic_twist.mordell_weil import (
     MODULI,
     ORDER,
     CUSP_DICTIONARY,
-    ENTRY_CUSPS,
     PRINTED_S3,
     PRINTED_S5,
     PRINTED_SHIFTS,
@@ -111,12 +110,7 @@ def test_dictionary_consistency():
 
 def _corruptions() -> list[tuple[str, int, int]]:
     """Each single-coordinate corruption of one dictionary entry: 192."""
-    return [
-        (entry, index, delta)
-        for entry in ENTRY_CUSPS
-        for index, modulus in enumerate(MODULI)
-        for delta in range(1, modulus)
-    ]
+    return [(p["entry"], p["index"], p["delta"]) for p in fault_space("dictionary")]
 
 
 def test_consistency_checks_under_every_dictionary_corruption():
@@ -228,13 +222,13 @@ def test_involutions_and_commutation_on_all_elements():
     assert s3s5 == s5s3
 
 
-def test_involution_verdict_is_the_matrix_product_verdict(bench_faults):
+def test_involution_verdict_is_the_matrix_product_verdict():
     # `involution` composes the tables of s_3 and s_5 code by code; on every
     # valid matrix corruption it must agree with the tables of s_3 s_5 and
     # s_5 s_3, the products taken as matrices
     codes = list(range(ORDER))
     verdicts = []
-    for payload in bench_faults.matrix_faults():
+    for payload in fault_space("matrix"):
         name, row, col, delta = (payload[k] for k in ("matrix", "row", "col", "delta"))
         rows = [list(r) for r in PRINTED_MATRICES[name].rows]
         rows[row][col] += delta

@@ -1,20 +1,26 @@
 """The output corpora.  In `tests/golden/outputs.sha256` every request of
 the CLI, text and JSON, clean and under each fault fixture, has the exit
 code and the stdout and stderr hashes committed.  In
-`tests/golden/faults.sha256` each of 724 valid one-constant corruptions
-has the exit code and the hashes of the full text and JSON reports under
-it; a seeded tenth of them is re-run here.  `tools/outputs.py` rewrites
+`tests/golden/faults.sha256` each of the 724 valid one-constant
+corruptions of `checks.fault_space` has the exit code and the hashes of
+the full text and JSON reports under it; every line must exit 1, and a
+seeded tenth of them is re-run here.  `tools/outputs.py` rewrites
 both files and names the lines that changed; a deliberate change of
 output regenerates them."""
 
 import importlib.util
+import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from quartic_twist import checks
+from quartic_twist.checks import fault_space, load_fault
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,18 +67,25 @@ def test_a_fresh_process_matches_the_corpus(outputs, argv):
     assert outputs.line(argv, process.returncode, process.stdout, process.stderr) == committed
 
 
-def test_fault_corpus_covers_every_corruption(outputs, bench_faults):
-    payloads = outputs.fault_payloads()
-    assert list(outputs.read(outputs.FAULT_CORPUS)) == list(map(outputs.payload_text, payloads))
-    assert len({outputs.payload_text(p) for p in payloads}) == len(payloads) == 724
-    bench = [fault for target in bench_faults.TARGETS for fault in bench_faults.SPACES[target]]
-    assert payloads[:552] == bench
-    targets = [p["target"] for p in payloads[552:]]
-    assert targets == ["dictionary"] * 60 + ["shift"] * 48 + ["class"] * 64
-    # the dictionary corruptions the benchmark leaves out: an odd delta in
-    # e_1..e_5 of an entry whose cusp an automorphism sends into e_6's support
-    assert all(p["entry"] in bench_faults.E6_IMAGE_ENTRIES and p["index"] < 5 and p["delta"] % 2
-               for p in payloads[552:612])
+def test_fault_corpus_covers_every_corruption(outputs, tmp_path):
+    """A corrupted run must produce at least one FAIL: every line of the
+    fault corpus exits 1, and its payloads are `fault_space`'s, in table
+    order, each accepted by the loader as a file."""
+    committed = outputs.read(outputs.FAULT_CORPUS)
+    lines = outputs.FAULT_CORPUS.read_text(encoding="utf-8").splitlines()
+    payloads = [p for target in checks._TABLES for p in fault_space(target)]
+    assert outputs.fault_payloads() == payloads
+    assert list(committed) == list(map(outputs.payload_text, payloads))
+    assert len(lines) == len(committed) == 724
+    assert [text.split(" ", 1)[0] for text in lines] == ["1"] * len(lines)
+    counts = Counter(p["target"] for p in payloads)
+    assert counts == {"dictionary": 192, "matrix": 172, "certificate": 248,
+                      "shift": 48, "class": 64}
+    path = tmp_path / "fault.json"
+    for payload in payloads:
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        fault = load_fault(str(path))
+        assert (fault.target, fault.delta) == (payload["target"], payload["delta"])
 
 
 def test_a_seeded_tenth_of_the_corruptions_matches_the_corpus(outputs):

@@ -18,7 +18,7 @@ from quartic_twist.certificates import (
 )
 from quartic_twist import valuations
 from quartic_twist.brauer import verify_e_identities
-from quartic_twist.checks import Fault, _faulted, build_report, load_fault
+from quartic_twist.checks import Fault, _faulted, build_report, fault_space, load_fault
 from quartic_twist.cyclotomic import (
     MINUS_SQRT2, ONE, SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, TAU, ZERO, CycNum, d_power,
     rational, zeta,
@@ -591,12 +591,10 @@ def _report_reads(monkeypatch, tmp_path, payload=None):
     return reads
 
 
-def test_on_demand_valuation_matches_full_composition_where_reports_read(
-    monkeypatch, tmp_path, bench_faults
-):
+def test_on_demand_valuation_matches_full_composition_where_reports_read(monkeypatch, tmp_path):
     fixture = FIXTURES / "fault_certificate.json"
     payloads = [None, json.loads(fixture.read_text(encoding="utf-8"))]
-    payloads += random.Random(1804).sample(bench_faults.SPACES["certificate"], 9)
+    payloads += random.Random(1804).sample(fault_space("certificate"), 9)
     cases = {}
     for payload in payloads:
         cases.update(_report_reads(monkeypatch, tmp_path, payload))

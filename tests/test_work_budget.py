@@ -40,7 +40,7 @@ cusp dictionary, B_0 included (268 and 22 when the basis classes left
 out the B_0 term); the 2048 of the enumeration are built from
 coordinates already reduced (2,304 before).  Every divisor goes through
 the one constructor, which tests its support on the curve: a cold report
-builds 181 divisors, 98 of them sums, differences and multiples, and
+builds 180 divisors, 98 of them sums, differences and multiples, and
 still evaluates the curve at 16 points, since a point already tested is
 one cache lookup.  Before, a second constructor built 106 such results
 unchecked, of 195 divisors; taking the classes `coords-*` and the

@@ -15,31 +15,30 @@ reads the same in every line.  A line reads
 
     <exit code> <sha256 of stdout> <sha256 of stderr> quartic-twist <argv>
 
-with the output encoded as UTF-8.  The corruptions are the 552 that
-`perfbench/faults.py` generates (imported read-only), the 60 odd
-dictionary corruptions it leaves out, and every shift and class
-corruption: 724 in all.  Each is loaded as a fault file and builds one
-report, rendered in both formats; a line reads
+with the output encoded as UTF-8.  The corruptions are those of
+`quartic_twist.checks.fault_space`, every valid one-constant corruption
+of each of the five tables a fault may corrupt, in table order: 192
+dictionary, 172 matrix, 248 certificate, 48 shift and 64 class
+corruptions, 724 in all.  Each is checked as a fault file's payload and
+builds one report, rendered in both formats; a line reads
 
     <exit code> <sha256 of the text report> <sha256 of the JSON report> <fault payload>
 
 with the payload as compact JSON with sorted keys.  `tests/test_outputs.py`
 re-runs every request against the first file, one request per format in
 a fresh process, and a seeded tenth of the corruptions against the
-second.  A full rewrite takes about 15 s in one process.  Standard
-library only.
+second, every line of which must exit 1.  A full rewrite takes about
+15 s in one process.  Standard library only.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,35 +102,12 @@ def read(path: Path = CORPUS) -> dict[str, str]:
     return {text.split(" ", 3)[3]: text for text in lines}
 
 
-def _bench_faults():
-    """`perfbench/faults.py`, imported by path without writing bytecode."""
-    spec = importlib.util.spec_from_file_location("faults", ROOT / "perfbench" / "faults.py")
-    module = importlib.util.module_from_spec(spec)
-    writing, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = writing
-    return module
-
-
 def fault_payloads() -> list[dict]:
-    """Every corruption of the fault corpus, as a fault file's payload: the
-    benchmark's 552, then the dictionary corruptions it leaves out, then
-    every corruption of a shift and of a class."""
-    from quartic_twist.mordell_weil import ENTRY_CUSPS, MODULI, PRINTED_SHIFTS
+    """Every corruption of the fault corpus, as a fault file's payload:
+    `fault_space` of each table a fault may corrupt, in table order."""
+    from quartic_twist.checks import _TABLES, fault_space
 
-    bench = _bench_faults()
-    payloads = [fault for target in bench.TARGETS for fault in bench.SPACES[target]]
-    coordinates = [(index, delta) for index, modulus in enumerate(MODULI)
-                   for delta in range(1, modulus)]
-    dictionary = [{"target": "dictionary", "entry": entry, "index": index, "delta": delta}
-                  for entry in ENTRY_CUSPS for index, delta in coordinates]
-    payloads += [fault for fault in dictionary if fault not in payloads]
-    for target, names in (("shift", PRINTED_SHIFTS), ("class", ("D1-D0", "D2-D0", "D3-D0", "E"))):
-        payloads += [{"target": target, target: name, "index": index, "delta": delta}
-                     for name in names for index, delta in coordinates]
-    return payloads
+    return [payload for target in _TABLES for payload in fault_space(target)]
 
 
 def payload_text(payload: dict) -> str:
@@ -140,14 +116,10 @@ def payload_text(payload: dict) -> str:
 
 def run_fault(payload: dict) -> str:
     """The fault corpus line of one corruption: one report under it, read
-    through the fault loader, rendered as text and as JSON."""
-    from quartic_twist.checks import build_report, load_fault, render_json, render_text
+    through the fault loader's check, rendered as text and as JSON."""
+    from quartic_twist.checks import build_report, parse_fault, render_json, render_text
 
-    with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "fault.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        report = build_report(fault=load_fault(path))
+    report = build_report(fault=parse_fault(payload))
     text, data = (render(report).encode("utf-8") for render in (render_text, render_json))
     return " ".join([str(report.exit_code), digest(text), digest(data), payload_text(payload)])
 
