@@ -33,10 +33,11 @@ functions = {
     "E+sigma3(E)": "Y^2/((X - z8 Z)(X - z8^3 Z))",
     "E-sigma3(E)": "Y^2/((X - z8 Z)(X - z8^7 Z))",
 }
-for name, check in verify_e_identities():
+table = certificate_table()
+for name, check in verify_e_identities(table):
     print(f"  {name:11s} = div({functions[name]}):", check.passed)
 
-row = certificate_table()[U_TAU]
+row = table[U_TAU]
 num, den = product(row.numerator), product(row.denominator)
 print("\nu_tau = Y^2 / ((X - z8 Z)(X - z8^3 Z)) and its conjugate multiply to")
 print("  numerators:  ", num * num.galois(TAU))
@@ -49,10 +50,10 @@ print("modulo the rewriting rule X^4 -> -Y^4 - Z^4 is:")
 print("  ", reduce_mod_curve(Y ** 4 + X ** 4 + Z ** 4))
 
 print("\nso the cocycle value is")
-print("  a_(tau,tau) = u_tau * tau(u_tau) =", cocycle_tau_tau())
+print("  a_(tau,tau) = u_tau * tau(u_tau) =", cocycle_tau_tau(row))
 
 print("\nthe full 2-cocycle on {1, tau}:")
-for key, value in cocycle_table().items():
+for key, value in cocycle_table(row).items():
     print(f"  a_{key} = {value}")
 print("-1 is not a norm from C, so the class of [E] in Br(R) is non-trivial:")
 print("no rational divisor represents [E].")

@@ -18,6 +18,7 @@ from quartic_twist import (
 )
 from quartic_twist.certificates import (
     bitangent_checks,
+    certificate_table,
     cusp_relation_certificates,
 )
 
@@ -38,7 +39,7 @@ for name in ("T00", "T01"):
 print("2 + 2 = 4 = deg(line) * deg(quartic), so div(X + Y + Z) = 2 D_0.")
 
 print("\nthe five bitangent checks, each a certificate with the denominator 1:")
-for name, check in bitangent_checks():
+for name, check in bitangent_checks(certificate_table()):
     print(f"  {name}: complete={check.numerator_complete} passed={check.passed}")
 
 print("\nthe flex line X - zeta_8 Z meets the curve only at B0:")
@@ -46,7 +47,7 @@ z8 = zeta(8)
 print("  ord at B0 =", valuation(X - z8 * Z, catalog("B0"), 9), "(all of Bezout 4)")
 
 print("\ncertified relations D_i - D_0 = (cusp divisor) + div(G/H):")
-for name, check in cusp_relation_certificates():
+for name, check in cusp_relation_certificates(certificate_table()):
     print(f"\n  {name}: passed={check.passed}")
     print("  per-point ledger (numerator order, denominator order, claimed):")
     for row in check.ledger:

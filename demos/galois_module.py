@@ -22,6 +22,7 @@ from quartic_twist.mordell_weil import (
     CLASS_D1_MINUS_D0,
     CLASS_D2_MINUS_D0,
     CLASS_E,
+    CUSP_DICTIONARY,
     PRINTED_SHIFTS,
     two_torsion_multiples,
 )
@@ -32,12 +33,12 @@ print("sigma_5 permutes them as:")
 print(" ", cusp_permutation(SIGMA5))
 
 print("\nmatrix of sigma_3 derived from the permutation and the dictionary:")
-derived = derive_action_matrix(cusp_permutation(SIGMA3))
+derived = derive_action_matrix(cusp_permutation(SIGMA3), CUSP_DICTIONARY)
 for row in derived.rows:
     print("  ", row)
 print("equals the printed matrix:", derived == PRINTED_S3)
 
-derived5 = derive_action_matrix(cusp_permutation(SIGMA5))
+derived5 = derive_action_matrix(cusp_permutation(SIGMA5), CUSP_DICTIONARY)
 print("same for sigma_5:", derived5 == PRINTED_S5)
 
 fixed = fixed_submodule([PRINTED_S3, PRINTED_S5])

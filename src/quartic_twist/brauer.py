@@ -13,11 +13,7 @@ cocycle value comes out of exact polynomial normal forms.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .certificates import (
-    E_IDENTITIES, Certificate, Table, certificate_table, check_certificates, product,
-)
+from .certificates import E_IDENTITIES, Certificate, Table, check_certificates, product
 from .cyclotomic import CycNum, ONE, TAU, zeta
 from .curve import HomogPoly, X, Z
 from .valuations import CertificateCheck
@@ -87,17 +83,16 @@ def _scalar_ratio(numerator: HomogPoly, denominator: HomogPoly) -> CycNum:
     return lam
 
 
-def cocycle_tau_tau(u_tau: Optional[Certificate] = None) -> CycNum:
+def cocycle_tau_tau(u_tau: Certificate) -> CycNum:
     """The cocycle value a_(tau,tau) = u_tau * tau(u_tau), u_tau being the
-    function of the given row (by default the clean `U_TAU` row),
-    Y^2 / ((X - zeta_8 Z)(X - zeta_8^3 Z)).
+    function of the given row (the clean `U_TAU` row has
+    Y^2 / ((X - zeta_8 Z)(X - zeta_8^3 Z))).
 
     The product of the two denominators is X^4 + Z^4 and the product of
     the numerators is Y^4; on the curve Y^4 = -(X^4 + Z^4), so the value
     is the scalar lam with Y^4 = lam (X^4 + Z^4) mod the curve ideal.
     """
-    row = u_tau or certificate_table()[U_TAU]
-    num, den = product(row.numerator), product(row.denominator)
+    num, den = product(u_tau.numerator), product(u_tau.denominator)
     num_product = num * num.galois(TAU)
     den_product = den * den.galois(TAU)
     if den_product != product_of_linear_forms():
@@ -105,9 +100,7 @@ def cocycle_tau_tau(u_tau: Optional[Certificate] = None) -> CycNum:
     return _scalar_ratio(reduce_mod_curve(num_product), reduce_mod_curve(den_product))
 
 
-def cocycle_table(
-    u_tau: Optional[Certificate] = None,
-) -> dict[tuple[GroupLabel, GroupLabel], CycNum]:
+def cocycle_table(u_tau: Certificate) -> dict[tuple[GroupLabel, GroupLabel], CycNum]:
     """The full 2-cocycle on {1, tau}.  With u_1 = 1 every value involving
     the identity is 1; the only computed entry is a_(tau,tau)."""
     table = {(s, t): ONE for s in _GROUP for t in _GROUP}
@@ -141,7 +134,7 @@ def cocycle_identity_holds(
     return True
 
 
-def verify_e_identities(table: Optional[Table] = None) -> list[tuple[str, CertificateCheck]]:
+def verify_e_identities(table: Table) -> list[tuple[str, CertificateCheck]]:
     """The certificates 2E, E + sigma_3(E) and E - sigma_3(E): the rows
-    `E_IDENTITIES` of the table (by default the clean one)."""
+    `E_IDENTITIES` of the table."""
     return check_certificates(E_IDENTITIES, table)

@@ -30,7 +30,7 @@ import functools
 import operator
 from collections import namedtuple
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .cyclotomic import MINUS_SQRT2, SIGMA3, zeta
 from .curve import HomogPoly, ProjPoint, X, Y, Z, catalog
@@ -118,11 +118,9 @@ def faulted_table(name: str, part: str, monomial: tuple, delta: int) -> Table:
 
 
 def check_certificates(
-    names: Sequence[str], table: Optional[Table] = None
+    names: Sequence[str], table: Table
 ) -> list[tuple[str, CertificateCheck]]:
-    """The named rows of the table (by default the clean one), each checked
-    by `verify_certificate`."""
-    table = table or certificate_table()
+    """The named rows of the table, each checked by `verify_certificate`."""
     checks = []
     for name in names:
         row = table[name]
@@ -139,14 +137,12 @@ def verify_principal_divisor(
     return verify_certificate(claimed, (form,), (), support)
 
 
-def bitangent_checks(table: Optional[Table] = None) -> list[tuple[str, CertificateCheck]]:
+def bitangent_checks(table: Table) -> list[tuple[str, CertificateCheck]]:
     """2 D_i = div(L_i) and D_0 + D_1 + D_2 + D_3 = div(X^2 + Y^2 + Z^2)."""
     return check_certificates(BITANGENTS, table)
 
 
-def cusp_relation_certificates(
-    table: Optional[Table] = None,
-) -> list[tuple[str, CertificateCheck]]:
+def cusp_relation_certificates(table: Table) -> list[tuple[str, CertificateCheck]]:
     """The three identities  D_i - D_0 = (cusp divisor) + div(G/H)."""
     return check_certificates(RELATIONS, table)
 

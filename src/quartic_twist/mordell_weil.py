@@ -256,7 +256,7 @@ def perturbed_dictionary(name: str, index: int, delta: int) -> Dictionary:
     return {**CUSP_DICTIONARY, cusp: CUSP_DICTIONARY[cusp] + delta * E_BASIS[index]}
 
 
-def class_of(support: Mapping[str, int], dictionary: Dictionary = CUSP_DICTIONARY) -> ModElement:
+def class_of(support: Mapping[str, int], dictionary: Dictionary) -> ModElement:
     """The class of a degree-0 divisor supported on the twelve cusps, keyed
     by cusp name: the sum of n * [P - B_0] over its cusps P, B_0 included."""
     if sum(support.values()) != 0:
@@ -267,9 +267,7 @@ def class_of(support: Mapping[str, int], dictionary: Dictionary = CUSP_DICTIONAR
     return total
 
 
-def cusp_class(
-    divisor: Divisor, dictionary: Dictionary = CUSP_DICTIONARY
-) -> ModElement:
+def cusp_class(divisor: Divisor, dictionary: Dictionary) -> ModElement:
     """Divisor class of a degree-0 divisor supported on the twelve cusps:
     `class_of` its support, by cusp name."""
     support = {}
@@ -282,7 +280,7 @@ def cusp_class(
 
 
 def derive_action_matrix(
-    permutation: Mapping[str, str], dictionary: Dictionary = CUSP_DICTIONARY
+    permutation: Mapping[str, str], dictionary: Dictionary
 ) -> ActionMatrix:
     """Matrix of a Galois element from its cusp permutation: permute the
     cusp divisor underlying each basis class and take its class."""

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from quartic_twist.brauer import (
+    U_TAU,
     cocycle_tau_tau,
     product_of_linear_forms,
     verify_e_identities,
@@ -51,6 +52,7 @@ from quartic_twist.mordell_weil import (
     CLASS_D1_MINUS_D0,
     CLASS_D2_MINUS_D0,
     CLASS_D3_MINUS_D0,
+    CUSP_DICTIONARY,
     E_BASIS,
     PRINTED_S3,
     PRINTED_S5,
@@ -77,11 +79,12 @@ def _report(number: int, name: str, ok: bool):
 
 
 def test_criterion_01_certificate_suite():
+    table = certificate_table()
     results = []
-    results.extend(check.passed for _, check in bitangent_checks())         # 5
-    results.extend(check.passed for _, check in cusp_relation_certificates())  # 3
-    results.append(e_divisor_equality())                                    # 1
-    results.extend(check.passed for _, check in verify_e_identities())        # 3
+    results.extend(check.passed for _, check in bitangent_checks(table))           # 5
+    results.extend(check.passed for _, check in cusp_relation_certificates(table))  # 3
+    results.append(e_divisor_equality())                                           # 1
+    results.extend(check.passed for _, check in verify_e_identities(table))        # 3
     e = named_divisor("E")
     results.extend([e.galois(SIGMA5) == -e, e.galois(TAU) == -e.galois(SIGMA3)])  # 2
     ok = len(results) == 14 and all(results)
@@ -102,8 +105,8 @@ def test_criterion_02_galois_tables():
 
 
 def test_criterion_03_matrix_derivation():
-    ok = derive_action_matrix(SIGMA3_CUSP_TABLE) == PRINTED_S3
-    ok = ok and derive_action_matrix(SIGMA5_CUSP_TABLE) == PRINTED_S5
+    ok = derive_action_matrix(SIGMA3_CUSP_TABLE, CUSP_DICTIONARY) == PRINTED_S3
+    ok = ok and derive_action_matrix(SIGMA5_CUSP_TABLE, CUSP_DICTIONARY) == PRINTED_S5
     s3s5 = PRINTED_S3 * PRINTED_S5
     s5s3 = PRINTED_S5 * PRINTED_S3
     for m in all_elements():
@@ -147,7 +150,7 @@ def test_criterion_05_image_and_torsor():
 
 def test_criterion_06_brauer_cocycle():
     ok = product_of_linear_forms() == X ** 4 + Z ** 4
-    ok = ok and cocycle_tau_tau() == rational(-1)
+    ok = ok and cocycle_tau_tau(certificate_table()[U_TAU]) == rational(-1)
     _report(6, "Brauer cocycle equals -1", ok)
 
 

@@ -73,12 +73,11 @@ def test_tau_conjugates_u_tau_denominator():
 
 
 def test_cocycle_value():
-    assert cocycle_tau_tau() == rational(-1)
+    assert cocycle_tau_tau(certificate_table()[U_TAU]) == rational(-1)
 
 
 def test_cocycle_reads_u_tau_from_its_row():
     row = certificate_table()[U_TAU]
-    assert cocycle_tau_tau(row) == rational(-1)
     # u_tau = 2 Y^2 / (...) has the same divisor, and u_tau tau(u_tau) = -4
     scaled = row._replace(numerator=(2 * Y ** 2,))
     assert cocycle_tau_tau(scaled) == rational(-4)
@@ -86,7 +85,7 @@ def test_cocycle_reads_u_tau_from_its_row():
 
 
 def test_cocycle_tables():
-    table = cocycle_table()
+    table = cocycle_table(certificate_table()[U_TAU])
     assert table[("1", "1")] == ONE
     assert table[("1", "tau")] == ONE
     assert table[("tau", "1")] == ONE
@@ -99,13 +98,13 @@ def test_cocycle_tables():
 
 
 def test_cocycle_identity_rejects_wrong_table():
-    table = cocycle_table()
+    table = cocycle_table(certificate_table()[U_TAU])
     table[("1", "tau")] = rational(-1)
     assert not cocycle_identity_holds(table)
 
 
 def test_e_identities():
-    result = dict(verify_e_identities())
+    result = dict(verify_e_identities(certificate_table()))
     assert list(result) == ["2E", "E+sigma3(E)", "E-sigma3(E)"]
     assert result["2E"].passed
     assert result["E+sigma3(E)"].passed
@@ -117,7 +116,7 @@ def test_e_identities():
 
 
 def test_double_e_ledger():
-    result = dict(verify_e_identities())
+    result = dict(verify_e_identities(certificate_table()))
     rows = {row.point: row for row in result["2E"].ledger}
     e_plus, e_minus = catalog("E+"), catalog("E-")
     assert rows[e_plus].numerator_order == 4

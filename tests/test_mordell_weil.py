@@ -140,24 +140,25 @@ def test_consistency_checks_under_every_dictionary_corruption():
 
 def test_cusp_class_examples():
     a1 = Divisor.point(catalog("A1")) - Divisor.point(catalog("B0"))
-    assert cusp_class(a1) == e1
+    assert cusp_class(a1, CUSP_DICTIONARY) == e1
     e_rep = 2 * Divisor.point(catalog("B2")) - 2 * Divisor.point(catalog("B0"))
-    assert cusp_class(e_rep) == 2 * e4
-    assert cusp_class(Divisor.zero()) == ZERO_ELEMENT
-    assert cusp_class(named_divisor("e6")) == e6
+    assert cusp_class(e_rep, CUSP_DICTIONARY) == 2 * e4
+    assert cusp_class(Divisor.zero(), CUSP_DICTIONARY) == ZERO_ELEMENT
+    assert cusp_class(named_divisor("e6"), CUSP_DICTIONARY) == e6
 
 
 def test_cusp_class_rejects_bad_input():
     with pytest.raises(ValueError):
-        cusp_class(Divisor.point(catalog("A1")))  # degree 1
+        cusp_class(Divisor.point(catalog("A1")), CUSP_DICTIONARY)  # degree 1
     with pytest.raises(ValueError):
-        cusp_class(Divisor.point(catalog("T00")) - Divisor.point(catalog("T01")))
+        cusp_class(Divisor.point(catalog("T00")) - Divisor.point(catalog("T01")),
+                   CUSP_DICTIONARY)
 
 
 def test_bitangent_class_relation_from_certified_representatives():
-    d1 = cusp_class(named_divisor("D1-D0"))
-    d2 = cusp_class(named_divisor("D2-D0"))
-    d3 = cusp_class(named_divisor("D3-D0"))
+    d1 = cusp_class(named_divisor("D1-D0"), CUSP_DICTIONARY)
+    d2 = cusp_class(named_divisor("D2-D0"), CUSP_DICTIONARY)
+    d3 = cusp_class(named_divisor("D3-D0"), CUSP_DICTIONARY)
     assert (d1, d2, d3) == (CLASS_D1_MINUS_D0, CLASS_D2_MINUS_D0, CLASS_D3_MINUS_D0)
     assert d1 + d2 == d3
 
@@ -172,8 +173,10 @@ def test_every_cusp_support_has_one_class_under_every_dictionary():
         divisor = named_divisor(name)
         for d in dictionaries:
             assert cusp_class(divisor, d) == class_of(support, d), name
-    assert [class_of(CUSP_SUPPORTS[f"e{j}"]) for j in range(1, 7)] == list(E_BASIS)
-    classes = [class_of(CUSP_SUPPORTS[name]) for name in ("D1-D0", "D2-D0", "D3-D0", "E")]
+    basis = [class_of(CUSP_SUPPORTS[f"e{j}"], CUSP_DICTIONARY) for j in range(1, 7)]
+    assert basis == list(E_BASIS)
+    names = ("D1-D0", "D2-D0", "D3-D0", "E")
+    classes = [class_of(CUSP_SUPPORTS[name], CUSP_DICTIONARY) for name in names]
     assert classes == [CLASS_D1_MINUS_D0, CLASS_D2_MINUS_D0, CLASS_D3_MINUS_D0, CLASS_E]
 
 
@@ -182,14 +185,14 @@ def test_class_of_reads_b0_and_needs_degree_zero():
     assert class_of({"A1": 1, "B0": -1}, moved) == ZERO_ELEMENT
     assert class_of({"B0": 6, "C2": -6}, moved) == 2 * e1 - 6 * moved["C2"]
     with pytest.raises(ValueError):
-        class_of({"A1": 1})
+        class_of({"A1": 1}, CUSP_DICTIONARY)
 
 
 def test_derived_matrices_match_printed():
-    assert derive_action_matrix(SIGMA3_CUSP_TABLE) == PRINTED_S3
-    assert derive_action_matrix(SIGMA5_CUSP_TABLE) == PRINTED_S5
+    assert derive_action_matrix(SIGMA3_CUSP_TABLE, CUSP_DICTIONARY) == PRINTED_S3
+    assert derive_action_matrix(SIGMA5_CUSP_TABLE, CUSP_DICTIONARY) == PRINTED_S5
     identity = {name: name for name in CUSP_NAMES}
-    assert derive_action_matrix(identity) == ActionMatrix.identity()
+    assert derive_action_matrix(identity, CUSP_DICTIONARY) == ActionMatrix.identity()
 
 
 def test_apply_matrix_examples():
@@ -308,7 +311,7 @@ def test_shifts_from_galois_action_on_a0():
     a0 = Divisor.point(catalog("A0"))
     for sigma, key in ((SIGMA5, "sigma_5"), (SIGMA3, "sigma_3"), (SIGMA3 * SIGMA5, "sigma_3 sigma_5")):
         moved = a0.galois(sigma) - a0
-        assert cusp_class(moved) == PRINTED_SHIFTS[key]
+        assert cusp_class(moved, CUSP_DICTIONARY) == PRINTED_SHIFTS[key]
 
 
 def test_torsor_searches_have_no_solution():

@@ -123,16 +123,16 @@ def test_valuation_rejects_zero_form():
 
 
 def test_bitangent_checks_pass():
-    for name, check in bitangent_checks():
+    for name, check in bitangent_checks(certificate_table()):
         assert check.numerator_complete and check.denominator_complete, name
         assert check.passed, name
     # the contact orders themselves: 2 at each tangency point
-    _, check = bitangent_checks()[0]
+    _, check = bitangent_checks(certificate_table())[0]
     assert _orders(check) == (2, 2)
 
 
 def test_conic_orders_are_simple():
-    _, check = bitangent_checks()[4]
+    _, check = bitangent_checks(certificate_table())[4]
     assert _orders(check) == (1,) * 8
 
 
@@ -146,13 +146,13 @@ def test_incomplete_support_detected():
 
 
 def test_cusp_relation_certificates_pass():
-    for name, check in cusp_relation_certificates():
+    for name, check in cusp_relation_certificates(certificate_table()):
         assert check.passed, (name, check.reason)
         assert check.numerator_complete and check.denominator_complete
 
 
 def test_cusp_relation_ledger_d1():
-    name, check = cusp_relation_certificates()[0]
+    name, check = cusp_relation_certificates(certificate_table())[0]
     rows = {row.point: row for row in check.ledger}
     b0 = rows[catalog("B0")]
     assert b0.numerator_order == 4 and b0.denominator_order == 0
@@ -166,7 +166,7 @@ def test_cusp_relation_ledger_d1():
 
 def test_negative_control_without_cusp_correction():
     # dropping the cusp-supported part must fail pointwise at B0, B1, B2
-    name, good = cusp_relation_certificates()[0]
+    name, good = cusp_relation_certificates(certificate_table())[0]
     wrong_claim = named_divisor("D1") - named_divisor("D0")
     check = verify_certificate(
         wrong_claim, good.numerator, good.denominator, good.support
@@ -183,7 +183,7 @@ def test_perturbed_certificate_fails():
     assert not results["D1-D0"].passed
     assert results["D2-D0"].passed and results["D3-D0"].passed
     # the run's copy is corrupted, the table itself is not
-    assert all(check.passed for _, check in cusp_relation_certificates())
+    assert all(check.passed for _, check in cusp_relation_certificates(certificate_table()))
 
 
 def test_certificate_degree_mismatch_rejected():
@@ -263,7 +263,7 @@ def _certificate_forms():
         forms.append(X ** 2 + Y ** 2 + Z ** 2)
         forms.extend([X - z8 ** k * Z for k in (1, 3, 5, 7)])
         forms.append(Y)
-        for _, check in cusp_relation_certificates():
+        for _, check in cusp_relation_certificates(certificate_table()):
             forms.extend(check.numerator)
             forms.extend(check.denominator)
         CERT_FORMS = forms
@@ -296,7 +296,7 @@ def test_valuation_additivity_random():
 
 def test_galois_equivariance_of_valuations():
     lifts = (SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, TAU)
-    for _, check in cusp_relation_certificates():
+    for _, check in cusp_relation_certificates(certificate_table()):
         for form in check.numerator + check.denominator:
             bound = 4 * form.degree + 1
             for point in check.support:
@@ -560,7 +560,8 @@ def _assert_on_demand_matches(form, point):
 
 def test_on_demand_valuation_matches_full_composition_on_certificates():
     cases = []
-    for _, check in bitangent_checks() + cusp_relation_certificates() + verify_e_identities():
+    table = certificate_table()
+    for _, check in bitangent_checks(table) + cusp_relation_certificates(table) + verify_e_identities(table):
         for form in check.numerator + check.denominator:
             cases.extend((form, point) for point in check.support)
     assert len(cases) == 82
@@ -657,7 +658,7 @@ def test_order_bound_exceeded_for_curve_times_line():
 def _reference_forms():
     """The curve, every certificate form and the forms of the E identities."""
     forms = [CURVE] + _certificate_forms()
-    for _, check in verify_e_identities():
+    for _, check in verify_e_identities(certificate_table()):
         forms += [*check.numerator, *check.denominator]
     return forms
 
