@@ -55,18 +55,34 @@ def test_json_round_trip():
         assert set(item) == {"id", "section", "label", "status", "detail"}
 
 
+def _break_galois_builder(monkeypatch):
+    """Make the galois builder raise, as a builder bug would: its section
+    collapses into one builder record."""
+    def broken(data):
+        raise RuntimeError("broken builder")
+
+    monkeypatch.setattr(checks, "_SECTION_BUILDERS", tuple(
+        (section, broken if section == "galois" else builder)
+        for section, builder in checks._SECTION_BUILDERS
+    ))
+
+
 def test_json_round_trip_needs_no_rebuild(monkeypatch):
     reports = [
         build_report(),
         build_report(section="galois"),
-        # an odd dictionary corruption makes the derived matrices ill-defined,
-        # so the galois checks collapse into one builder record
+        # an odd dictionary corruption makes the derived matrices ill-defined:
+        # the rows that read them carry the error
         build_report(
             section="galois",
             fault=checks.Fault("dictionary", ("gamma3", 0), 1),
         ),
     ]
-    assert reports[2].checks[0].check_id == "galois-builder"
+    details = {r.check_id: r.detail for r in reports[2].checks}
+    assert set(details["matrix-s3"]) == set(details["action-s5-e1"]) == {"error"}
+    _break_galois_builder(monkeypatch)
+    reports.append(build_report(section="galois"))
+    assert reports[3].checks[0].check_id == "galois-builder"
 
     def no_rebuild(*args, **kwargs):
         raise AssertionError("parse_json rebuilt the report")
@@ -344,10 +360,11 @@ def test_fault_objects():
     assert "matrix-s3" in failing
 
 
-def test_theorems_see_a_section_that_could_not_run():
-    # an odd dictionary corruption collapses the galois section into one
-    # builder record; the theorem that rests on the action matrices fails
-    report = build_report(fault=checks.Fault("dictionary", ("gamma3", 0), 1))
+def test_theorems_see_a_section_that_could_not_run(monkeypatch):
+    # a galois builder that raises collapses its section into one builder
+    # record; the theorem that rests on the action matrices fails
+    _break_galois_builder(monkeypatch)
+    report = build_report()
     failing = {r.check_id for r in report.checks if r.status == "FAIL"}
     assert failing == {"galois-builder", "theorem-odd-torsors"}
 
@@ -467,21 +484,16 @@ def test_malformed_fault_is_usage_error(payload, named, tmp_path, capsys):
     assert named in captured.err, captured.err
 
 
-def test_known_id_in_collapsed_section_reports_its_builder(tmp_path, capsys):
-    # an odd delta in alpha_0 makes the derived matrices ill-defined, so the
-    # galois section collapses into its builder record
-    path = tmp_path / "fault.json"
-    path.write_text(
-        json.dumps({"target": "dictionary", "entry": "alpha0", "index": 0, "delta": 1}),
-        encoding="utf-8",
-    )
-    assert main(["--fault", str(path), "--check", "action-s3-e1"]) == 1
+def test_known_id_in_collapsed_section_reports_its_builder(monkeypatch, capsys):
+    # a galois builder that raises collapses its section into its builder record
+    _break_galois_builder(monkeypatch)
+    assert main(["--check", "action-s3-e1"]) == 1
     out = capsys.readouterr().out
     assert out == (
         "galois\nchecks of section galois could not run : FAIL\n\n"
         "Summary: 0 OK, 1 FAIL, 0 SKIPPED\n"
     )
-    assert main(["--fault", str(path), "--check", "no-such-check"]) == 2
+    assert main(["--check", "no-such-check"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "quartic-twist: unknown check id 'no-such-check'\n"

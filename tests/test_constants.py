@@ -4,6 +4,7 @@ builder reads a constant only through its run, and the benchmark's
 fault generator draws from the program's one fault space."""
 
 import ast
+import inspect
 import json
 import random
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from quartic_twist import checks
+from quartic_twist import brauer, certificates, checks, mordell_weil
 from quartic_twist.checks import build_report, fault_space, load_fault, parse_fault
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -22,16 +23,8 @@ FIXTURE_NAMES = (
 
 
 def _rows(fault=None) -> list[tuple[str, str, str]]:
-    """The rows of a full report; a section that could not run (the galois
-    section under the 60 odd dictionary corruptions, whose derived matrix
-    is no map on M) stands as the rows its builder record replaces."""
-    rows = []
-    for r in build_report(fault=fault).checks:
-        if r.check_id == f"{r.section}-builder":
-            rows += checks.SECTION_ROWS[r.section]
-        else:
-            rows.append((r.check_id, r.header, r.label))
-    return rows
+    """The rows of a full report."""
+    return [(r.check_id, r.header, r.label) for r in build_report(fault=fault).checks]
 
 
 def test_a_fault_moves_no_label(tmp_path):
@@ -110,6 +103,48 @@ def test_builders_read_the_tables_only_through_the_run():
             assert read == ["PRINTED_MATRICES"] and "PRINTED_MATRICES" in expected
             continue
         assert read == [], builder.name
+
+
+# the layer functions that read a table a fault may corrupt, each handed
+# the run's copy by its builder
+LAYER_READERS = (
+    mordell_weil.class_of,
+    mordell_weil.cusp_class,
+    mordell_weil.derive_action_matrix,
+    certificates.check_certificates,
+    certificates.bitangent_checks,
+    certificates.cusp_relation_certificates,
+    brauer.verify_e_identities,
+    brauer.cocycle_tau_tau,
+    brauer.cocycle_table,
+)
+
+
+def test_layers_have_no_clean_table_to_fall_back_on():
+    # a default would be a second path to the clean constant, which the
+    # name check above cannot see
+    for function in LAYER_READERS:
+        defaults = [
+            name for name, parameter in inspect.signature(function).parameters.items()
+            if parameter.default is not inspect.Parameter.empty
+        ]
+        assert defaults == [], function.__qualname__
+
+
+def test_an_ill_defined_dictionary_fails_only_the_rows_that_read_it():
+    # an odd delta in e_1 of alpha_0 derives no map on M for either
+    # automorphism: the action and matrix rows fail with the reason, the
+    # permutation and lift rows, which read no dictionary, still hold
+    fault = parse_fault({"target": "dictionary", "entry": "alpha0", "index": 0, "delta": 3})
+    records = build_report(section="galois", fault=fault).checks
+    status = {r.check_id: r.status for r in records}
+    assert "galois-builder" not in status
+    reads = [r for r in records if r.check_id.startswith(("action-", "matrix-"))]
+    rest = [r for r in records if r not in reads]
+    assert len(reads) == 14 and len(rest) == 26
+    assert all(r.status == checks.STATUS_FAIL and set(r.detail) == {"error"} for r in reads)
+    assert all(r.status == checks.STATUS_OK for r in rest)
+    assert {r.check_id.split("-")[0] for r in rest} == {"perm", "lift"}
 
 
 def _is_string_literal(node: ast.AST) -> bool:
