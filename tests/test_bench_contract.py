@@ -7,7 +7,10 @@ the run.  One traced full report, in a fresh process as the benchmark runs
 it, must print the golden report and leave no metric missing.
 `perfbench/micro.py` times the hot layers (CycNum mul and inv among them)
 and lists a metric as missing when its code is gone; one run must time
-all four.  This reads `perfbench/` and changes nothing there.
+all four.  The benchmark's own suite, `perfbench/test_perfbench.py`,
+imports layer functions of the package and must pass as well.  This reads
+`perfbench/` and changes nothing there; the suite writes only under its
+git-ignored `perfbench/work/`.
 """
 
 import json
@@ -58,3 +61,12 @@ def test_micro_timings_miss_no_metric(tmp_path):
         "valuations.expand_branch_p17_ms",
         "mordell_weil.sweep_ms",
     }
+
+
+def test_the_benchmark_suite_passes(tmp_path):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "test_perfbench.py")],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
