@@ -548,6 +548,11 @@ def _galois_records(data: _RunData) -> list[CheckRecord]:
             (computed[c] == table[c], {"computed": computed[c], "expected": table[c]})
             for c in CUSP_NAMES
         ]
+        # coordinate by coordinate: both images of a normalized point start with 1
+        agree = all(
+            sigma(c) == lift(c) for n in names for c in catalog(n).coords
+        ) and sigma(MINUS_SQRT2) == lift(MINUS_SQRT2)
+        lifts.append((agree, {"lifts": [sigma.exponent, lift.exponent]}))
         try:
             derived = derive_action_matrix(computed, data.table("dictionary"))
         except ValueError as error:
@@ -555,32 +560,27 @@ def _galois_records(data: _RunData) -> list[CheckRecord]:
             # read the derived matrix fail, the other rows stand
             results += [(False, {"error": str(error)}) for _ in range(6)]
             matrices.append((False, {"error": str(error)}))
-        else:
-            printed = data.table("matrix")[key]
-            for j in range(6):
-                expected = PRINTED_MATRICES[key].column(j)
-                results.append(
-                    (
-                        derived.column(j) == expected == printed.column(j),
-                        {
-                            "derived": str(derived.column(j)),
-                            "printed": str(printed.column(j)),
-                            "expected": str(expected),
-                        },
-                    )
-                )
-            matrices.append(
+            continue
+        printed = data.table("matrix")[key]
+        for j in range(6):
+            expected = PRINTED_MATRICES[key].column(j)
+            results.append(
                 (
-                    derived == printed,
-                    {"derived": [list(r) for r in derived.rows],
-                     "printed": [list(r) for r in printed.rows]},
+                    derived.column(j) == expected == printed.column(j),
+                    {
+                        "derived": str(derived.column(j)),
+                        "printed": str(printed.column(j)),
+                        "expected": str(expected),
+                    },
                 )
             )
-        # coordinate by coordinate: both images of a normalized point start with 1
-        agree = all(
-            sigma(c) == lift(c) for n in names for c in catalog(n).coords
-        ) and sigma(MINUS_SQRT2) == lift(MINUS_SQRT2)
-        lifts.append((agree, {"lifts": [sigma.exponent, lift.exponent]}))
+        matrices.append(
+            (
+                derived == printed,
+                {"derived": [list(r) for r in derived.rows],
+                 "printed": [list(r) for r in printed.rows]},
+            )
+        )
     return _records("galois", results + matrices + lifts)
 
 

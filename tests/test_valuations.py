@@ -561,7 +561,8 @@ def _assert_on_demand_matches(form, point):
 def test_on_demand_valuation_matches_full_composition_on_certificates():
     cases = []
     table = certificate_table()
-    for _, check in bitangent_checks(table) + cusp_relation_certificates(table) + verify_e_identities(table):
+    certified = bitangent_checks(table) + cusp_relation_certificates(table) + verify_e_identities(table)
+    for _, check in certified:
         for form in check.numerator + check.denominator:
             cases.extend((form, point) for point in check.support)
     assert len(cases) == 82
