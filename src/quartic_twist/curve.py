@@ -17,12 +17,6 @@ Coefficient = Scalar  # int, Fraction or CycNum
 AXIS_NAMES = ("X", "Y", "Z")
 
 
-def _as_cyc(value: Coefficient) -> CycNum:
-    if isinstance(value, CycNum):
-        return value
-    return rational(value)
-
-
 class HomogPoly:
     """Homogeneous polynomial in X, Y, Z with CycNum coefficients."""
 
@@ -34,7 +28,7 @@ class HomogPoly:
             i, j, k = exponents
             if i < 0 or j < 0 or k < 0 or i + j + k != degree:
                 raise ValueError(f"exponents {exponents} do not have degree {degree}")
-            c = _as_cyc(coeff)
+            c = rational(coeff)
             if c:
                 clean[(i, j, k)] = c
         self.degree = degree
@@ -89,8 +83,7 @@ class HomogPoly:
                 terms[e] = terms.get(e, ZERO) + prod
         return HomogPoly(self.degree + other.degree, terms)
 
-    def __rmul__(self, other: Coefficient) -> HomogPoly:
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> HomogPoly:
         if n < 0:
@@ -172,13 +165,14 @@ class ProjPoint:
     __slots__ = ("coords", "_hash")
 
     def __init__(self, x: Coefficient, y: Coefficient, z: Coefficient):
-        raw = (_as_cyc(x), _as_cyc(y), _as_cyc(z))
+        raw = (rational(x), rational(y), rational(z))
         for c in raw:
             if c:
                 if c != ONE:
                     scale = c.inv()
                     raw = tuple(v * scale for v in raw)
                 self.coords = raw
+                self._hash = hash(raw)
                 return
         raise ValueError("projective point needs a nonzero coordinate")
 
@@ -188,12 +182,7 @@ class ProjPoint:
         return self.coords == other.coords
 
     def __hash__(self) -> int:
-        # computed on first use: most points are never hashed
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(self.coords)
-            return self._hash
+        return self._hash
 
     def sort_key(self):
         return tuple((c.nums, c.den) for c in self.coords)

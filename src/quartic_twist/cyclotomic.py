@@ -27,7 +27,7 @@ shared freely between threads.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 if TYPE_CHECKING:
@@ -48,15 +48,12 @@ def reduce_product(s: Sequence[int]) -> tuple[int, ...]:
 
 
 def _normalized(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
-    nums = list(nums)
+    nums = tuple(nums)
+    g = gcd(den, *nums)
     if den < 0:
-        den = -den
-        nums = [-n for n in nums]
-    g = den
-    for n in nums:
-        g = gcd(g, n)
-        if g == 1:
-            return tuple(nums), den
+        g = -g
+    if g == 1:
+        return nums, den
     return tuple(n // g for n in nums), den // g
 
 
@@ -65,21 +62,18 @@ class CycNum:
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable[Union[int, Fraction, str]] = (), den: int = 1):
-        nums = [0] * _N_COEFFS
-        common = den
-        fracs = []
-        for i, c in enumerate(coeffs):
-            if i >= _N_COEFFS:
-                raise ValueError("at most 8 power-basis coefficients")
+    def __init__(self, coeffs: Iterable[Union[int, Fraction, str]] = ()):
+        values = []
+        for c in coeffs:
             if not isinstance(c, int):
                 from fractions import Fraction
                 c = Fraction(c)
-            fracs.append((i, c))
-            common = common * c.denominator // gcd(common, c.denominator)
-        for i, f in fracs:
-            nums[i] = f.numerator * (common // f.denominator)
-        self.nums, self.den = _normalized(nums, common)
+            values.append(c)
+        if len(values) > _N_COEFFS:
+            raise ValueError("at most 8 power-basis coefficients")
+        common = lcm(*(c.denominator for c in values))
+        nums = [c.numerator * (common // c.denominator) for c in values]
+        self.nums, self.den = _normalized(nums + [0] * (_N_COEFFS - len(nums)), common)
 
     @classmethod
     def _raw(cls, nums: Iterable[int], den: int) -> CycNum:
@@ -129,13 +123,7 @@ class CycNum:
         return CycNum._raw((-n for n in self.nums), self.den)
 
     def __sub__(self, other: Scalar) -> CycNum:
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        da, db = self.den, other.den
-        return CycNum._raw(
-            (x * db - y * da for x, y in zip(self.nums, other.nums)), da * db
-        )
+        return self + (-other)
 
     def __rsub__(self, other: Scalar) -> CycNum:
         return (-self).__add__(other)
@@ -234,11 +222,12 @@ def _lift(value: Scalar) -> CycNum:
     return NotImplemented
 
 
-def rational(value: Union[int, Fraction]) -> CycNum:
-    """Embed a rational number into Q(zeta_24)."""
+def rational(value: Scalar) -> CycNum:
+    """The scalar as an element of Q(zeta_24): a rational number embedded,
+    a CycNum itself."""
     lifted = _lift(value)
     if lifted is NotImplemented:
-        raise TypeError(f"not a rational value: {value!r}")
+        raise TypeError(f"not a scalar: {value!r}")
     return lifted
 
 
@@ -301,9 +290,7 @@ class Automorphism:
         return f"Automorphism(exponent={self.exponent})"
 
     def __call__(self, value: Scalar) -> CycNum:
-        a = _lift(value)
-        if a is NotImplemented:
-            raise TypeError(f"cannot apply automorphism to {value!r}")
+        a = rational(value)
         out = [0] * _N_COEFFS
         k = self.exponent
         for i, n in enumerate(a.nums):

@@ -59,7 +59,7 @@ Only what a caller reads is normalised to CycNum: the coefficients
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
 from .cyclotomic import CycNum, ZERO, reduce_product
@@ -180,10 +180,9 @@ class _Branch:
         den, reached, powers, tabled = state
         if reached >= order and len(powers[self.dependent]) > degree:
             return state
-        order, grown = max(order, reached), den
+        order = max(order, reached)
         new = series[reached:order]
-        for c in (self.p0, *new):
-            grown = grown * c.den // gcd(grown, c.den)
+        grown = lcm(den, self.p0.den, *(c.den for c in new))
         factor, den = grown // den, grown
         param = [(n, row) for n, row in ((0, _row(self.p0, den)), (1, [(0, den)]))
                  if reached <= n < order and row]
@@ -254,9 +253,7 @@ class _Branch:
         den, _, powers, _ = state
         parameter, dependent = self.parameter, self.dependent
         chart = 3 - parameter - dependent
-        common = 1
-        for c in form.terms.values():
-            common = common * c.den // gcd(common, c.den)
+        common = lcm(*(c.den for c in form.terms.values()))
         acc: list[Optional[list[int]]] = [None] * order
         for exponents, c in form.terms.items():
             i, j, k = exponents[chart], exponents[parameter], exponents[dependent]

@@ -230,6 +230,10 @@ def test_canonical_form_and_hash():
     assert a.coeffs[0] == Fraction(1, 2)
     assert rational(3) == 3
     assert hash(rational(3)) == hash(3)
+    assert rational(a) is a
+    # the coefficients carry their own denominators; there is no second one
+    with pytest.raises(TypeError):
+        CycNum((1,), 2)
 
 
 def test_scalar_mixing():

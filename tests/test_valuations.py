@@ -747,18 +747,21 @@ def test_series_product_matches_field_reference_on_dense_rows():
 def test_row_composition_matches_field_reference_with_dense_coefficients():
     rng = random.Random(8825)
     points = sorted(set(CATALOG.values()), key=lambda p: p.sort_key())
+    non_integral = 0
     for _ in range(30):
         degree = rng.randint(1, 3)
         terms = {}
         for _ in range(rng.randint(1, 4)):
             i = rng.randint(0, degree)
             j = rng.randint(0, degree - i)
-            terms[(i, j, degree - i - j)] = CycNum(
-                [rng.randint(-9, 9) for _ in range(8)], rng.randint(1, 5)
-            )
+            nums = [rng.randint(-9, 9) for _ in range(8)]
+            den = rng.randint(1, 5)
+            terms[(i, j, degree - i - j)] = CycNum([Fraction(n, den) for n in nums])
         form = HomogPoly(degree, terms)
+        non_integral += any(c.den > 1 for c in form.terms.values())
         precision = rng.randint(1, 13)
         expansion = expand_branch(rng.choice(points), precision)
         assert compose_with_branch(form, expansion, precision) == _reference_compose(
             form, expansion, precision
         )
+    assert non_integral
