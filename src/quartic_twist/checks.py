@@ -10,15 +10,15 @@ of their downstream consequences are OK/FAIL checks.  Every class a check
 takes is `class_of` a cusp divisor, a row of `divisors.CUSP_SUPPORTS` or
 a cusp moved by an automorphism, read through the run's dictionary.
 
-Ids, headers and labels come from static tables, one row per check
-(`SECTION_ROWS`), generated from the name tables: the cusp names, the
-dictionary entries, the matrix columns, the certificate names and the
-theorem table.  A label that states a constant (`dict-*`, `action-*`,
-`shift-*`, `coords-*`) is rendered at import from the clean constant it
-names, so the constant is written once and no fault can move a label.
-Listing the ids does no arithmetic.  A section builder computes its
-verdicts in the order of its rows and `_records` attaches them to the
-rows.
+Ids, headers and labels come from static tables, one row per check,
+generated from the name tables: the cusp names, the dictionary entries,
+the matrix columns, the certificate names and the theorem table.  A
+label that states a constant (`dict-*`, `action-*`, `shift-*`,
+`coords-*`) is rendered at import from the clean constant it names, so
+the constant is written once and no fault can move a label.  Listing the
+ids does no arithmetic.  `_SECTIONS` names each section once, with its
+rows and its builder; a builder computes its verdicts in the order of
+its rows and `_records` attaches them to the rows.
 
 A request is answered from its dependency cone only.  `_RunData.record`
 is the one way to read a run: it builds the section of a data check at
@@ -48,8 +48,9 @@ cocycle reads u_tau from its row.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from . import theorems
@@ -83,13 +84,13 @@ from .mordell_weil import (
     PRINTED_SHIFTS,
     ZERO_ELEMENT,
     ActionMatrix,
-    ModElement,
     class_of,
     cusp_class,
     derive_action_matrix,
     fixed_submodule,
     image_submodule,
     image_table,
+    perturbed,
     perturbed_dictionary,
     pic1_has_fixed_point,
     subgroup_generated,
@@ -166,11 +167,6 @@ def _perturbed_matrices(name: str, row: int, col: int, delta: int) -> dict[str, 
     return {**PRINTED_MATRICES, name: ActionMatrix(rows)}
 
 
-def _added(table: Mapping[str, ModElement]) -> Callable[..., dict[str, ModElement]]:
-    """The rule of a table of classes: add delta * e_index to the named one."""
-    return lambda name, index, delta: {**table, name: table[name] + delta * E_BASIS[index]}
-
-
 def _modular(*parts: Iterable) -> Callable[[], list]:
     """Each delta 1..modulus-1 at each key of the product of the parts,
     whose second part indexes `MODULI`: a class's coordinate, a matrix row."""
@@ -197,10 +193,11 @@ _TABLES = {
                           lambda: _certificates().certificate_table(),
                           lambda *key: _certificates().faulted_table(*key), _form_candidates),
     "shift": _Table({"shift": "name", "index": "coordinate"},
-                    lambda: PRINTED_SHIFTS, _added(PRINTED_SHIFTS),
+                    lambda: PRINTED_SHIFTS, partial(perturbed, PRINTED_SHIFTS),
                     _modular(PRINTED_SHIFTS, range(6))),
     "class": _Table({"class": "name", "index": "coordinate"},
-                    lambda: _CLASSES, _added(_CLASSES), _modular(_CLASSES, range(6))),
+                    lambda: _CLASSES, partial(perturbed, _CLASSES),
+                    _modular(_CLASSES, range(6))),
 }
 
 
@@ -284,15 +281,9 @@ class Report(namedtuple("Report", "checks")):
 
     @property
     def summary(self) -> dict[str, int]:
-        counts = {"ok": 0, "fail": 0, "skipped": 0}
-        for record in self.checks:
-            if record.status == STATUS_OK:
-                counts["ok"] += 1
-            elif record.status == STATUS_FAIL:
-                counts["fail"] += 1
-            else:
-                counts["skipped"] += 1
-        return counts
+        statuses = [record.status for record in self.checks]
+        ok, fail = statuses.count(STATUS_OK), statuses.count(STATUS_FAIL)
+        return {"ok": ok, "fail": fail, "skipped": len(statuses) - ok - fail}
 
     @property
     def exit_code(self) -> int:
@@ -413,10 +404,6 @@ def _certificate_detail(check) -> dict:
     }
 
 
-def _class_detail(computed: ModElement, expected: ModElement, certificate: str) -> dict:
-    return {"computed": str(computed), "expected": str(expected), "certificate": certificate}
-
-
 # certificate name -> (check id, label): the rows of the certificate table in
 # table order, the first eight in the bitangents section, the last three in brauer
 _CERTIFICATE_ROWS = {
@@ -453,7 +440,8 @@ def _bitangent_records(data: _RunData) -> list[CheckRecord]:
     for name, expected in classes.items():  # [D_i - D_0] and [E], in that order
         computed = class_of(CUSP_SUPPORTS[name], d)
         certificate = "e-support" if name == "E" else _CERTIFICATE_ROWS[name][0]
-        results.append((computed == expected, _class_detail(computed, expected, certificate)))
+        detail = {"computed": str(computed), "expected": str(expected), "certificate": certificate}
+        results.append((computed == expected, detail))
     return _records("bitangents", results)
 
 
@@ -615,7 +603,7 @@ _FIXED_ROWS = _rows(
 def _fixed_records(data: _RunData) -> list[CheckRecord]:
     results = []
     d, shifts, matrices = data.table("dictionary"), data.table("shift"), data.table("matrix")
-    d1, d2, d3, e = data.table("class").values()  # [D_i - D_0] and [E], in that order
+    d1, d2, d3, e = itemgetter("D1-D0", "D2-D0", "D3-D0", "E")(data.table("class"))
     a0 = Divisor.point(catalog("A0"))
     for _, text, sigma, i in _AUTOMORPHISMS:
         from_dictionary = d[f"A{i}"] - d["A0"]
@@ -762,7 +750,7 @@ def _quadratic_records(data: _RunData) -> list[CheckRecord]:
         (pair_sum == target, {"pair": str(pair_sum), "target": str(target)})
         for _, pair_sum, target in theorems.quadratic_point_pairs()
     ]
-    d1, d2, d3, _ = data.table("class").values()  # [D_i - D_0], then [E]
+    d1, d2, d3 = itemgetter("D1-D0", "D2-D0", "D3-D0")(data.table("class"))
     results.append((len({ZERO_ELEMENT, d1, d2, d3}) == 4, None))
     return _records("quadratic", results)
 
@@ -798,29 +786,25 @@ def _theorem_records(data: _RunData) -> list[CheckRecord]:
     return [r for r in records if r.check_id == "theorems-builder"][:1] or records
 
 
-SECTION_ROWS: dict[str, tuple[Row, ...]] = {
-    "bitangents": _BITANGENT_ROWS,
-    "dictionary": _DICTIONARY_ROWS,
-    "galois": _GALOIS_ROWS,
-    "fixed": _FIXED_ROWS,
-    "torsor": _TORSOR_ROWS,
-    "brauer": _BRAUER_ROWS,
-    "quadratic": _QUADRATIC_ROWS,
-    "theorems": _THEOREM_ROWS,
-}
+# each section in canonical order: its key, its rows and its builder
+_SECTIONS = (
+    ("bitangents", _BITANGENT_ROWS, _bitangent_records),
+    ("dictionary", _DICTIONARY_ROWS, _dictionary_records),
+    ("galois", _GALOIS_ROWS, _galois_records),
+    ("fixed", _FIXED_ROWS, _fixed_records),
+    ("torsor", _TORSOR_ROWS, _torsor_records),
+    ("brauer", _BRAUER_ROWS, _brauer_records),
+    ("quadratic", _QUADRATIC_ROWS, _quadratic_records),
+    ("theorems", _THEOREM_ROWS, _theorem_records),
+)
+SECTION_ROWS: dict[str, tuple[Row, ...]] = {key: rows for key, rows, _ in _SECTIONS}
 SECTIONS = tuple(SECTION_ROWS)
 _SECTION_OF = {row[0]: section for section, rows in SECTION_ROWS.items() for row in rows}
 _HEADER_OF = {row[0]: row[1] for rows in SECTION_ROWS.values() for row in rows}
-
-_SECTION_BUILDERS: tuple[tuple[str, Callable[[_RunData], list[CheckRecord]]], ...] = (
-    ("bitangents", _bitangent_records),
-    ("dictionary", _dictionary_records),
-    ("galois", _galois_records),
-    ("fixed", _fixed_records),
-    ("torsor", _torsor_records),
-    ("brauer", _brauer_records),
-    ("quadratic", _quadratic_records),
-    ("theorems", _theorem_records),
+# the builders a run consults; `_RunData.section` reads them at call time, so
+# a wrapper that replaces this tuple sees every section built
+_SECTION_BUILDERS: tuple[tuple[str, Callable[[_RunData], list[CheckRecord]]], ...] = tuple(
+    (key, builder) for key, _, builder in _SECTIONS
 )
 
 

@@ -292,8 +292,10 @@ def quadratic_points() -> tuple[ProjPoint, ...]:
     return tuple(CATALOG[name] for name in TANGENCY_NAMES)
 
 
+_ZETA3_FIXERS = (Automorphism(7), Automorphism(13), Automorphism(19))
+
+
 def is_zeta3_rational(point: ProjPoint) -> bool:
     """Whether the normalized coordinates lie in the subfield Q(zeta_3),
     i.e. are fixed by every automorphism fixing zeta_3."""
-    fixers = (Automorphism(7), Automorphism(13), Automorphism(19))
-    return all(point.galois(sigma) == point for sigma in fixers)
+    return all(point.galois(sigma) == point for sigma in _ZETA3_FIXERS)

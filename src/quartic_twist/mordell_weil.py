@@ -249,11 +249,18 @@ CUSP_DICTIONARY: Dictionary = MappingProxyType({
 })
 
 
+def perturbed(
+    table: Mapping[str, ModElement], name: str, index: int, delta: int
+) -> dict[str, ModElement]:
+    """Copy of a table of classes with delta * e_index added to the class
+    `name`: the one rule of a fault on the dictionary, shifts or classes."""
+    return {**table, name: table[name] + delta * E_BASIS[index]}
+
+
 def perturbed_dictionary(name: str, index: int, delta: int) -> Dictionary:
     """Copy of the standard dictionary with coordinate `index` of the entry
     `name` (one of `ENTRY_CUSPS`) bumped by `delta`."""
-    cusp = ENTRY_CUSPS[name]
-    return {**CUSP_DICTIONARY, cusp: CUSP_DICTIONARY[cusp] + delta * E_BASIS[index]}
+    return perturbed(CUSP_DICTIONARY, ENTRY_CUSPS[name], index, delta)
 
 
 def class_of(support: Mapping[str, int], dictionary: Dictionary) -> ModElement:
