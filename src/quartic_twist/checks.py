@@ -34,15 +34,16 @@ reader and the JSON renderers import `json`.
 A Fault corrupts one constant for negative-control runs, and it is the
 only way to corrupt a run; a corrupted run must produce at least one FAIL.
 It changes one entry of one of the five tables of `_TABLES`, each a
-mapping with one rule that applies a fault: the cusp dictionary, the
-action matrices, the certificate table (a fault reaches the eleven forms
-of its bitangent and relation rows), the shifts (sigma - 1)[A_0] and the
-classes [D_i - D_0] and [E].  The loader's check, `parse_fault`, applies
-that rule, a run applies it once, and `fault_space` is the fault space:
-each candidate of a table that `parse_fault` accepts.  Every builder
-reads the tables only through `_RunData.table`, so the `bitangents` and
-`brauer` sections verify the rows of the run's certificate table and the
-cocycle reads u_tau from its row.
+mapping with one rule that applies a fault, both owned by a layer: the
+cusp dictionary, the action matrices, the shifts (sigma - 1)[A_0] and the
+classes [D_i - D_0] and [E] by `mordell_weil`, the certificate table (a
+fault reaches the eleven forms of its bitangent and relation rows) by
+`certificates`.  The loader's check, `parse_fault`, applies that rule, a
+run applies it once, and `fault_space` is the fault space: each candidate
+of a table that `parse_fault` accepts.  Every builder reads the tables
+only through `_RunData.table`, so the `bitangents` and `brauer` sections
+verify the rows of the run's certificate table and the cocycle reads
+u_tau from its row.
 """
 
 from __future__ import annotations
@@ -70,20 +71,15 @@ from .curve import (
 )
 from .divisors import CUSP_SUPPORTS, Divisor, named_divisor
 from .mordell_weil import (
-    CLASS_D1_MINUS_D0,
-    CLASS_D2_MINUS_D0,
-    CLASS_D3_MINUS_D0,
-    CLASS_E,
+    CLASSES,
     E_BASIS,
     ORDER,
     CUSP_DICTIONARY,
     ENTRY_CUSPS,
     MODULI,
-    PRINTED_S3,
-    PRINTED_S5,
+    PRINTED_MATRICES,
     PRINTED_SHIFTS,
     ZERO_ELEMENT,
-    ActionMatrix,
     class_of,
     cusp_class,
     derive_action_matrix,
@@ -92,6 +88,7 @@ from .mordell_weil import (
     image_table,
     perturbed,
     perturbed_dictionary,
+    perturbed_matrices,
     pic1_has_fixed_point,
     subgroup_generated,
     two_torsion_multiples,
@@ -111,15 +108,6 @@ HEADER_THEOREMS = "Assembled results"
 STATUS_OK = "OK"
 STATUS_FAIL = "FAIL"
 STATUS_SKIPPED = "SKIPPED(data-axiom)"
-
-PRINTED_MATRICES = {"s3": PRINTED_S3, "s5": PRINTED_S5}
-# the classes the certificates pin down, in cusp coordinates
-_CLASSES = {
-    "D1-D0": CLASS_D1_MINUS_D0,
-    "D2-D0": CLASS_D2_MINUS_D0,
-    "D3-D0": CLASS_D3_MINUS_D0,
-    "E": CLASS_E,
-}
 
 
 Fault = namedtuple("Fault", "target key delta")
@@ -161,12 +149,6 @@ def _certificates():
     return certificates
 
 
-def _perturbed_matrices(name: str, row: int, col: int, delta: int) -> dict[str, ActionMatrix]:
-    rows = [list(r) for r in PRINTED_MATRICES[name].rows]
-    rows[row][col] += delta
-    return {**PRINTED_MATRICES, name: ActionMatrix(rows)}
-
-
 def _modular(*parts: Iterable) -> Callable[[], list]:
     """Each delta 1..modulus-1 at each key of the product of the parts,
     whose second part indexes `MODULI`: a class's coordinate, a matrix row."""
@@ -187,7 +169,7 @@ _TABLES = {
                          lambda: CUSP_DICTIONARY, perturbed_dictionary,
                          _modular(ENTRY_CUSPS, range(6))),
     "matrix": _Table({"matrix": "name", "row": "coordinate", "col": "coordinate"},
-                     lambda: PRINTED_MATRICES, _perturbed_matrices,
+                     lambda: PRINTED_MATRICES, perturbed_matrices,
                      _modular(PRINTED_MATRICES, range(6), range(6))),
     "certificate": _Table({"certificate": "name", "part": "name", "monomial": "monomial"},
                           lambda: _certificates().certificate_table(),
@@ -196,8 +178,8 @@ _TABLES = {
                     lambda: PRINTED_SHIFTS, partial(perturbed, PRINTED_SHIFTS),
                     _modular(PRINTED_SHIFTS, range(6))),
     "class": _Table({"class": "name", "index": "coordinate"},
-                    lambda: _CLASSES, partial(perturbed, _CLASSES),
-                    _modular(_CLASSES, range(6))),
+                    lambda: CLASSES, partial(perturbed, CLASSES),
+                    _modular(CLASSES, range(6))),
 }
 
 
@@ -425,7 +407,7 @@ _BITANGENT_ROWS = _rows(
     + [("e-support", "E = 2B_2 - 2B_0")]
     + [
         (f"coords-{name.lower()}", f"{name.replace('-', ' - ')} = {value}")
-        for name, value in _CLASSES.items()
+        for name, value in CLASSES.items()
     ],
 )
 
@@ -572,19 +554,12 @@ def _galois_records(data: _RunData) -> list[CheckRecord]:
     return _records("galois", results + matrices + lifts)
 
 
-# the automorphisms whose classes the fixed and torsor sections test:
-# matrix key, name, automorphism, index i of the cusp A_i it sends A_0 to
-_AUTOMORPHISMS = (
-    ("s5", "sigma_5", SIGMA5, 2),
-    ("s3", "sigma_3", SIGMA3, 1),
-    ("s3s5", "sigma_3 sigma_5", SIGMA3 * SIGMA5, 3),
-)
 _FIXED_GENERATORS = (2 * E_BASIS[0] + 2 * E_BASIS[1], 2 * E_BASIS[2], 2 * E_BASIS[3])
 _FIXED_ROWS = _rows(
     HEADER_FIXED,
     [
         (f"shift-{key}", f"({text} - 1)[A0] = {PRINTED_SHIFTS[text]}")
-        for key, text, *_ in _AUTOMORPHISMS
+        for key, text, *_ in theorems.AUTOMORPHISMS
     ]
     + [
         ("involution", "s_3^2 = s_5^2 = 1 and s_3 s_5 = s_5 s_3 on all 2048 elements"),
@@ -605,7 +580,7 @@ def _fixed_records(data: _RunData) -> list[CheckRecord]:
     d, shifts, matrices = data.table("dictionary"), data.table("shift"), data.table("matrix")
     d1, d2, d3, e = itemgetter("D1-D0", "D2-D0", "D3-D0", "E")(data.table("class"))
     a0 = Divisor.point(catalog("A0"))
-    for _, text, sigma, i in _AUTOMORPHISMS:
+    for _, text, sigma, i in theorems.AUTOMORPHISMS:
         from_dictionary = d[f"A{i}"] - d["A0"]
         from_points = cusp_class(a0.galois(sigma) - a0, d)
         printed = shifts[text]
@@ -651,11 +626,11 @@ _TORSOR_ROWS = _rows(
             f"image-congruence-{key}",
             f"every element of ({text} - 1)M satisfies a_2 + a_3 + a_6 = 0 mod 2",
         )
-        for key, text, *_ in _AUTOMORPHISMS[1:]
+        for key, text, *_ in theorems.AUTOMORPHISMS[1:]
     ]
     + [
         (f"torsor-{key}", f"{text} fixed-point search in degree 1: no solution among 2048")
-        for key, text, *_ in _AUTOMORPHISMS
+        for key, text, *_ in theorems.AUTOMORPHISMS
     ],
 )
 
@@ -667,10 +642,10 @@ def _torsor_records(data: _RunData) -> list[CheckRecord]:
     results = [
         (image5 == two_torsion_multiples() and len(image5) == 32, {"image_size": len(image5)})
     ]
-    for key, *_ in _AUTOMORPHISMS[1:]:
+    for key, *_ in theorems.AUTOMORPHISMS[1:]:
         image = image_submodule(matrices[key])
         results.append((all((a.c[1] + a.c[2] + a.c[5]) % 2 == 0 for a in image), None))
-    for key, text, *_ in _AUTOMORPHISMS:
+    for key, text, *_ in theorems.AUTOMORPHISMS:
         shift = data.table("shift")[text]
         results.append((not pic1_has_fixed_point(matrices[key], shift), {"shift": str(shift)}))
     return _records("torsor", results)
@@ -827,7 +802,11 @@ def _id_matcher(patterns: Iterable[str]) -> Callable[[str], bool]:
 
 @lru_cache(maxsize=None)
 def _named(patterns: tuple[str, ...]) -> tuple[str, ...]:
-    """The ids the patterns match, in canonical order."""
+    """The ids the patterns match, in canonical order.  A pattern that
+    matches no id raises ValueError: a theorem cannot rest on nothing."""
+    for pattern in patterns:
+        if not any(map(_id_matcher((pattern,)), _SECTION_OF)):
+            raise ValueError(f"id pattern {pattern!r} names no check")
     return tuple(filter(_id_matcher(patterns), _SECTION_OF))
 
 

@@ -18,10 +18,14 @@ The enumerations run over integer codes: element n of `all_elements()` has
 code n, the coordinates packed as two-bit digits (one bit for e_6).  Each
 linear map gets one image table, the codes of the images of all 2048
 elements, built by linearity from its six columns in 11 doublings of one
-comprehension each, and kept per matrix value; 2M is the image of the
-doubling map.  Fixed points, images and twisted fixed-point searches
-are scans of these tables; codes become `ModElement`s only on return,
-by lookup in one cached pass of `all_elements()`.
+comprehension each, and kept per matrix value.  Fixed points, images and
+twisted fixed-point searches are scans of these tables, and 2M is read
+off the codes themselves; codes become `ModElement`s only on return, by
+lookup in one cached pass of `all_elements()`.
+
+Four of the five fault tables live here, each beside its rule:
+`CUSP_DICTIONARY`, `PRINTED_SHIFTS` and `CLASSES` (`perturbed`) and
+`PRINTED_MATRICES` (`perturbed_matrices`); `certificates` owns the fifth.
 """
 
 from __future__ import annotations
@@ -220,6 +224,7 @@ PRINTED_S5 = ActionMatrix((
     (0, 0, 0, 0, 3, 0),
     (0, 0, 0, 0, 0, 1),
 ))
+PRINTED_MATRICES = {"s3": PRINTED_S3, "s5": PRINTED_S5}
 
 
 # the paper's name of each dictionary entry and its cusp P: alpha_i is the
@@ -261,6 +266,13 @@ def perturbed_dictionary(name: str, index: int, delta: int) -> Dictionary:
     """Copy of the standard dictionary with coordinate `index` of the entry
     `name` (one of `ENTRY_CUSPS`) bumped by `delta`."""
     return perturbed(CUSP_DICTIONARY, ENTRY_CUSPS[name], index, delta)
+
+
+def perturbed_matrices(name: str, row: int, col: int, delta: int) -> dict[str, ActionMatrix]:
+    """Copy of `PRINTED_MATRICES` with delta added at (row, col) of `name`."""
+    rows = [list(r) for r in PRINTED_MATRICES[name].rows]
+    rows[row][col] += delta
+    return {**PRINTED_MATRICES, name: ActionMatrix(rows)}
 
 
 def class_of(support: Mapping[str, int], dictionary: Dictionary) -> ModElement:
@@ -339,9 +351,8 @@ def image_submodule(s: ActionMatrix) -> frozenset[ModElement]:
 
 
 def two_torsion_multiples() -> frozenset[ModElement]:
-    """The subgroup 2M: the image of doubling."""
-    doubling = ActionMatrix(tuple(tuple(2 * (i == j) for j in range(6)) for i in range(6)))
-    return frozenset(map(decode, set(image_table(doubling))))
+    """The subgroup 2M, read off the codes: 2x moves each digit's low bit up."""
+    return frozenset(map(decode, {(n & _LOW_BITS) << 1 for n in range(ORDER)}))
 
 
 def pic1_has_fixed_point(s: ActionMatrix, shift: ModElement) -> bool:
@@ -371,6 +382,9 @@ CLASS_D1_MINUS_D0 = ModElement((0, 0, 2, 2, 0, 0))
 CLASS_D2_MINUS_D0 = ModElement((2, 2, 2, 2, 0, 0))
 CLASS_D3_MINUS_D0 = ModElement((2, 2, 0, 0, 0, 0))
 CLASS_E = ModElement((0, 0, 0, 2, 0, 0))
+# the classes the certificates pin down, keyed as in `CUSP_SUPPORTS`
+CLASSES = {"D1-D0": CLASS_D1_MINUS_D0, "D2-D0": CLASS_D2_MINUS_D0,
+           "D3-D0": CLASS_D3_MINUS_D0, "E": CLASS_E}
 
 # printed shifts (sigma - 1)[A_0] used by the torsor searches
 PRINTED_SHIFTS = {

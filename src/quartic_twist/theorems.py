@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .cyclotomic import CONJ_ZETA3
+from .cyclotomic import CONJ_ZETA3, SIGMA3, SIGMA5
 from .curve import catalog
 from .divisors import Divisor, named_divisor
 from .mordell_weil import ZERO_ELEMENT, ActionMatrix, pic1_has_fixed_point
@@ -42,6 +42,14 @@ constituents (a tuple of Constituent), and its assumptions, the names of
 `DEPENDENCIES` it depends on and its notes (each a tuple of str; no notes
 by default)."""
 
+
+# the automorphisms the torsor searches test: matrix key, name, the
+# automorphism and the index i of the cusp A_i it sends A_0 to
+AUTOMORPHISMS = (
+    ("s5", "sigma_5", SIGMA5, 2),
+    ("s3", "sigma_3", SIGMA3, 1),
+    ("s3s5", "sigma_3 sigma_5", SIGMA3 * SIGMA5, 3),
+)
 
 _CERTIFICATES = (
     "bitangent-*", "relation-*", "e-support",
@@ -131,15 +139,10 @@ THEOREMS = (
                 "(sigma_3 - 1)M and (sigma_3 sigma_5 - 1)M satisfy a_2 + a_3 + a_6 = 0 mod 2",
                 ("image-congruence-*",),
             ),
-            *(
-                Constituent(
-                    f"torsor-{text.replace(' ', '-')}",
-                    f"{text} has no fixed degree-1 class among 2048 candidates",
-                    (f"torsor-{key}",),
-                )
-                for key, text in (("s5", "sigma_5"), ("s3", "sigma_3"),
-                                  ("s3s5", "sigma_3 sigma_5"))
-            ),
+            *(Constituent(f"torsor-{text.replace(' ', '-')}",
+                          f"{text} has no fixed degree-1 class among 2048 candidates",
+                          (f"torsor-{key}",))
+              for key, text, *_ in AUTOMORPHISMS),
             Constituent(
                 "torsor-identity-control",
                 "the identity automorphism does fix a degree-1 class",

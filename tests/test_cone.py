@@ -137,6 +137,31 @@ def test_other_wildcards_are_rejected(pattern):
         checks._id_matcher((pattern,))
 
 
+def test_every_table_pattern_names_a_check():
+    patterns = _table_patterns()
+    assert len(patterns) == 30
+    for pattern in patterns:
+        assert any(map(checks._id_matcher((pattern,)), list_check_ids())), pattern
+
+
+def test_a_pattern_that_names_no_check_fails_its_theorem(monkeypatch):
+    # a typo of `torsor-s3s5` in the theorem table must not leave its
+    # constituent resting on no record
+    row, theorem = checks._THEOREM_OF["theorem-odd-torsors"]
+    constituents = tuple(
+        c._replace(records=("torsor-s35",)) if c.records == ("torsor-s3s5",) else c
+        for c in theorem.constituents
+    )
+    assert constituents != theorem.constituents
+    monkeypatch.setitem(checks._THEOREM_OF, theorem.check_id,
+                        (row, theorem._replace(constituents=constituents)))
+    (record,) = run_single(theorem.check_id).checks
+    assert (record.check_id, record.status) == ("theorems-builder", "FAIL")
+    assert record.detail == {"error": "id pattern 'torsor-s35' names no check"}
+    section = build_report(section="theorems").checks
+    assert [(r.check_id, r.status) for r in section] == [("theorems-builder", "FAIL")]
+
+
 def test_theorem_cones_equal_the_faulted_report(tmp_path):
     rng = random.Random(11)
     path = tmp_path / "fault.json"

@@ -89,7 +89,7 @@ def test_builders_read_the_tables_only_through_the_run():
         if isinstance(node, ast.FunctionDef) and re.fullmatch(r"_\w+_records", node.name)
     ]
     assert len(builders) == len(checks.SECTIONS)
-    tables = {"CUSP_DICTIONARY", "PRINTED_SHIFTS", "_CLASSES", "certificate_forms",
+    tables = {"CUSP_DICTIONARY", "PRINTED_SHIFTS", "CLASSES", "certificate_forms",
               "certificate_table", "PRINTED_MATRICES"}
     for builder in builders:
         read = [n for n in _names(builder) if n in tables or n.startswith("CLASS_")]

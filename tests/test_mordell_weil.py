@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from quartic_twist.checks import PRINTED_MATRICES, Fault, fault_space, run_single
+from quartic_twist.checks import Fault, fault_space, run_single
 from quartic_twist.curve import (
     CUSP_NAMES,
     SIGMA3_CUSP_TABLE,
@@ -22,6 +22,7 @@ from quartic_twist.mordell_weil import (
     MODULI,
     ORDER,
     CUSP_DICTIONARY,
+    PRINTED_MATRICES,
     PRINTED_S3,
     PRINTED_S5,
     PRINTED_SHIFTS,

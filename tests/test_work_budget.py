@@ -56,9 +56,10 @@ objects, when the answer is written.  The point catalog is written
 normalized, so importing `curve` inverts nothing (10 inversions before).
 A text report formats 25 field elements, the 24 coordinates of the 8
 quadratic points and the cocycle value; naming a point formats it only
-when it has no catalog name (226 before).  And a report builds 7 image
+when it has no catalog name (226 before).  And a report builds 6 image
 tables: s_3 s_5 = s_5 s_3 is tested by composing the tables of s_3 and
-s_5, not by a table of each product (8 before).
+s_5, not by a table of each product (8 before), and 2M is read off the
+codes, not off a table of doubling (7 before).
 """
 
 import gc
@@ -380,6 +381,6 @@ def test_text_report_formats_25_field_elements(monkeypatch, capsys):
     assert calls[0] == 25
 
 
-def test_report_builds_seven_image_tables():
+def test_report_builds_six_image_tables():
     _cold_report()
-    assert mordell_weil.image_table.cache_info().misses == 7
+    assert mordell_weil.image_table.cache_info().misses == 6
