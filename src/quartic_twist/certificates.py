@@ -117,6 +117,15 @@ def faulted_table(name: str, part: str, monomial: tuple, delta: int) -> Table:
     return {**certificate_table(), name: row}
 
 
+def form_candidates() -> list:
+    """The (key, delta) pairs that `checks.fault_space` tries on the forms,
+    keys as in a fault file: -2, -1, 1 and 2 on each monomial of each form."""
+    return [((name, part, [a, b, form.degree - a - b]), delta)
+            for (name, part), form in certificate_forms().items()
+            for a in range(form.degree + 1) for b in range(form.degree + 1 - a)
+            for delta in (-2, -1, 1, 2)]
+
+
 def check_certificates(
     names: Sequence[str], table: Table
 ) -> list[tuple[str, CertificateCheck]]:

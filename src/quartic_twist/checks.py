@@ -17,18 +17,21 @@ label that states a constant (`dict-*`, `action-*`, `shift-*`,
 `coords-*`) is rendered at import from the clean constant it names, so
 the constant is written once and no fault can move a label.  Listing the
 ids does no arithmetic.  `_SECTIONS` names each section once, with its
-rows and its builder; a builder computes its verdicts in the order of
-its rows and `_records` attaches them to the rows.
+rows, and each row carries its own verdict, which maps a run to
+(passed, detail).
 
 A request is answered from its dependency cone only.  `_RunData.record`
-is the one way to read a run: it builds the section of a data check at
-most once per run, and evaluates a theorem at most once, from `record`
-lookups of the records its table entry names (`theorems`).  So
-`--check ID` builds the section of a data check, or just the sections a
-theorem names; `--section theorems` builds the sections all four name,
-and the full report every section once.  And a request imports only the
-layers its cone reads: the `bitangents` and `brauer` builders import
-their layers, a run reads each table on first use, and only the fault
+is the one way to read a run: it evaluates a record's verdict at most
+once per run.  Work that rows share (a cusp permutation, a derived
+matrix, a selection of verified certificate rows, the fixed submodule,
+the cocycle table) is a fact, computed at most once per run by
+`_RunData.fact`; a theorem reads the records its table entry names
+(`theorems`) through `record`.  So `--check ID` evaluates one verdict and
+the facts it reads, a theorem the records it names, and the full report
+each record once.  A verdict that raises, or reads a fact that raised,
+fails its own record, with the error as its detail.  A request imports
+only the layers its cone reads: the certificate and Brauer verdicts
+import theirs, a run reads each table on first use, and only the fault
 reader and the JSON renderers import `json`.
 
 A Fault corrupts one constant for negative-control runs, and it is the
@@ -40,18 +43,17 @@ classes [D_i - D_0] and [E] by `mordell_weil`, the certificate table (a
 fault reaches the eleven forms of its bitangent and relation rows) by
 `certificates`.  The loader's check, `parse_fault`, applies that rule, a
 run applies it once, and `fault_space` is the fault space: each candidate
-of a table that `parse_fault` accepts.  Every builder reads the tables
-only through `_RunData.table`, so the `bitangents` and `brauer` sections
-verify the rows of the run's certificate table and the cocycle reads
-u_tau from its row.
+of a table that `parse_fault` accepts.  Every verdict and fact reads the
+tables only through `_RunData.table`, so the certificate rows verified
+are those of the run's table and the cocycle reads u_tau from its row.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache, partial
+from importlib import import_module
 from itertools import product
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from . import theorems
@@ -143,10 +145,10 @@ rule that returns the table with `delta` added at a key; and `candidates`,
 which returns the (key, delta) pairs `fault_space` tries, keys as in a file."""
 
 
-def _certificates():
-    from . import certificates  # imported by the runs that read the table
-
-    return certificates
+def _layer(name: str) -> Any:
+    """A layer that only the runs that read it import: `certificates` or
+    `brauer`."""
+    return import_module(f"{__package__}.{name}")
 
 
 def _modular(*parts: Iterable) -> Callable[[], list]:
@@ -154,14 +156,6 @@ def _modular(*parts: Iterable) -> Callable[[], list]:
     whose second part indexes `MODULI`: a class's coordinate, a matrix row."""
     return lambda: [(key, delta) for key in product(*parts)
                     for delta in range(1, MODULI[key[1]])]
-
-
-def _form_candidates() -> list:
-    """-2, -1, 1 and 2 on each monomial of each certificate form."""
-    return [((name, part, [a, b, form.degree - a - b]), delta)
-            for (name, part), form in _certificates().certificate_forms().items()
-            for a in range(form.degree + 1) for b in range(form.degree + 1 - a)
-            for delta in (-2, -1, 1, 2)]
 
 
 _TABLES = {
@@ -172,8 +166,9 @@ _TABLES = {
                      lambda: PRINTED_MATRICES, perturbed_matrices,
                      _modular(PRINTED_MATRICES, range(6), range(6))),
     "certificate": _Table({"certificate": "name", "part": "name", "monomial": "monomial"},
-                          lambda: _certificates().certificate_table(),
-                          lambda *key: _certificates().faulted_table(*key), _form_candidates),
+                          lambda: _layer("certificates").certificate_table(),
+                          lambda *key: _layer("certificates").faulted_table(*key),
+                          lambda: _layer("certificates").form_candidates()),
     "shift": _Table({"shift": "name", "index": "coordinate"},
                     lambda: PRINTED_SHIFTS, partial(perturbed, PRINTED_SHIFTS),
                     _modular(PRINTED_SHIFTS, range(6))),
@@ -273,16 +268,17 @@ class Report(namedtuple("Report", "checks")):
 
 
 class _RunData:
-    """One run: its tables, each read through `table`, and every record
-    built so far, indexed by id.  `record` is the one way to read a run:
-    the checks a theorem names, the theorems themselves and `run_single`
-    all go through it."""
+    """One run: its tables, each read through `table`, the facts its
+    records share, each computed through `fact`, and every record evaluated
+    so far, indexed by id.  `record` is the one way to read a run: the
+    checks a theorem names, the theorems themselves and `run_single` all go
+    through it."""
 
-    __slots__ = ("tables", "sections", "records")
+    __slots__ = ("tables", "facts", "records")
 
     def __init__(self, fault: Optional[Fault] = None):
         self.tables: dict[str, Mapping] = {} if fault is None else {fault.target: _faulted(fault)}
-        self.sections: dict[str, list[CheckRecord]] = {}
+        self.facts: dict[tuple, tuple[Any, Optional[Exception]]] = {}
         self.records: dict[str, CheckRecord] = {}
 
     def table(self, target: str) -> Mapping:
@@ -292,73 +288,63 @@ class _RunData:
             self.tables[target] = _TABLES[target].clean()
         return self.tables[target]
 
-    def section(self, name: str) -> list[CheckRecord]:
-        """The records of one section, built at most once per run through
-        its builder.  A builder that raises (a corrupted constant may break a
-        whole section) leaves one FAIL record in place of its checks."""
-        if name not in self.sections:
-            builder = dict(_SECTION_BUILDERS)[name]
-            records = _unless_raised(name, lambda: builder(self))
-            self.sections[name] = records
-            self.records.update((record.check_id, record) for record in records)
-        return self.sections[name]
+    def fact(self, compute: Callable[..., Any], *args: Any) -> Any:
+        """`compute(*args, self)`, computed at most once per run.  An error
+        it raised is kept and raised again to each reader, uncomputed."""
+        key = (compute, *args)
+        if key not in self.facts:
+            try:
+                self.facts[key] = compute(*args, self), None
+            except Exception as error:
+                self.facts[key] = None, error
+        value, error = self.facts[key]
+        if error is not None:
+            raise error
+        return value
 
     def record(self, check_id: str) -> CheckRecord:
-        """The record of one known check id, built at most once per run.  A
-        data check comes from its section, or is the section's builder
-        record if the builder raised; a theorem is evaluated alone, from the
-        records it names, so it builds only its own cone."""
-        section = _SECTION_OF[check_id]
-        if section != "theorems":
-            self.section(section)
-        elif check_id not in self.records:
-            self.records[check_id] = _unless_raised(
-                section, lambda: [_theorem_record(self, check_id)]
-            )[0]
-        return self.records.get(check_id) or self.records[f"{section}-builder"]
+        """The record of one known check id, evaluated at most once per run
+        through `_SECTION_BUILDERS`.  A verdict that raises, or reads a fact
+        that raised, fails its own record, with the error as its detail."""
+        if check_id not in self.records:
+            section, row = _ROW_OF[check_id]
+            try:
+                passed, detail = dict(_SECTION_BUILDERS)[section](self, row)
+            except Exception as error:
+                passed, detail = False, {"error": str(error)}
+            self.records[check_id] = _record(section, row, passed, detail)
+        return self.records[check_id]
 
     def holds(self, patterns: tuple[str, ...]) -> bool:
-        """Whether no record of this run that the id patterns name failed; a
-        section that could not run counts as failed."""
+        """Whether no record of this run that the id patterns name failed."""
         return all(self.record(i).status != STATUS_FAIL for i in _named(patterns))
 
 
-def _unless_raised(section: str, build: Callable[[], list[CheckRecord]]) -> list[CheckRecord]:
-    """The built records, or one FAIL record if building them raised."""
-    try:
-        return build()
-    except Exception as error:
-        label = f"checks of section {section} could not run"
-        detail = {"error": str(error)}
-        return [CheckRecord(f"{section}-builder", section, section, label, STATUS_FAIL, detail)]
-
-
 # ---------------------------------------------------------------------------
-# static tables, one row (check id, header, label) per check, and the section
-# builders; each builder returns its records in the order of its rows
+# static tables, one row (check id, header, label, verdict) per check.  A
+# verdict maps a run to (passed, detail), passed None for a data axiom, and
+# reads the work it shares with other rows as a fact of the run.  Verdicts
+# and facts take their parameters first and the run last, so a row binds
+# its verdict's parameters with `partial`.
 
-Row = tuple[str, str, str]
+Verdict = Callable[[_RunData], tuple[Optional[bool], Any]]
+Row = tuple[str, str, str, Verdict]
 
 
-def _rows(header: str, labelled: Iterable[tuple[str, str]]) -> tuple[Row, ...]:
-    return tuple((check_id, header, label) for check_id, label in labelled)
+def _rows(header: str, labelled: Iterable[tuple[str, str, Verdict]]) -> tuple[Row, ...]:
+    return tuple((check_id, header, label, verdict) for check_id, label, verdict in labelled)
 
 
 def _record(section: str, row: Row, passed: Optional[bool], detail: Any) -> CheckRecord:
     """`passed` is None for a data axiom."""
-    check_id, header, label = row
+    check_id, header, label, _ = row
     status = STATUS_SKIPPED if passed is None else STATUS_OK if passed else STATUS_FAIL
     return CheckRecord(check_id, section, header, label, status, detail)
 
 
-def _records(
-    section: str, results: Iterable[tuple[Optional[bool], Any]]
-) -> list[CheckRecord]:
-    """The section's rows, in order, with the builder's (passed, detail)."""
-    return [
-        _record(section, row, passed, detail)
-        for row, (passed, detail) in zip(SECTION_ROWS[section], results, strict=True)
-    ]
+def _classes(run: _RunData, *names: str) -> list:
+    """The run's classes [D_i - D_0] and [E], by name."""
+    return [run.table("class")[name] for name in names]
 
 
 def _certificate_detail(check) -> dict:
@@ -374,16 +360,31 @@ def _certificate_detail(check) -> dict:
         "numerator_complete": check.numerator_complete,
         "denominator_complete": check.denominator_complete,
         "ledger": [
-            {
-                "point": point_name(row.point),
-                "numerator": row.numerator_order,
-                "denominator": row.denominator_order,
-                "claimed": row.claimed,
-            }
+            {"point": point_name(row.point), "numerator": row.numerator_order,
+             "denominator": row.denominator_order, "claimed": row.claimed}
             for row in check.ledger
         ],
         "reason": check.reason,
     }
+
+
+# the three selections of certificate rows, each verified once per run by
+# the layer function that selects it
+def _bitangent_checks(run: _RunData) -> dict:
+    return dict(_layer("certificates").bitangent_checks(run.table("certificate")))
+
+
+def _relation_checks(run: _RunData) -> dict:
+    return dict(_layer("certificates").cusp_relation_certificates(run.table("certificate")))
+
+
+def _e_checks(run: _RunData) -> dict:
+    return dict(_layer("brauer").verify_e_identities(run.table("certificate")))
+
+
+def _certified(selection: Callable[[_RunData], dict], name: str, run: _RunData):
+    check = run.fact(selection)[name]
+    return check.passed, _certificate_detail(check)
 
 
 # certificate name -> (check id, label): the rows of the certificate table in
@@ -401,386 +402,389 @@ _CERTIFICATE_ROWS = {
     "E+sigma3(E)": ("brauer-e-plus", "E + sigma_3(E) = div(Y^2/((X - z8 * Z) * (X - z8^3 * Z)))"),
     "E-sigma3(E)": ("brauer-e-minus", "E - sigma_3(E) = div(Y^2/((X - z8 * Z) * (X - z8^7 * Z)))"),
 }
-_BITANGENT_ROWS = _rows(
-    HEADER_BITANGENTS,
-    list(_CERTIFICATE_ROWS.values())[:8]
-    + [("e-support", "E = 2B_2 - 2B_0")]
-    + [
-        (f"coords-{name.lower()}", f"{name.replace('-', ' - ')} = {value}")
-        for name, value in CLASSES.items()
-    ],
+_SELECTIONS = (_bitangent_checks,) * 5 + (_relation_checks,) * 3 + (_e_checks,) * 3
+_CERTIFIED = tuple(
+    (check_id, label, partial(_certified, selection, name)) for (name, (check_id, label)), selection
+    in zip(_CERTIFICATE_ROWS.items(), _SELECTIONS, strict=True)
 )
 
 
-def _bitangent_records(data: _RunData) -> list[CheckRecord]:
-    from .certificates import bitangent_checks, cusp_relation_certificates, e_divisor_equality
+def _coords(name: str, run: _RunData):
+    """[D_i - D_0] or [E] from its cusp support, against the class table."""
+    computed = class_of(CUSP_SUPPORTS[name], run.table("dictionary"))
+    expected = run.table("class")[name]
+    certificate = "e-support" if name == "E" else _CERTIFICATE_ROWS[name][0]
+    return computed == expected, {
+        "computed": str(computed), "expected": str(expected), "certificate": certificate,
+    }
 
-    table, d, classes = data.table("certificate"), data.table("dictionary"), data.table("class")
-    checked = bitangent_checks(table) + cusp_relation_certificates(table)
-    results = [(check.passed, _certificate_detail(check)) for _, check in checked]
-    results.append((e_divisor_equality(), {"divisor": str(named_divisor("E"))}))
-    for name, expected in classes.items():  # [D_i - D_0] and [E], in that order
-        computed = class_of(CUSP_SUPPORTS[name], d)
-        certificate = "e-support" if name == "E" else _CERTIFICATE_ROWS[name][0]
-        detail = {"computed": str(computed), "expected": str(expected), "certificate": certificate}
-        results.append((computed == expected, detail))
-    return _records("bitangents", results)
+
+_BITANGENT_ROWS = _rows(
+    HEADER_BITANGENTS,
+    _CERTIFIED[:8]
+    + (("e-support", "E = 2B_2 - 2B_0", lambda run: (
+        _layer("certificates").e_divisor_equality(), {"divisor": str(named_divisor("E"))}
+    )),)
+    + tuple(
+        (f"coords-{name.lower()}", f"{name.replace('-', ' - ')} = {value}", partial(_coords, name))
+        for name, value in CLASSES.items()  # [D_i - D_0] and [E], in that order
+    ),
+)
 
 
 # the orbit recursions  entry = sigma(e_j) + e_k:  entry, matrix key, j, k
 _ORBITS = (("beta3", "s3", 4, 3), ("alpha3", "s5", 1, 4))
 
 
+def _axiom(cusp: str, run: _RunData):
+    note = "expansion taken as given; see the dict-consistency checks"
+    return None, {"value": list(run.table("dictionary")[cusp].c), "note": note}
+
+
+def _basis(run: _RunData) -> tuple:
+    """The classes of the basis divisors e_1..e_6 through the run's dictionary."""
+    return tuple(class_of(CUSP_SUPPORTS[f"e{j + 1}"], run.table("dictionary")) for j in range(6))
+
+
+def _orbit(entry: str, key: str, j: int, k: int, run: _RunData):
+    image = run.table("matrix")[key](E_BASIS[j - 1]) + E_BASIS[k - 1]
+    return run.table("dictionary")[ENTRY_CUSPS[entry]] == image, None
+
+
 _DICTIONARY_ROWS = _rows(
     HEADER_DICTIONARY,
     [
-        (f"dict-{entry}", f"{entry[:-1]}_{entry[-1]} = {CUSP_DICTIONARY[cusp]}")
+        (f"dict-{entry}", f"{entry[:-1]}_{entry[-1]} = {CUSP_DICTIONARY[cusp]}",
+         partial(_axiom, cusp))
         for entry, cusp in ENTRY_CUSPS.items()
     ]
     + [
-        ("dict-basis", "alpha_1, alpha_2, beta_1, beta_2, gamma_1 are e_1..e_5 and beta_0 = 0"),
-        (
-            "dict-gamma2-e6",
-            "gamma_2 agrees with e_6 = alpha_1 + alpha_2 + beta_1 + beta_2 + gamma_1 + gamma_2",
-        ),
+        ("dict-basis", "alpha_1, alpha_2, beta_1, beta_2, gamma_1 are e_1..e_5 and beta_0 = 0",
+         lambda run: (run.fact(_basis)[:5] == E_BASIS[:5]
+                      and run.table("dictionary")["B0"] == ZERO_ELEMENT, None)),
+        ("dict-gamma2-e6",
+         "gamma_2 agrees with e_6 = alpha_1 + alpha_2 + beta_1 + beta_2 + gamma_1 + gamma_2",
+         lambda run: (run.fact(_basis)[5] == E_BASIS[5], None)),
     ]
     + [
-        (f"dict-orbit-{entry}", f"{entry[:-1]}_{entry[-1]} = sigma_{key[1]}(e_{j}) + e_{k}")
+        (f"dict-orbit-{entry}", f"{entry[:-1]}_{entry[-1]} = sigma_{key[1]}(e_{j}) + e_{k}",
+         partial(_orbit, entry, key, j, k))
         for entry, key, j, k in _ORBITS
     ],
 )
 
 
-def _dictionary_records(data: _RunData) -> list[CheckRecord]:
-    d, matrices = data.table("dictionary"), data.table("matrix")
-    results: list[tuple[Optional[bool], Any]] = [
-        (
-            None,
-            {
-                "value": list(d[cusp].c),
-                "note": "expansion taken as given; see the dict-consistency checks",
-            },
-        )
-        for cusp in ENTRY_CUSPS.values()
-    ]
-    basis = tuple(class_of(CUSP_SUPPORTS[f"e{j + 1}"], d) for j in range(6))
-    results += [
-        (basis[:5] == E_BASIS[:5] and d["B0"] == ZERO_ELEMENT, None),
-        (basis[5] == E_BASIS[5], None),
-    ]
-    results += [
-        (d[ENTRY_CUSPS[entry]] == matrices[key](E_BASIS[j - 1]) + E_BASIS[k - 1], None)
-        for entry, key, j, k in _ORBITS
-    ]
-    return _records("dictionary", results)
+# matrix key -> name, the automorphism and its other lift, printed cusp table, header
+_GALOIS = {
+    "s3": ("sigma_3", SIGMA3, SIGMA3_ALT, SIGMA3_CUSP_TABLE, HEADER_SIGMA3),
+    "s5": ("sigma_5", SIGMA5, SIGMA5_ALT, SIGMA5_CUSP_TABLE, HEADER_SIGMA5),
+}
 
 
-# matrix key, name, the automorphism and its other lift, printed cusp table, header
-_GALOIS = (
-    ("s3", "sigma_3", SIGMA3, SIGMA3_ALT, SIGMA3_CUSP_TABLE, HEADER_SIGMA3),
-    ("s5", "sigma_5", SIGMA5, SIGMA5_ALT, SIGMA5_CUSP_TABLE, HEADER_SIGMA5),
-)
+def _permutation(key: str, run: _RunData) -> dict[str, str]:
+    return cusp_permutation(_GALOIS[key][1])
+
+
+def _derived(key: str, run: _RunData):
+    """The matrix derived from the cusp permutation through the run's
+    dictionary; an ill-defined dictionary derives no map on M and raises."""
+    return derive_action_matrix(run.fact(_permutation, key), run.table("dictionary"))
+
+
+def _perm(key: str, cusp: str, run: _RunData):
+    computed, expected = run.fact(_permutation, key)[cusp], _GALOIS[key][3][cusp]
+    return computed == expected, {"computed": computed, "expected": expected}
+
+
+def _action(key: str, j: int, run: _RunData):
+    derived, printed = run.fact(_derived, key).column(j), run.table("matrix")[key].column(j)
+    # the `action-*` label states the clean column and the detail reports it
+    expected = PRINTED_MATRICES[key].column(j)
+    return derived == expected == printed, {
+        "derived": str(derived), "printed": str(printed), "expected": str(expected),
+    }
+
+
+def _matrix(key: str, run: _RunData):
+    derived, printed = run.fact(_derived, key), run.table("matrix")[key]
+    return derived == printed, {"derived": [list(r) for r in derived.rows],
+                                "printed": [list(r) for r in printed.rows]}
+
+
+def _lift(key: str, run: _RunData):
+    _, sigma, lift, *_ = _GALOIS[key]
+    # coordinate by coordinate: both images of a normalized point start with 1
+    agree = all(
+        sigma(c) == lift(c) for n in CUSP_NAMES + ("E+", "E-") for c in catalog(n).coords
+    ) and sigma(MINUS_SQRT2) == lift(MINUS_SQRT2)
+    return agree, {"lifts": [sigma.exponent, lift.exponent]}
+
+
 _GALOIS_ROWS = (
     tuple(
         row
-        for key, text, _, _, table, header in _GALOIS
+        for key, (text, _, _, table, header) in _GALOIS.items()
         for row in _rows(
             header,
             [
-                (
-                    f"perm-{key}-{c.lower()}",
-                    f"{text}({c[0]}_{c[1]}) = {table[c][0]}_{table[c][1]}",
-                )
+                (f"perm-{key}-{c.lower()}", f"{text}({c[0]}_{c[1]}) = {table[c][0]}_{table[c][1]}",
+                 partial(_perm, key, c))
                 for c in CUSP_NAMES
             ]
             + [
-                (f"action-{key}-e{j + 1}", f"{text}(e{j + 1}) = {column}")
+                (f"action-{key}-e{j + 1}", f"{text}(e{j + 1}) = {column}", partial(_action, key, j))
                 for j, column in enumerate(map(PRINTED_MATRICES[key].column, range(6)))
             ],
         )
     )
     + _rows(
         HEADER_MATRICES,
-        [(f"matrix-{key}", f"derived matrix of {text} equals its printed form")
-         for key, text, *_ in _GALOIS]
-        + [(f"lift-{key}", f"both lifts of {text} agree on the Q(zeta_8) catalog data")
-           for key, text, *_ in _GALOIS],
+        [(f"matrix-{key}", f"derived matrix of {text} equals its printed form",
+          partial(_matrix, key)) for key, (text, *_) in _GALOIS.items()]
+        + [(f"lift-{key}", f"both lifts of {text} agree on the Q(zeta_8) catalog data",
+            partial(_lift, key)) for key, (text, *_) in _GALOIS.items()],
     )
 )
 
 
-def _galois_records(data: _RunData) -> list[CheckRecord]:
-    results, matrices, lifts = [], [], []
-    names = CUSP_NAMES + ("E+", "E-")
-    for key, _, sigma, lift, table, _ in _GALOIS:
-        computed = cusp_permutation(sigma)
-        results += [
-            (computed[c] == table[c], {"computed": computed[c], "expected": table[c]})
-            for c in CUSP_NAMES
-        ]
-        # coordinate by coordinate: both images of a normalized point start with 1
-        agree = all(
-            sigma(c) == lift(c) for n in names for c in catalog(n).coords
-        ) and sigma(MINUS_SQRT2) == lift(MINUS_SQRT2)
-        lifts.append((agree, {"lifts": [sigma.exponent, lift.exponent]}))
-        try:
-            derived = derive_action_matrix(computed, data.table("dictionary"))
-        except ValueError as error:
-            # an ill-defined dictionary derives no map on M: the rows that
-            # read the derived matrix fail, the other rows stand
-            results += [(False, {"error": str(error)}) for _ in range(6)]
-            matrices.append((False, {"error": str(error)}))
-            continue
-        printed = data.table("matrix")[key]
-        for j in range(6):
-            expected = PRINTED_MATRICES[key].column(j)
-            results.append(
-                (
-                    derived.column(j) == expected == printed.column(j),
-                    {
-                        "derived": str(derived.column(j)),
-                        "printed": str(printed.column(j)),
-                        "expected": str(expected),
-                    },
-                )
-            )
-        matrices.append(
-            (
-                derived == printed,
-                {"derived": [list(r) for r in derived.rows],
-                 "printed": [list(r) for r in printed.rows]},
-            )
-        )
-    return _records("galois", results + matrices + lifts)
+def _a0(run: _RunData):
+    return Divisor.point(catalog("A0"))
+
+
+def _shift(text: str, sigma, i: int, run: _RunData):
+    d, a0 = run.table("dictionary"), run.fact(_a0)
+    from_dictionary = d[f"A{i}"] - d["A0"]
+    from_points = cusp_class(a0.galois(sigma) - a0, d)
+    printed = run.table("shift")[text]
+    return from_dictionary == printed == from_points, {
+        "from_dictionary": str(from_dictionary),
+        "from_points": str(from_points),
+        "printed": str(printed),
+    }
+
+
+def _involution(run: _RunData):
+    t3, t5 = (image_table(run.table("matrix")[key]) for key in ("s3", "s5"))
+    # on all 2048 codes n: t3[t3[n]] = n = t5[t5[n]] and t3[t5[n]] = t5[t3[n]]
+    codes = list(range(ORDER))
+    return (list(map(t3.__getitem__, t3)) == codes == list(map(t5.__getitem__, t5))
+            and list(map(t3.__getitem__, t5)) == list(map(t5.__getitem__, t3))), None
+
+
+def _fixed(run: _RunData) -> tuple:
+    return fixed_submodule([run.table("matrix")["s3"], run.table("matrix")["s5"]])
+
+
+def _fixed_size(run: _RunData):
+    fixed = run.fact(_fixed)
+    return (len(fixed) == 8 and all(2 * m == ZERO_ELEMENT for m in fixed),
+            {"elements": [str(m) for m in fixed]})
+
+
+def _pic0_relation(run: _RunData):
+    d1, d2, d3 = _classes(run, "D1-D0", "D2-D0", "D3-D0")
+    return d1 + d2 == d3, None
+
+
+def _pic0_subgroup(run: _RunData):
+    d1, d2, e = _classes(run, "D1-D0", "D2-D0", "E")
+    pic0 = subgroup_generated([d1, d2])
+    return (len(pic0) == 4 and e not in pic0
+            and set(run.fact(_fixed)) == pic0 | {m + e for m in pic0}), None
 
 
 _FIXED_GENERATORS = (2 * E_BASIS[0] + 2 * E_BASIS[1], 2 * E_BASIS[2], 2 * E_BASIS[3])
 _FIXED_ROWS = _rows(
     HEADER_FIXED,
     [
-        (f"shift-{key}", f"({text} - 1)[A0] = {PRINTED_SHIFTS[text]}")
-        for key, text, *_ in theorems.AUTOMORPHISMS
+        (f"shift-{key}", f"({text} - 1)[A0] = {PRINTED_SHIFTS[text]}",
+         partial(_shift, text, sigma, i))
+        for key, text, sigma, i in theorems.AUTOMORPHISMS
     ]
     + [
-        ("involution", "s_3^2 = s_5^2 = 1 and s_3 s_5 = s_5 s_3 on all 2048 elements"),
-        ("fixed-size", "fixed classes of s_3 and s_5: exactly 8 elements, all killed by 2"),
-        ("fixed-generators", f"fixed classes = <{', '.join(map(str, _FIXED_GENERATORS))}>"),
-        ("fixed-mw-generators", "fixed classes = <[D_1 - D_0], [D_2 - D_0], [E]>"),
-        ("pic0-relation", "[D_1 - D_0] + [D_2 - D_0] = [D_3 - D_0]"),
-        (
-            "pic0-subgroup",
-            "{0, [D_1 - D_0], [D_2 - D_0], [D_3 - D_0]} has index 2; [E] represents the other coset",
-        ),
+        ("involution", "s_3^2 = s_5^2 = 1 and s_3 s_5 = s_5 s_3 on all 2048 elements", _involution),
+        ("fixed-size", "fixed classes of s_3 and s_5: exactly 8 elements, all killed by 2",
+         _fixed_size),
+        ("fixed-generators", f"fixed classes = <{', '.join(map(str, _FIXED_GENERATORS))}>",
+         lambda run: (set(run.fact(_fixed)) == subgroup_generated(_FIXED_GENERATORS), None)),
+        ("fixed-mw-generators", "fixed classes = <[D_1 - D_0], [D_2 - D_0], [E]>",
+         lambda run: (set(run.fact(_fixed))
+                      == subgroup_generated(_classes(run, "D1-D0", "D2-D0", "E")), None)),
+        ("pic0-relation", "[D_1 - D_0] + [D_2 - D_0] = [D_3 - D_0]", _pic0_relation),
+        ("pic0-subgroup",
+         "{0, [D_1 - D_0], [D_2 - D_0], [D_3 - D_0]} has index 2; [E] represents the other coset",
+         _pic0_subgroup),
     ],
 )
 
 
-def _fixed_records(data: _RunData) -> list[CheckRecord]:
-    results = []
-    d, shifts, matrices = data.table("dictionary"), data.table("shift"), data.table("matrix")
-    d1, d2, d3, e = itemgetter("D1-D0", "D2-D0", "D3-D0", "E")(data.table("class"))
-    a0 = Divisor.point(catalog("A0"))
-    for _, text, sigma, i in theorems.AUTOMORPHISMS:
-        from_dictionary = d[f"A{i}"] - d["A0"]
-        from_points = cusp_class(a0.galois(sigma) - a0, d)
-        printed = shifts[text]
-        results.append(
-            (
-                from_dictionary == printed == from_points,
-                {
-                    "from_dictionary": str(from_dictionary),
-                    "from_points": str(from_points),
-                    "printed": str(printed),
-                },
-            )
-        )
+def _searched(key: str, run: _RunData):
+    """The matrix of a searched automorphism: printed, or s_3 s_5."""
+    matrices = run.table("matrix")
+    return matrices["s3"] * matrices["s5"] if key == "s3s5" else matrices[key]
 
-    s3, s5 = matrices["s3"], matrices["s5"]
-    t3, t5 = image_table(s3), image_table(s5)
-    # on all 2048 codes n: t3[t3[n]] = n = t5[t5[n]] and t3[t5[n]] = t5[t3[n]]
-    codes = list(range(ORDER))
-    involution = (list(map(t3.__getitem__, t3)) == codes == list(map(t5.__getitem__, t5))
-                  and list(map(t3.__getitem__, t5)) == list(map(t5.__getitem__, t3)))
-    fixed = fixed_submodule([s3, s5])
-    fixed_set = set(fixed)
-    pic0 = subgroup_generated([d1, d2])
-    results += [
-        (involution, None),
-        (
-            len(fixed) == 8 and all(2 * m == ZERO_ELEMENT for m in fixed),
-            {"elements": [str(m) for m in fixed]},
-        ),
-        (fixed_set == subgroup_generated(_FIXED_GENERATORS), None),
-        (fixed_set == subgroup_generated([d1, d2, e]), None),
-        (d1 + d2 == d3, None),
-        (len(pic0) == 4 and e not in pic0 and fixed_set == pic0 | {m + e for m in pic0}, None),
-    ]
-    return _records("fixed", results)
+
+def _image_s5(run: _RunData):
+    image = image_submodule(run.fact(_searched, "s5"))
+    return image == two_torsion_multiples() and len(image) == 32, {"image_size": len(image)}
+
+
+def _congruence(key: str, run: _RunData):
+    image = image_submodule(run.fact(_searched, key))
+    return all((a.c[1] + a.c[2] + a.c[5]) % 2 == 0 for a in image), None
+
+
+def _torsor(key: str, text: str, run: _RunData):
+    shift = run.table("shift")[text]
+    return not pic1_has_fixed_point(run.fact(_searched, key), shift), {"shift": str(shift)}
 
 
 _TORSOR_ROWS = _rows(
     HEADER_TORSOR,
-    [("image-s5", "(sigma_5 - 1)M = 2M (32 elements)")]
+    [("image-s5", "(sigma_5 - 1)M = 2M (32 elements)", _image_s5)]
     + [
-        (
-            f"image-congruence-{key}",
-            f"every element of ({text} - 1)M satisfies a_2 + a_3 + a_6 = 0 mod 2",
-        )
+        (f"image-congruence-{key}",
+         f"every element of ({text} - 1)M satisfies a_2 + a_3 + a_6 = 0 mod 2",
+         partial(_congruence, key))
         for key, text, *_ in theorems.AUTOMORPHISMS[1:]
     ]
     + [
-        (f"torsor-{key}", f"{text} fixed-point search in degree 1: no solution among 2048")
+        (f"torsor-{key}", f"{text} fixed-point search in degree 1: no solution among 2048",
+         partial(_torsor, key, text))
         for key, text, *_ in theorems.AUTOMORPHISMS
     ],
 )
 
 
-def _torsor_records(data: _RunData) -> list[CheckRecord]:
-    s3, s5 = data.table("matrix")["s3"], data.table("matrix")["s5"]
-    matrices = {"s3": s3, "s5": s5, "s3s5": s3 * s5}
-    image5 = image_submodule(s5)
-    results = [
-        (image5 == two_torsion_multiples() and len(image5) == 32, {"image_size": len(image5)})
-    ]
-    for key, *_ in theorems.AUTOMORPHISMS[1:]:
-        image = image_submodule(matrices[key])
-        results.append((all((a.c[1] + a.c[2] + a.c[5]) % 2 == 0 for a in image), None))
-    for key, text, *_ in theorems.AUTOMORPHISMS:
-        shift = data.table("shift")[text]
-        results.append((not pic1_has_fixed_point(matrices[key], shift), {"shift": str(shift)}))
-    return _records("torsor", results)
+def _u_tau(run: _RunData):
+    """The certificate row of u_tau in the run's table."""
+    return run.table("certificate")[_layer("brauer").U_TAU]
+
+
+def _cocycle(run: _RunData) -> dict:
+    return _layer("brauer").cocycle_table(_u_tau(run))
+
+
+def _e(run: _RunData):
+    return named_divisor("E")
+
+
+def _tau_e(run: _RunData):
+    e = run.fact(_e)
+    # tau(E) = -sigma_3(E), with sigma_3(E) read from the row of u_tau
+    return e.galois(TAU) + _u_tau(run).claimed == e, None
+
+
+def _cocycle_value(run: _RunData):
+    value = run.fact(_cocycle)[("tau", "tau")]
+    return value == rational(-1), {"value": str(value)}
 
 
 _BRAUER_ROWS = _rows(
     HEADER_BRAUER,
-    list(_CERTIFICATE_ROWS.values())[8:]
-    + [
-        ("brauer-sigma5-e", "sigma_5(E) = -E"),
-        ("brauer-tau-e", "sigma_3 sigma_5(E) = -sigma_3(E)"),
-        ("brauer-product", "(X - z8 Z)(X - z8^3 Z)(X - z8^5 Z)(X - z8^7 Z) = X^4 + Z^4"),
-        ("brauer-cocycle", "u_tau * tau(u_tau) = Y^4/(X^4 + Z^4) = -1 on the curve"),
-        ("brauer-trivial-unit", "the unit u = 1 gives the trivial cocycle"),
-        ("brauer-cocycle-identity", "the 2-cocycle identity holds on {1, tau}"),
-    ],
+    _CERTIFIED[8:]
+    + (
+        ("brauer-sigma5-e", "sigma_5(E) = -E",
+         lambda run: (run.fact(_e).galois(SIGMA5) == -run.fact(_e), None)),
+        ("brauer-tau-e", "sigma_3 sigma_5(E) = -sigma_3(E)", _tau_e),
+        ("brauer-product", "(X - z8 Z)(X - z8^3 Z)(X - z8^5 Z)(X - z8^7 Z) = X^4 + Z^4",
+         lambda run: (_layer("brauer").product_of_linear_forms() == X ** 4 + Z ** 4, None)),
+        ("brauer-cocycle", "u_tau * tau(u_tau) = Y^4/(X^4 + Z^4) = -1 on the curve",
+         _cocycle_value),
+        ("brauer-trivial-unit", "the unit u = 1 gives the trivial cocycle",
+         lambda run: (all(v == ONE for v in _layer("brauer").trivial_unit_cocycle_table().values()),
+                      None)),
+        ("brauer-cocycle-identity", "the 2-cocycle identity holds on {1, tau}",
+         lambda run: (_layer("brauer").cocycle_identity_holds(run.fact(_cocycle)), None)),
+    ),
 )
 
 
-def _brauer_records(data: _RunData) -> list[CheckRecord]:
-    from .brauer import (
-        U_TAU,
-        cocycle_identity_holds,
-        cocycle_table,
-        product_of_linear_forms,
-        trivial_unit_cocycle_table,
-        verify_e_identities,
-    )
+def _pairs(run: _RunData) -> list:
+    return theorems.quadratic_point_pairs()
 
-    certificates = data.table("certificate")
-    u_tau = certificates[U_TAU]
-    results = [
-        (check.passed, _certificate_detail(check))
-        for _, check in verify_e_identities(certificates)
-    ]
-    e = named_divisor("E")
-    results += [
-        (e.galois(SIGMA5) == -e, None),
-        # tau(E) = -sigma_3(E), with sigma_3(E) read from its certificate row
-        (e.galois(TAU) + u_tau.claimed == e, None),
-        (product_of_linear_forms() == X ** 4 + Z ** 4, None),
-    ]
-    table = cocycle_table(u_tau)
-    value = table[("tau", "tau")]
-    results += [
-        (value == rational(-1), {"value": str(value)}),
-        (all(v == ONE for v in trivial_unit_cocycle_table().values()), None),
-        (cocycle_identity_holds(table), None),
-    ]
-    return _records("brauer", results)
+
+def _pair(i: int, run: _RunData):
+    _, pair_sum, target = run.fact(_pairs)[i]
+    return pair_sum == target, {"pair": str(pair_sum), "target": str(target)}
+
+
+def _on_curve(run: _RunData):
+    points = quadratic_points()
+    return (len(set(points)) == 8 and all(on_curve(p) for p in points),
+            {"points": [str(p) for p in points]})
 
 
 _QUADRATIC_ROWS = _rows(
     HEADER_QUADRATIC,
     [
-        ("quadratic-on-curve", "all 8 quadratic points lie on the curve"),
-        ("quadratic-field", "all 8 quadratic points are rational over Q(zeta_3)"),
-        ("quadratic-pair-d0", "[1 : zeta_3 : zeta_3^2] + [1 : zeta_3^2 : zeta_3] = D_0"),
-        ("quadratic-pair-d1", "[1 : -zeta_3 : zeta_3^2] + [1 : -zeta_3^2 : zeta_3] = D_1"),
-        ("quadratic-pair-d2", "[1 : zeta_3 : -zeta_3^2] + [1 : zeta_3^2 : -zeta_3] = D_2"),
-        ("quadratic-pair-d3", "[1 : -zeta_3 : -zeta_3^2] + [1 : -zeta_3^2 : -zeta_3] = D_3"),
-        ("pic2-distinct", "[D_0], [D_1], [D_2], [D_3] are pairwise distinct"),
+        ("quadratic-on-curve", "all 8 quadratic points lie on the curve", _on_curve),
+        ("quadratic-field", "all 8 quadratic points are rational over Q(zeta_3)",
+         lambda run: (all(is_zeta3_rational(p) for p in quadratic_points()), None)),
+    ]
+    + [
+        (f"quadratic-pair-d{i}", f"{label} = D_{i}", partial(_pair, i))
+        for i, label in enumerate((
+            "[1 : zeta_3 : zeta_3^2] + [1 : zeta_3^2 : zeta_3]",
+            "[1 : -zeta_3 : zeta_3^2] + [1 : -zeta_3^2 : zeta_3]",
+            "[1 : zeta_3 : -zeta_3^2] + [1 : zeta_3^2 : -zeta_3]",
+            "[1 : -zeta_3 : -zeta_3^2] + [1 : -zeta_3^2 : -zeta_3]",
+        ))
+    ]
+    + [
+        ("pic2-distinct", "[D_0], [D_1], [D_2], [D_3] are pairwise distinct",
+         lambda run: (len({ZERO_ELEMENT, *_classes(run, "D1-D0", "D2-D0", "D3-D0")}) == 4, None)),
     ],
 )
 
 
-def _quadratic_records(data: _RunData) -> list[CheckRecord]:
-    points = quadratic_points()
-    results = [
-        (
-            len(set(points)) == 8 and all(on_curve(p) for p in points),
-            {"points": [str(p) for p in points]},
-        ),
-        (all(is_zeta3_rational(p) for p in points), None),
-    ]
-    results += [
-        (pair_sum == target, {"pair": str(pair_sum), "target": str(target)})
-        for _, pair_sum, target in theorems.quadratic_point_pairs()
-    ]
-    d1, d2, d3 = itemgetter("D1-D0", "D2-D0", "D3-D0")(data.table("class"))
-    results.append((len({ZERO_ELEMENT, d1, d2, d3}) == 4, None))
-    return _records("quadratic", results)
-
-
-_THEOREM_ROWS = tuple((t.check_id, HEADER_THEOREMS, t.label) for t in theorems.THEOREMS)
-_THEOREM_OF = {t.check_id: (row, t) for row, t in zip(_THEOREM_ROWS, theorems.THEOREMS)}
-
-
-def _theorem_record(data: _RunData, check_id: str) -> CheckRecord:
+def _theorem(theorem: theorems.Theorem, run: _RunData):
     """One theorem on this run's records: it fails with a constituent or
     with any record its `depends_on` names."""
-    row, theorem = _THEOREM_OF[check_id]
     constituents = [
-        {"id": c.check_id, "passed": c.control() if c.control else data.holds(c.records)}
+        {"id": c.check_id, "passed": c.control() if c.control else run.holds(c.records)}
         for c in theorem.constituents
     ]
     passed = all(c["passed"] for c in constituents) and all(
-        data.holds(theorems.DEPENDENCIES[name]) for name in theorem.depends_on
+        run.holds(theorems.DEPENDENCIES[name]) for name in theorem.depends_on
     )
-    detail = {
+    return passed, {
         "constituents": constituents,
         "assumptions": list(theorem.assumptions),
         "depends_on": list(theorem.depends_on),
         "notes": list(theorem.notes),
     }
-    return _record("theorems", row, passed, detail)
 
 
-def _theorem_records(data: _RunData) -> list[CheckRecord]:
-    """The four theorem records, or the FAIL record of the first theorem
-    that could not be evaluated in their place."""
-    records = [data.record(check_id) for check_id in _THEOREM_OF]
-    return [r for r in records if r.check_id == "theorems-builder"][:1] or records
+_THEOREM_ROWS = _rows(
+    HEADER_THEOREMS, [(t.check_id, t.label, partial(_theorem, t)) for t in theorems.THEOREMS]
+)
 
 
-# each section in canonical order: its key, its rows and its builder
+# each section in canonical order, with its rows
 _SECTIONS = (
-    ("bitangents", _BITANGENT_ROWS, _bitangent_records),
-    ("dictionary", _DICTIONARY_ROWS, _dictionary_records),
-    ("galois", _GALOIS_ROWS, _galois_records),
-    ("fixed", _FIXED_ROWS, _fixed_records),
-    ("torsor", _TORSOR_ROWS, _torsor_records),
-    ("brauer", _BRAUER_ROWS, _brauer_records),
-    ("quadratic", _QUADRATIC_ROWS, _quadratic_records),
-    ("theorems", _THEOREM_ROWS, _theorem_records),
+    ("bitangents", _BITANGENT_ROWS),
+    ("dictionary", _DICTIONARY_ROWS),
+    ("galois", _GALOIS_ROWS),
+    ("fixed", _FIXED_ROWS),
+    ("torsor", _TORSOR_ROWS),
+    ("brauer", _BRAUER_ROWS),
+    ("quadratic", _QUADRATIC_ROWS),
+    ("theorems", _THEOREM_ROWS),
 )
-SECTION_ROWS: dict[str, tuple[Row, ...]] = {key: rows for key, rows, _ in _SECTIONS}
+SECTION_ROWS: dict[str, tuple[Row, ...]] = dict(_SECTIONS)
 SECTIONS = tuple(SECTION_ROWS)
-_SECTION_OF = {row[0]: section for section, rows in SECTION_ROWS.items() for row in rows}
-_HEADER_OF = {row[0]: row[1] for rows in SECTION_ROWS.values() for row in rows}
-# the builders a run consults; `_RunData.section` reads them at call time, so
-# a wrapper that replaces this tuple sees every section built
-_SECTION_BUILDERS: tuple[tuple[str, Callable[[_RunData], list[CheckRecord]]], ...] = tuple(
-    (key, builder) for key, _, builder in _SECTIONS
-)
+_ROW_OF = {row[0]: (section, row) for section, rows in _SECTIONS for row in rows}
+# the evaluation of a row, one entry per section: `_RunData.record` reads this
+# tuple at call time, so a wrapper that replaces it sees every record evaluated
+_SECTION_BUILDERS = tuple((section, lambda run, row: row[3](run)) for section in SECTIONS)
+
+
+def _row_of(check_id: str) -> tuple[str, Row]:
+    """The section and row of a check id; an unknown id raises ValueError."""
+    if check_id not in _ROW_OF:
+        raise ValueError(f"unknown check id {check_id!r}")
+    return _ROW_OF[check_id]
 
 
 def _id_matcher(patterns: Iterable[str]) -> Callable[[str], bool]:
@@ -805,36 +809,31 @@ def _named(patterns: tuple[str, ...]) -> tuple[str, ...]:
     """The ids the patterns match, in canonical order.  A pattern that
     matches no id raises ValueError: a theorem cannot rest on nothing."""
     for pattern in patterns:
-        if not any(map(_id_matcher((pattern,)), _SECTION_OF)):
+        if not any(map(_id_matcher((pattern,)), _ROW_OF)):
             raise ValueError(f"id pattern {pattern!r} names no check")
-    return tuple(filter(_id_matcher(patterns), _SECTION_OF))
+    return tuple(filter(_id_matcher(patterns), _ROW_OF))
 
 
-def build_report(
-    section: Optional[str] = None, fault: Optional[Fault] = None
-) -> Report:
+def build_report(section: Optional[str] = None, fault: Optional[Fault] = None) -> Report:
     """Run the checks of one section (and its cone) or of all, in canonical
     order; failures are data, not errors."""
     if section is not None and section not in SECTIONS:
         raise ValueError(f"unknown section {section!r}")
     data = _RunData(fault)
     names = SECTIONS if section is None else (section,)
-    return Report(tuple(record for name in names for record in data.section(name)))
+    return Report(tuple(data.record(row[0]) for name in names for row in SECTION_ROWS[name]))
 
 
 def run_single(check_id: str, fault: Optional[Fault] = None) -> Report:
-    """The record of one check, built from its own cone: the section of a
-    data check, the sections a theorem names.  If that section could not
-    run, or the theorem could not be evaluated, the builder record stands
-    in for the check."""
-    if check_id not in _SECTION_OF:
-        raise ValueError(f"unknown check id {check_id!r}")
+    """The record of one check, evaluated from its own cone: its verdict
+    and the facts it reads, or for a theorem the records it names."""
+    _row_of(check_id)
     return Report((_RunData(fault).record(check_id),))
 
 
 def list_check_ids() -> list[str]:
     """Every check id in canonical order, from the static tables."""
-    return list(_SECTION_OF)
+    return list(_ROW_OF)
 
 
 # ---------------------------------------------------------------------------
@@ -878,20 +877,11 @@ def render_json(report: Report) -> str:
 
 
 def parse_json(text: str) -> Report:
+    """The report `render_json` rendered; an id that names no row raises ValueError."""
     import json
 
-    payload = json.loads(text)
-    records = []
-    for item in payload["checks"]:
-        records.append(
-            CheckRecord(
-                check_id=item["id"],
-                section=item["section"],
-                # a record of a builder that could not run is headed by its section key
-                header=_HEADER_OF.get(item["id"], item["section"]),
-                label=item["label"],
-                status=item["status"],
-                detail=item["detail"],
-            )
-        )
-    return Report(tuple(records))
+    return Report(tuple(
+        CheckRecord(item["id"], item["section"], _row_of(item["id"])[1][1], item["label"],
+                    item["status"], item["detail"])
+        for item in json.loads(text)["checks"]
+    ))

@@ -20,6 +20,8 @@ from quartic_twist.checks import (
     run_single,
 )
 from quartic_twist.cli import main
+from quartic_twist.curve import CUSP_NAMES
+from quartic_twist.cyclotomic import SIGMA3
 
 GOLDEN = Path(__file__).parent / "golden" / "full_report.txt"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -55,16 +57,26 @@ def test_json_round_trip():
         assert set(item) == {"id", "section", "label", "status", "detail"}
 
 
-def _break_galois_builder(monkeypatch):
-    """Make the galois builder raise, as a builder bug would: its section
-    collapses into one builder record."""
-    def broken(data):
-        raise RuntimeError("broken builder")
+def _break_sigma3_permutation(monkeypatch):
+    """Make the cusp permutation of sigma_3 raise, as a layer bug would:
+    the records that read it fail with the error, and no other record."""
+    permutation = checks.cusp_permutation
 
-    monkeypatch.setattr(checks, "_SECTION_BUILDERS", tuple(
-        (section, broken if section == "galois" else builder)
-        for section, builder in checks._SECTION_BUILDERS
-    ))
+    def broken(sigma):
+        if sigma is SIGMA3:
+            raise RuntimeError("broken permutation")
+        return permutation(sigma)
+
+    monkeypatch.setattr(checks, "cusp_permutation", broken)
+
+
+# the records that read the cusp permutation of sigma_3, and the theorem
+# that rests on the derived matrix of sigma_3
+_READ_SIGMA3_PERMUTATION = (
+    {f"perm-s3-{c.lower()}" for c in CUSP_NAMES}
+    | {f"action-s3-e{j}" for j in range(1, 7)}
+    | {"matrix-s3", "theorem-odd-torsors"}
+)
 
 
 def test_json_round_trip_needs_no_rebuild(monkeypatch):
@@ -80,9 +92,9 @@ def test_json_round_trip_needs_no_rebuild(monkeypatch):
     ]
     details = {r.check_id: r.detail for r in reports[2].checks}
     assert set(details["matrix-s3"]) == set(details["action-s5-e1"]) == {"error"}
-    _break_galois_builder(monkeypatch)
+    _break_sigma3_permutation(monkeypatch)
     reports.append(build_report(section="galois"))
-    assert reports[3].checks[0].check_id == "galois-builder"
+    assert reports[3].checks[0].detail == {"error": "broken permutation"}
 
     def no_rebuild(*args, **kwargs):
         raise AssertionError("parse_json rebuilt the report")
@@ -90,6 +102,11 @@ def test_json_round_trip_needs_no_rebuild(monkeypatch):
     monkeypatch.setattr(checks, "build_report", no_rebuild)
     for report in reports:
         assert parse_json(render_json(report)) == report
+    # each header is read from the rows, so an id that names no row is rejected
+    payload = json.loads(render_json(reports[1]))
+    payload["checks"][0]["id"] = "galois-builder"
+    with pytest.raises(ValueError, match="'galois-builder'"):
+        parse_json(json.dumps(payload))
 
 
 def test_check_ids_unique():
@@ -361,12 +378,21 @@ def test_fault_objects():
 
 
 def test_theorems_see_a_section_that_could_not_run(monkeypatch):
-    # a galois builder that raises collapses its section into one builder
-    # record; the theorem that rests on the action matrices fails
-    _break_galois_builder(monkeypatch)
-    report = build_report()
-    failing = {r.check_id for r in report.checks if r.status == "FAIL"}
-    assert failing == {"galois-builder", "theorem-odd-torsors"}
+    # a cusp permutation that raises fails the records that read it, each
+    # under its own label, and the theorem that rests on the action
+    # matrices; every other record is that of a clean run
+    clean = build_report().checks
+    _break_sigma3_permutation(monkeypatch)
+    report = build_report().checks
+    failing = {r.check_id for r in report if r.status == "FAIL"}
+    assert failing == _READ_SIGMA3_PERMUTATION
+    for record, before in zip(report, clean, strict=True):
+        if record.check_id not in failing:
+            assert record == before
+            continue
+        assert record == before._replace(status="FAIL", detail=record.detail)
+        if record.check_id != "theorem-odd-torsors":
+            assert record.detail == {"error": "broken permutation"}
 
 
 def test_each_section_is_built_once_per_run(monkeypatch):
@@ -484,15 +510,19 @@ def test_malformed_fault_is_usage_error(payload, named, tmp_path, capsys):
     assert named in captured.err, captured.err
 
 
-def test_known_id_in_collapsed_section_reports_its_builder(monkeypatch, capsys):
-    # a galois builder that raises collapses its section into its builder record
-    _break_galois_builder(monkeypatch)
+def test_known_id_whose_fact_raises_fails_under_its_own_label(monkeypatch, capsys):
+    # a cusp permutation that raises fails a record that reads it under the
+    # record's own header and label, and leaves a record that does not read it
+    (record,) = run_single("action-s3-e1").checks
+    _break_sigma3_permutation(monkeypatch)
     assert main(["--check", "action-s3-e1"]) == 1
     out = capsys.readouterr().out
     assert out == (
-        "galois\nchecks of section galois could not run : FAIL\n\n"
+        f"{checks.HEADER_SIGMA3}\n{record.label} : FAIL\n\n"
         "Summary: 0 OK, 1 FAIL, 0 SKIPPED\n"
     )
+    assert main(["--check", "perm-s5-a0"]) == 0
+    assert capsys.readouterr().out.endswith("Summary: 1 OK, 0 FAIL, 0 SKIPPED\n")
     assert main(["--check", "no-such-check"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,13 +1,13 @@
 """Each printed constant is written once: a label that states a constant
-is rendered from the clean constant, so no fault moves it, a section
-builder reads a constant only through its run, and the benchmark's
+is rendered from the clean constant, so no fault moves it, a verdict or
+a fact reads a constant only through its run, and the benchmark's
 fault generator draws from the program's one fault space."""
 
 import ast
 import inspect
 import json
 import random
-import re
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -82,31 +82,45 @@ def _names(node: ast.AST) -> list[str]:
     ]
 
 
-def test_builders_read_the_tables_only_through_the_run():
+def test_verdicts_read_the_tables_only_through_the_run():
+    # every function and lambda of the registry outside `_TABLES`, which
+    # holds the clean tables; the labels of the rows, rendered at import
+    # from the clean constants, are expressions outside any function
     tree = ast.parse(Path(checks.__file__).read_text(encoding="utf-8"))
-    builders = [
+    (table_node,) = [
         node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and re.fullmatch(r"_\w+_records", node.name)
+        if isinstance(node, ast.Assign) and _names(node.targets[0]) == ["_TABLES"]
     ]
-    assert len(builders) == len(checks.SECTIONS)
+    inside_tables = set(map(id, ast.walk(table_node)))
+    functions = [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)) and id(node) not in inside_tables
+    ]
+    # the walk reaches the verdict of every row
+    lines = {node.lineno for node in functions}
+    for rows in checks.SECTION_ROWS.values():
+        for check_id, _, _, verdict in rows:
+            while isinstance(verdict, partial):
+                verdict = verdict.func
+            assert verdict.__code__.co_firstlineno in lines, check_id
     tables = {"CUSP_DICTIONARY", "PRINTED_SHIFTS", "CLASSES", "certificate_forms",
               "certificate_table", "PRINTED_MATRICES"}
-    for builder in builders:
-        read = [n for n in _names(builder) if n in tables or n.startswith("CLASS_")]
-        if builder.name == "_galois_records":
+    for function in functions:
+        read = [n for n in _names(function) if n in tables or n.startswith("CLASS_")]
+        if getattr(function, "name", None) == "_action":
             # the `action-*` label states the clean column and the detail reports it
             expected = [
-                name for node in ast.walk(builder)
+                name for node in ast.walk(function)
                 if isinstance(node, ast.Assign) and _names(node.targets[0]) == ["expected"]
                 for name in _names(node.value)
             ]
             assert read == ["PRINTED_MATRICES"] and "PRINTED_MATRICES" in expected
             continue
-        assert read == [], builder.name
+        assert read == [], ast.unparse(function)[:200]
 
 
 # the layer functions that read a table a fault may corrupt, each handed
-# the run's copy by its builder
+# the run's copy by a verdict or a fact
 LAYER_READERS = (
     mordell_weil.class_of,
     mordell_weil.cusp_class,
@@ -138,7 +152,7 @@ def test_an_ill_defined_dictionary_fails_only_the_rows_that_read_it():
     fault = parse_fault({"target": "dictionary", "entry": "alpha0", "index": 0, "delta": 3})
     records = build_report(section="galois", fault=fault).checks
     status = {r.check_id: r.status for r in records}
-    assert "galois-builder" not in status
+    assert list(status) == [row[0] for row in checks.SECTION_ROWS["galois"]]
     reads = [r for r in records if r.check_id.startswith(("action-", "matrix-"))]
     rest = [r for r in records if r not in reads]
     assert len(reads) == 14 and len(rest) == 26
