@@ -5,7 +5,8 @@ classes, torsor obstructions, and the Brauer cocycle.
 The package exports the names that the demos, the tests and perfbench/
 import from it; every other name is imported from its own module.  An
 export or a submodule is imported on first access, so `import
-quartic_twist` loads no layer and a request loads only those it reads."""
+quartic_twist` loads no layer, and a request loads the modules that the
+registry's static tables read, then the layers its cone reads."""
 
 from importlib import import_module
 

@@ -16,8 +16,8 @@ the matrix columns, the certificate names and the theorem table.  A
 label that states a constant (`dict-*`, `action-*`, `shift-*`,
 `coords-*`) is rendered at import from the clean constant it names, so
 the constant is written once and no fault can move a label.  Listing the
-ids does no arithmetic.  `_SECTIONS` names each section once, with its
-rows, and each row carries its own verdict, which maps a run to
+ids does no arithmetic.  `SECTION_ROWS` names each section once, with
+its rows, and each row carries its own verdict, which maps a run to
 (passed, detail).
 
 A request is answered from its dependency cone only.  `_RunData.record`
@@ -29,10 +29,12 @@ the cocycle table) is a fact, computed at most once per run by
 (`theorems`) through `record`.  So `--check ID` evaluates one verdict and
 the facts it reads, a theorem the records it names, and the full report
 each record once.  A verdict that raises, or reads a fact that raised,
-fails its own record, with the error as its detail.  A request imports
-only the layers its cone reads: the certificate and Brauer verdicts
-import theirs, a run reads each table on first use, and only the fault
-reader and the JSON renderers import `json`.
+fails its own record, with the error as its detail.  Every request
+imports the seven modules that the static tables read (`cli`, this
+registry, `theorems`, `cyclotomic`, `curve`, `divisors`, `mordell_weil`)
+and beyond them only the layers its cone reads: the certificate and
+Brauer verdicts import theirs, and only the fault reader and the JSON
+renderers import `json`.
 
 A Fault corrupts one constant for negative-control runs, and it is the
 only way to corrupt a run; a corrupted run must produce at least one FAIL.
@@ -50,7 +52,7 @@ are those of the run's table and the cocycle reads u_tau from its row.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache, partial
 from importlib import import_module
 from itertools import product
@@ -185,12 +187,18 @@ def _faulted(fault: Fault) -> Mapping:
 
 
 def load_fault(path: str) -> Fault:
-    """Read a fault file and check it with `parse_fault`."""
+    """Read a fault file and check it with `parse_fault`; a repeated key raises ValueError."""
     import json
+
+    def unique(pairs: list) -> dict:
+        repeated = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
+        if repeated:
+            raise ValueError(f"duplicate key {repeated[0]!r}")
+        return dict(pairs)
 
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return parse_fault(json.load(handle))
+            return parse_fault(json.load(handle, object_pairs_hook=unique))
         except RecursionError as error:
             raise ValueError(str(error)) from None
 
@@ -312,7 +320,8 @@ class _RunData:
                 passed, detail = dict(_SECTION_BUILDERS)[section](self, row)
             except Exception as error:
                 passed, detail = False, {"error": str(error)}
-            self.records[check_id] = _record(section, row, passed, detail)
+            status = STATUS_SKIPPED if passed is None else STATUS_OK if passed else STATUS_FAIL
+            self.records[check_id] = CheckRecord(check_id, section, *row[1:3], status, detail)
         return self.records[check_id]
 
     def holds(self, patterns: tuple[str, ...]) -> bool:
@@ -333,13 +342,6 @@ Row = tuple[str, str, str, Verdict]
 
 def _rows(header: str, labelled: Iterable[tuple[str, str, Verdict]]) -> tuple[Row, ...]:
     return tuple((check_id, header, label, verdict) for check_id, label, verdict in labelled)
-
-
-def _record(section: str, row: Row, passed: Optional[bool], detail: Any) -> CheckRecord:
-    """`passed` is None for a data axiom."""
-    check_id, header, label, _ = row
-    status = STATUS_SKIPPED if passed is None else STATUS_OK if passed else STATUS_FAIL
-    return CheckRecord(check_id, section, header, label, status, detail)
 
 
 def _classes(run: _RunData, *names: str) -> list:
@@ -498,11 +500,7 @@ def _perm(key: str, cusp: str, run: _RunData):
 
 def _action(key: str, j: int, run: _RunData):
     derived, printed = run.fact(_derived, key).column(j), run.table("matrix")[key].column(j)
-    # the `action-*` label states the clean column and the detail reports it
-    expected = PRINTED_MATRICES[key].column(j)
-    return derived == expected == printed, {
-        "derived": str(derived), "printed": str(printed), "expected": str(expected),
-    }
+    return derived == printed, {"derived": str(derived), "printed": str(printed)}
 
 
 def _matrix(key: str, run: _RunData):
@@ -762,19 +760,18 @@ _THEOREM_ROWS = _rows(
 
 
 # each section in canonical order, with its rows
-_SECTIONS = (
-    ("bitangents", _BITANGENT_ROWS),
-    ("dictionary", _DICTIONARY_ROWS),
-    ("galois", _GALOIS_ROWS),
-    ("fixed", _FIXED_ROWS),
-    ("torsor", _TORSOR_ROWS),
-    ("brauer", _BRAUER_ROWS),
-    ("quadratic", _QUADRATIC_ROWS),
-    ("theorems", _THEOREM_ROWS),
-)
-SECTION_ROWS: dict[str, tuple[Row, ...]] = dict(_SECTIONS)
+SECTION_ROWS: dict[str, tuple[Row, ...]] = {
+    "bitangents": _BITANGENT_ROWS,
+    "dictionary": _DICTIONARY_ROWS,
+    "galois": _GALOIS_ROWS,
+    "fixed": _FIXED_ROWS,
+    "torsor": _TORSOR_ROWS,
+    "brauer": _BRAUER_ROWS,
+    "quadratic": _QUADRATIC_ROWS,
+    "theorems": _THEOREM_ROWS,
+}
 SECTIONS = tuple(SECTION_ROWS)
-_ROW_OF = {row[0]: (section, row) for section, rows in _SECTIONS for row in rows}
+_ROW_OF = {row[0]: (section, row) for section, rows in SECTION_ROWS.items() for row in rows}
 # the evaluation of a row, one entry per section: `_RunData.record` reads this
 # tuple at call time, so a wrapper that replaces it sees every record evaluated
 _SECTION_BUILDERS = tuple((section, lambda run, row: row[3](run)) for section in SECTIONS)
@@ -808,10 +805,11 @@ def _id_matcher(patterns: Iterable[str]) -> Callable[[str], bool]:
 def _named(patterns: tuple[str, ...]) -> tuple[str, ...]:
     """The ids the patterns match, in canonical order.  A pattern that
     matches no id raises ValueError: a theorem cannot rest on nothing."""
+    named = tuple(filter(_id_matcher(patterns), _ROW_OF))
     for pattern in patterns:
-        if not any(map(_id_matcher((pattern,)), _ROW_OF)):
+        if not any(map(_id_matcher((pattern,)), named)):
             raise ValueError(f"id pattern {pattern!r} names no check")
-    return tuple(filter(_id_matcher(patterns), _ROW_OF))
+    return named
 
 
 def build_report(section: Optional[str] = None, fault: Optional[Fault] = None) -> Report:

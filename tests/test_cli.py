@@ -494,6 +494,9 @@ _CLASS_FAULT = {"target": "class", "class": "E", "index": 3, "delta": 2}
                      id="missing-field"),
         pytest.param({"target": ["matrix"]}, "['matrix']", id="non-string-target"),
         pytest.param([_MATRIX_FAULT], "JSON object", id="top-level-array"),
+        # raw text: a key given twice, which `json.load` alone reads as its last value
+        pytest.param('{"target": "class", "class": "E", "index": 3, "delta": 2, "delta": 1}',
+                     "duplicate key 'delta'", id="duplicate-key"),
         # raw text: too deep for the JSON decoder, which raises RecursionError
         pytest.param("[" * 100_000, "recursion", id="deeply-nested"),
     ],

@@ -107,15 +107,6 @@ def test_verdicts_read_the_tables_only_through_the_run():
               "certificate_table", "PRINTED_MATRICES"}
     for function in functions:
         read = [n for n in _names(function) if n in tables or n.startswith("CLASS_")]
-        if getattr(function, "name", None) == "_action":
-            # the `action-*` label states the clean column and the detail reports it
-            expected = [
-                name for node in ast.walk(function)
-                if isinstance(node, ast.Assign) and _names(node.targets[0]) == ["expected"]
-                for name in _names(node.value)
-            ]
-            assert read == ["PRINTED_MATRICES"] and "PRINTED_MATRICES" in expected
-            continue
         assert read == [], ast.unparse(function)[:200]
 
 

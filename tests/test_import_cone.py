@@ -1,12 +1,15 @@
-"""A request imports only the layers its cone reads.
+"""A request imports the seven modules its static tables read, and
+beyond them only the layers its cone reads.
 
 Each request runs the package's `__main__` in a fresh process, as
 `python -m quartic_twist ARGS` does, and then writes the names in
-`sys.modules` to stderr.  The layers of the Galois module (the
-dictionary, the action matrices, the fixed and image submodules, the
-torsor searches) read no valuation, certificate or Brauer code, so a
-request whose cone stays inside them imports none of those layers, and
-only the fault reader and the JSON renderer import `json`."""
+`sys.modules` to stderr.  Every request imports `BASE`: the CLI, the
+registry and the five modules whose names, constants and labels the
+static tables read.  The layers of the Galois module (the dictionary,
+the action matrices, the fixed and image submodules, the torsor
+searches) read no valuation, certificate or Brauer code, so a request
+whose cone stays inside them imports nothing beyond `BASE`, and only
+the fault reader and the JSON renderer import `json`."""
 
 import os
 import subprocess

@@ -34,12 +34,12 @@ most (14 with doubling).  It inverts 19 field elements: F_dep(P) once at each of
 the 14 points expanded beyond precision 1, and 5 divisions in the Brauer
 cocycle, which is computed once.  Inverting per precision and
 normalizing the Galois images of normalized points again costs 157.  It
-constructs 256 elements of the divisor-class module through the
+constructs 244 elements of the divisor-class module through the
 reducing constructor, 34 of them reading the six basis divisors from the
 cusp dictionary, B_0 included (22 when the basis classes left out the
 B_0 term); the 2048 of the enumeration are built from coordinates
 already reduced (2,304 before), and each `action-*` row forms each of
-its three columns once (280 in all when it formed the derived and
+its two columns once (280 in all when it formed the derived and
 printed columns twice).  Every divisor goes through
 the one constructor, which tests its support on the curve: a cold report
 builds 180 divisors, 98 of them sums, differences and multiples, and
