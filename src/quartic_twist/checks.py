@@ -317,7 +317,7 @@ class _RunData:
         if check_id not in self.records:
             section, row = _ROW_OF[check_id]
             try:
-                passed, detail = dict(_SECTION_BUILDERS)[section](self, row)
+                passed, detail = next(e for s, e in _SECTION_BUILDERS if s == section)(self, row)
             except Exception as error:
                 passed, detail = False, {"error": str(error)}
             status = STATUS_SKIPPED if passed is None else STATUS_OK if passed else STATUS_FAIL
@@ -349,29 +349,8 @@ def _classes(run: _RunData, *names: str) -> list:
     return [run.table("class")[name] for name in names]
 
 
-def _certificate_detail(check) -> dict:
-    """The support, orders and completeness of a certificate with the
-    denominator 1, the ledger of any other."""
-    if not check.denominator:
-        return {
-            "support": [point_name(p) for p in check.support],
-            "orders": [row.numerator_order for row in check.ledger],
-            "complete": check.numerator_complete,
-        }
-    return {
-        "numerator_complete": check.numerator_complete,
-        "denominator_complete": check.denominator_complete,
-        "ledger": [
-            {"point": point_name(row.point), "numerator": row.numerator_order,
-             "denominator": row.denominator_order, "claimed": row.claimed}
-            for row in check.ledger
-        ],
-        "reason": check.reason,
-    }
-
-
 # the three selections of certificate rows, each verified once per run by
-# the layer function that selects it
+# the layer function that selects it; a section takes its rows by selection
 def _bitangent_checks(run: _RunData) -> dict:
     return dict(_layer("certificates").bitangent_checks(run.table("certificate")))
 
@@ -384,38 +363,61 @@ def _e_checks(run: _RunData) -> dict:
     return dict(_layer("brauer").verify_e_identities(run.table("certificate")))
 
 
-def _certified(selection: Callable[[_RunData], dict], name: str, run: _RunData):
-    check = run.fact(selection)[name]
-    return check.passed, _certificate_detail(check)
-
-
-# certificate name -> (check id, label): the rows of the certificate table in
-# table order, the first eight in the bitangents section, the last three in brauer
+# certificate name -> (selection, check id, label), in the order of the certificate table
 _CERTIFICATE_ROWS = {
-    "2D0": ("bitangent-2d0", "2 D_0 = div(x + y + z)"),
-    "2D1": ("bitangent-2d1", "2 D_1 = div(x - y + z)"),
-    "2D2": ("bitangent-2d2", "2 D_2 = div(x + y - z)"),
-    "2D3": ("bitangent-2d3", "2 D_3 = div(x - y - z)"),
-    "conic": ("bitangent-conic", "D_0 + D_1 + D_2 + D_3 = div(X^2 + Y^2 + Z^2)"),
-    "D1-D0": ("relation-d1-d0", "D_1 - D_0 = 2B_1 + 2B_2 - 4B_0 + div(...)"),
-    "D2-D0": ("relation-d2-d0", "D_2 - D_0 = 2A_1 + 2A_2 + 2B_1 + 2B_2 - 8B_0 + div(...)"),
-    "D3-D0": ("relation-d3-d0", "D_3 - D_0 = 2A1 + 2A2 - 4B0 + div(...)"),
-    "2E": ("brauer-2e", "2E = div((X - z8^5 * Z)/(X - z8 * Z))"),
-    "E+sigma3(E)": ("brauer-e-plus", "E + sigma_3(E) = div(Y^2/((X - z8 * Z) * (X - z8^3 * Z)))"),
-    "E-sigma3(E)": ("brauer-e-minus", "E - sigma_3(E) = div(Y^2/((X - z8 * Z) * (X - z8^7 * Z)))"),
+    "2D0": (_bitangent_checks, "bitangent-2d0", "2 D_0 = div(x + y + z)"),
+    "2D1": (_bitangent_checks, "bitangent-2d1", "2 D_1 = div(x - y + z)"),
+    "2D2": (_bitangent_checks, "bitangent-2d2", "2 D_2 = div(x + y - z)"),
+    "2D3": (_bitangent_checks, "bitangent-2d3", "2 D_3 = div(x - y - z)"),
+    "conic": (_bitangent_checks, "bitangent-conic", "D_0 + D_1 + D_2 + D_3 = div(X^2 + Y^2 + Z^2)"),
+    "D1-D0": (_relation_checks, "relation-d1-d0", "D_1 - D_0 = 2B_1 + 2B_2 - 4B_0 + div(...)"),
+    "D2-D0": (_relation_checks, "relation-d2-d0",
+              "D_2 - D_0 = 2A_1 + 2A_2 + 2B_1 + 2B_2 - 8B_0 + div(...)"),
+    "D3-D0": (_relation_checks, "relation-d3-d0", "D_3 - D_0 = 2A1 + 2A2 - 4B0 + div(...)"),
+    "2E": (_e_checks, "brauer-2e", "2E = div((X - z8^5 * Z)/(X - z8 * Z))"),
+    "E+sigma3(E)": (_e_checks, "brauer-e-plus",
+                    "E + sigma_3(E) = div(Y^2/((X - z8 * Z) * (X - z8^3 * Z)))"),
+    "E-sigma3(E)": (_e_checks, "brauer-e-minus",
+                    "E - sigma_3(E) = div(Y^2/((X - z8 * Z) * (X - z8^7 * Z)))"),
 }
-_SELECTIONS = (_bitangent_checks,) * 5 + (_relation_checks,) * 3 + (_e_checks,) * 3
-_CERTIFIED = tuple(
-    (check_id, label, partial(_certified, selection, name)) for (name, (check_id, label)), selection
-    in zip(_CERTIFICATE_ROWS.items(), _SELECTIONS, strict=True)
-)
+
+
+def _certificate(selection: Callable[[_RunData], dict], name: str, run: _RunData):
+    """A certificate row's verdict: the support, orders and completeness of a
+    certificate with the denominator 1, the ledger of any other."""
+    check = run.fact(selection)[name]
+    if not check.denominator:
+        return check.passed, {
+            "support": [point_name(p) for p in check.support],
+            "orders": [row.numerator_order for row in check.ledger],
+            "complete": check.numerator_complete,
+        }
+    return check.passed, {
+        "numerator_complete": check.numerator_complete,
+        "denominator_complete": check.denominator_complete,
+        "ledger": [
+            {"point": point_name(row.point), "numerator": row.numerator_order,
+             "denominator": row.denominator_order, "claimed": row.claimed}
+            for row in check.ledger
+        ],
+        "reason": check.reason,
+    }
+
+
+def _certified(*selections: Callable[[_RunData], dict]) -> tuple:
+    """The rows of the certificates that the selections verify, in table order."""
+    return tuple(
+        (check_id, label, partial(_certificate, selection, name))
+        for name, (selection, check_id, label) in _CERTIFICATE_ROWS.items()
+        if selection in selections
+    )
 
 
 def _coords(name: str, run: _RunData):
     """[D_i - D_0] or [E] from its cusp support, against the class table."""
     computed = class_of(CUSP_SUPPORTS[name], run.table("dictionary"))
     expected = run.table("class")[name]
-    certificate = "e-support" if name == "E" else _CERTIFICATE_ROWS[name][0]
+    certificate = "e-support" if name == "E" else _CERTIFICATE_ROWS[name][1]
     return computed == expected, {
         "computed": str(computed), "expected": str(expected), "certificate": certificate,
     }
@@ -423,7 +425,7 @@ def _coords(name: str, run: _RunData):
 
 _BITANGENT_ROWS = _rows(
     HEADER_BITANGENTS,
-    _CERTIFIED[:8]
+    _certified(_bitangent_checks, _relation_checks)
     + (("e-support", "E = 2B_2 - 2B_0", lambda run: (
         _layer("certificates").e_divisor_equality(), {"divisor": str(named_divisor("E"))}
     )),)
@@ -680,7 +682,7 @@ def _cocycle_value(run: _RunData):
 
 _BRAUER_ROWS = _rows(
     HEADER_BRAUER,
-    _CERTIFIED[8:]
+    _certified(_e_checks)
     + (
         ("brauer-sigma5-e", "sigma_5(E) = -E",
          lambda run: (run.fact(_e).galois(SIGMA5) == -run.fact(_e), None)),
@@ -772,9 +774,15 @@ SECTION_ROWS: dict[str, tuple[Row, ...]] = {
 }
 SECTIONS = tuple(SECTION_ROWS)
 _ROW_OF = {row[0]: (section, row) for section, rows in SECTION_ROWS.items() for row in rows}
-# the evaluation of a row, one entry per section: `_RunData.record` reads this
+
+
+def _evaluate(run: _RunData, row: Row):
+    return row[3](run)
+
+
+# each section with the evaluation of its rows: `_RunData.record` scans this
 # tuple at call time, so a wrapper that replaces it sees every record evaluated
-_SECTION_BUILDERS = tuple((section, lambda run, row: row[3](run)) for section in SECTIONS)
+_SECTION_BUILDERS = tuple((section, _evaluate) for section in SECTIONS)
 
 
 def _row_of(check_id: str) -> tuple[str, Row]:
@@ -784,32 +792,22 @@ def _row_of(check_id: str) -> tuple[str, Row]:
     return _ROW_OF[check_id]
 
 
-def _id_matcher(patterns: Iterable[str]) -> Callable[[str], bool]:
-    """Whether an id matches any of the patterns.  A pattern is an exact id
-    or a prefix followed by one `*`; any other wildcard is rejected."""
-    exact, prefixes = set(), []
-    for pattern in patterns:
-        is_prefix = pattern.endswith("*")
-        body = pattern[:-1] if is_prefix else pattern
-        if any(ch in body for ch in "*?["):
-            raise ValueError(f"id pattern {pattern!r} is not an id or a prefix ending in '*'")
-        if is_prefix:
-            prefixes.append(body)
-        else:
-            exact.add(body)
-    starts = tuple(prefixes)
-    return lambda check_id: check_id in exact or check_id.startswith(starts)
-
-
 @lru_cache(maxsize=None)
 def _named(patterns: tuple[str, ...]) -> tuple[str, ...]:
-    """The ids the patterns match, in canonical order.  A pattern that
-    matches no id raises ValueError: a theorem cannot rest on nothing."""
-    named = tuple(filter(_id_matcher(patterns), _ROW_OF))
+    """The ids the patterns match, in canonical order.  A pattern is an id
+    or a prefix and one `*`; any other wildcard raises ValueError, before a
+    pattern that matches no id does: a theorem cannot rest on nothing."""
     for pattern in patterns:
-        if not any(map(_id_matcher((pattern,)), named)):
+        if any(ch in pattern.removesuffix("*") for ch in "*?["):
+            raise ValueError(f"id pattern {pattern!r} is not an id or a prefix ending in '*'")
+    named = set()
+    for pattern in patterns:
+        prefix = pattern.removesuffix("*")
+        ids = {i for i in _ROW_OF if (i.startswith(prefix) if prefix != pattern else i == pattern)}
+        if not ids:
             raise ValueError(f"id pattern {pattern!r} names no check")
-    return named
+        named |= ids
+    return tuple(i for i in _ROW_OF if i in named)
 
 
 def build_report(section: Optional[str] = None, fault: Optional[Fault] = None) -> Report:

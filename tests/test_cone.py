@@ -166,28 +166,31 @@ def _table_patterns() -> set[str]:
 def test_id_patterns_match_as_fnmatch_does():
     patterns = _table_patterns()
     assert any(p.endswith("*") for p in patterns)
-    ids = list_check_ids() + ["", "bitangent", "fixed", "theorems-builder", "relation-"]
+    ids = list_check_ids()
     for pattern in patterns:
-        matches = checks._id_matcher((pattern,))
-        for check_id in ids:
-            assert matches(check_id) == fnmatchcase(check_id, pattern), (pattern, check_id)
-    every = checks._id_matcher(patterns)
-    assert [i for i in ids if every(i)] == [
+        matched = tuple(i for i in ids if fnmatchcase(i, pattern))
+        assert checks._named((pattern,)) == matched, pattern
+    assert checks._named(tuple(sorted(patterns))) == tuple(
         i for i in ids if any(fnmatchcase(i, p) for p in patterns)
-    ]
+    )
 
 
 @pytest.mark.parametrize("pattern", ["*-s3", "torsor-*-s3", "fixed-**", "a?", "dict-[ab]*"])
 def test_other_wildcards_are_rejected(pattern):
-    with pytest.raises(ValueError):
-        checks._id_matcher((pattern,))
+    with pytest.raises(ValueError, match="is not an id or a prefix ending in"):
+        checks._named((pattern,))
+
+
+def test_a_malformed_pattern_is_reported_before_one_that_names_no_check():
+    with pytest.raises(ValueError, match="'fixed-\\*\\*' is not an id or a prefix"):
+        checks._named(("torsor-s35", "fixed-**"))
 
 
 def test_every_table_pattern_names_a_check():
     patterns = _table_patterns()
     assert len(patterns) == 30
     for pattern in patterns:
-        assert any(map(checks._id_matcher((pattern,)), list_check_ids())), pattern
+        assert checks._named((pattern,)), pattern
 
 
 def test_a_pattern_that_names_no_check_fails_its_theorem(monkeypatch):

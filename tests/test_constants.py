@@ -176,6 +176,14 @@ def test_certificate_rows_name_the_table_in_order():
 
     names = [*BITANGENTS, *RELATIONS, *E_IDENTITIES]
     assert list(checks._CERTIFICATE_ROWS) == list(certificate_table()) == names
+    # each row is verified by the selection whose layer tuple holds its name
+    layers = (
+        (checks._bitangent_checks, BITANGENTS),
+        (checks._relation_checks, RELATIONS),
+        (checks._e_checks, E_IDENTITIES),
+    )
+    for name, (selection, _, _) in checks._CERTIFICATE_ROWS.items():
+        assert [s for s, held in layers if name in held] == [selection], name
 
 
 def test_u_tau_is_one_constant_for_both_records():
