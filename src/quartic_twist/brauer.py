@@ -25,6 +25,9 @@ GroupLabel = str  # "1" or "tau"
 
 _GROUP = ("1", "tau")
 
+# X^4 modulo the curve ideal
+_X4 = HomogPoly(4, {(0, 4, 0): -1, (0, 0, 4): -1})
+
 
 def _group_mul(s: GroupLabel, t: GroupLabel) -> GroupLabel:
     """The product st in the order-2 group {1, tau}."""
@@ -38,24 +41,14 @@ def _act(s: GroupLabel, value: CycNum) -> CycNum:
 
 
 def reduce_mod_curve(form: HomogPoly) -> HomogPoly:
-    """Normal form modulo the curve ideal: rewrite every monomial divisible
-    by X^4 via X^4 -> -Y^4 - Z^4 until none remains.  The residue is zero
-    exactly when the curve polynomial divides the form."""
-    terms = dict(form.terms)
-    while True:
-        reducible = [e for e in terms if e[0] >= 4]
-        if not reducible:
-            break
-        for (i, j, k) in reducible:
-            c = terms.pop((i, j, k))
-            for target, sign in (((i - 4, j + 4, k), -1), ((i - 4, j, k + 4), -1)):
-                prev = terms.get(target)
-                updated = (prev + sign * c) if prev is not None else sign * c
-                if updated:
-                    terms[target] = updated
-                else:
-                    terms.pop(target, None)
-    return HomogPoly(form.degree, terms)
+    """Normal form modulo the curve ideal: X^4 -> -Y^4 - Z^4 sends each
+    monomial X^(4q+r) Y^j Z^k to (-Y^4 - Z^4)^q X^r Y^j Z^k.  The residue
+    is zero exactly when the curve polynomial divides the form."""
+    residue = HomogPoly.zero(form.degree)
+    for (i, j, k), c in form.terms.items():
+        q, r = divmod(i, 4)
+        residue = residue + _X4 ** q * HomogPoly.monomial((r, j, k), c)
+    return residue
 
 
 def product_of_linear_forms() -> HomogPoly:
@@ -63,10 +56,7 @@ def product_of_linear_forms() -> HomogPoly:
     powers of zeta_8 are exactly the fourth roots of -1, so this expands
     to X^4 + Z^4."""
     z8 = zeta(8)
-    form = HomogPoly.monomial((0, 0, 0), 1)
-    for k in (1, 3, 5, 7):
-        form = form * (X - z8 ** k * Z)
-    return form
+    return product([X - z8 ** k * Z for k in (1, 3, 5, 7)])
 
 
 def _scalar_ratio(numerator: HomogPoly, denominator: HomogPoly) -> CycNum:

@@ -187,8 +187,11 @@ def _faulted(fault: Fault) -> Mapping:
 
 
 def load_fault(path: str) -> Fault:
-    """Read a fault file and check it with `parse_fault`; a repeated key raises ValueError."""
+    """Read a fault file and check it with `parse_fault`; a repeated key or
+    a file of more than 2^20 characters raises ValueError."""
     import json
+
+    limit = 1 << 20  # a fault file is a JSON object of a few dozen characters
 
     def unique(pairs: list) -> dict:
         repeated = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
@@ -197,10 +200,13 @@ def load_fault(path: str) -> Fault:
         return dict(pairs)
 
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return parse_fault(json.load(handle, object_pairs_hook=unique))
-        except RecursionError as error:
-            raise ValueError(str(error)) from None
+        text = handle.read(limit + 1)
+    if len(text) > limit:
+        raise ValueError(f"{path} is larger than {limit} characters")
+    try:
+        return parse_fault(json.loads(text, object_pairs_hook=unique))
+    except RecursionError as error:
+        raise ValueError(str(error)) from None
 
 
 def parse_fault(data: Any) -> Fault:

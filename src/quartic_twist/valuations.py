@@ -18,10 +18,12 @@ positive denominator: for each nonzero t^n coefficient, in ascending n,
 the pair (n, row) where the row lists the nonzero (power, numerator)
 pairs of its 8 power-basis numerators.  Each row is scanned for its
 nonzero numerators once, when it is made, not at every product that
-reads it.  `_series_mul` multiplies two row series: it sums the
+reads it.  One loop, `_accumulate`, multiplies row series: it sums the
 unreduced products of every pair of rows that lands on one output
-coefficient and reduces that coefficient once, by
-`cyclotomic.reduce_product`; it takes no gcd and builds no CycNum.
+coefficient.  `_series_mul` reduces each such coefficient of two series
+once, by `cyclotomic.reduce_product`, and `compose` reads each term of a
+form through the same loop, its coefficient being a series of one row;
+neither takes a gcd or builds a CycNum.
 
 One branch per point, in one arithmetic.  A point's `_Branch`, kept in
 `_EXPANSION_CACHE` (so clearing it drops the branch), picks the chart,
@@ -88,6 +90,16 @@ def _series_mul(a: RowSeries, b: RowSeries, order: int, start: int = 0) -> RowSe
     """Coefficients start..order-1 of the product of two row series, over
     the product of their denominators."""
     acc: list[Optional[list[int]]] = [None] * order
+    _accumulate(acc, a, b, start)
+    return [(n, [(p, v) for p, v in enumerate(nums) if v])
+            for n, nums in enumerate(map(_reduced, acc)) if nums]
+
+
+def _accumulate(acc: list[Optional[list[int]]], a: RowSeries, b: RowSeries, start: int) -> None:
+    """Add to acc the unreduced products of every pair of rows of two row
+    series that lands on an order start..len(acc)-1; acc[n] holds the
+    product vector of d^0..d^14 at t^n, made on first use."""
+    order = len(acc)
     for i, xs in a:
         if i >= order:
             break
@@ -103,8 +115,6 @@ def _series_mul(a: RowSeries, b: RowSeries, order: int, start: int = 0) -> RowSe
             for p, x in xs:
                 for q, y in ys:
                     s[p + q] += x * y
-    return [(n, [(p, v) for p, v in enumerate(nums) if v])
-            for n, nums in enumerate(map(_reduced, acc)) if nums]
 
 
 def _reduced(s: Optional[list[int]]) -> Optional[tuple[int, ...]]:
@@ -262,19 +272,8 @@ class _Branch:
             else:
                 term = powers[dependent][k] if k else powers[parameter][j]
             # c over the common denominator, times the chart coordinate's
-            # constant den to the power i
-            coefficient = _row(c, common * den ** i)
-            for n, ys in term:
-                if n >= order:
-                    break
-                if n < start:
-                    continue
-                s = acc[n]
-                if s is None:
-                    s = acc[n] = [0] * 15
-                for p, x in coefficient:
-                    for q, y in ys:
-                        s[p + q] += x * y
+            # constant den to the power i, as a series with one row at t^0
+            _accumulate(acc, [(0, _row(c, common * den ** i))], term, start)
         return [_reduced(s) for s in acc[start:]], den ** form.degree * common
 
 

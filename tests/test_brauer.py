@@ -56,6 +56,31 @@ def test_reduce_is_idempotent_and_linear():
         assert reduce_mod_curve(c * f) == c * reduce_mod_curve(f)
 
 
+def test_reduce_returns_the_normal_form():
+    # CURVE * G + R reduces to R when no monomial of R is divisible by X^4:
+    # a map that only dropped the X^4 terms would be idempotent and linear
+    # too; with G of degree up to 7 the rule is applied up to twice a term
+    assert reduce_mod_curve(X ** 8 * Y + X ** 4 * Y ** 5) == Y ** 5 * Z ** 4 + Y * Z ** 8
+    rng = random.Random(2107)
+
+    def random_form(degree, x_below):
+        monomials = [(i, j, degree - i - j) for i in range(min(degree + 1, x_below))
+                     for j in range(degree + 1 - i)]
+        return HomogPoly(degree, {
+            e: CycNum([rng.randint(-3, 3) for _ in range(8)])
+            for e in rng.sample(monomials, min(4, len(monomials)))
+        })
+
+    top = 0
+    for _ in range(100):
+        degree = rng.randint(0, 7)
+        g, r = random_form(degree, degree + 1), random_form(degree + 4, 4)
+        form = CURVE * g + r
+        top = max(top, *(e[0] for e in form.terms))
+        assert reduce_mod_curve(form) == r
+    assert top >= 8
+
+
 def test_product_of_linear_forms():
     product = product_of_linear_forms()
     assert product == X ** 4 + Z ** 4

@@ -499,6 +499,8 @@ _CLASS_FAULT = {"target": "class", "class": "E", "index": 3, "delta": 2}
                      "duplicate key 'delta'", id="duplicate-key"),
         # raw text: too deep for the JSON decoder, which raises RecursionError
         pytest.param("[" * 100_000, "recursion", id="deeply-nested"),
+        # raw text: one character past the 2^20 that a fault file may hold
+        pytest.param(" " * (1 << 20) + "{", "larger than 1048576 characters", id="oversized"),
     ],
 )
 def test_malformed_fault_is_usage_error(payload, named, tmp_path, capsys):

@@ -174,6 +174,8 @@ def test_homog_poly_arithmetic():
         X + conic
     with pytest.raises(ValueError):
         HomogPoly(2, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="negative power"):
+        X ** -1
 
 
 def test_partial_derivatives():

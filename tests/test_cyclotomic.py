@@ -234,6 +234,11 @@ def test_canonical_form_and_hash():
     # the coefficients carry their own denominators; there is no second one
     with pytest.raises(TypeError):
         CycNum((1,), 2)
+    with pytest.raises(ValueError, match="at most 8 power-basis coefficients"):
+        CycNum(range(9))
+    # a string is not a scalar, although a coefficient of CycNum may be one
+    with pytest.raises(TypeError, match="not a scalar"):
+        rational("1")
 
 
 def test_scalar_mixing():

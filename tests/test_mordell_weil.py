@@ -52,6 +52,8 @@ def test_mod_element_arithmetic():
     assert 2 * ModElement((0, 0, 0, 0, 0, 1)) == ZERO_ELEMENT
     assert -ModElement((1, 0, 0, 0, 0, 1)) == ModElement((3, 0, 0, 0, 0, 1))
     assert ModElement((5, 5, 5, 5, 5, 3)) == ModElement((1, 1, 1, 1, 1, 1))
+    with pytest.raises(ValueError, match="at most 6 coordinates"):
+        ModElement(range(7))
 
 
 def test_bitangent_class_relation_in_coordinates():

@@ -85,6 +85,9 @@ def test_expansion_off_curve_rejected():
 
     with pytest.raises(ValueError):
         expand_branch(ProjPoint(1, 0, 0), 5)
+    # so is a precision below 1 at a point of the curve
+    with pytest.raises(ValueError, match="precision must be positive"):
+        expand_branch(catalog("B0"), 0)
 
 
 def test_valuation_examples():
@@ -317,6 +320,9 @@ def test_certificate_support_off_curve_rejected():
 
     with pytest.raises(ValueError):
         principal_divisor_on_support(X, [ProjPoint(1, 0, 0)])
+    # a point given twice would count its valuation twice
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        principal_divisor_on_support(X, [catalog("B0"), catalog("B0")])
 
 
 def test_expansion_cache_concurrent_use():
@@ -510,6 +516,9 @@ def test_compose_reads_only_a_truncation_of_the_branch():
             valuations.compose(form, bad, 17)
         with pytest.raises(ValueError):
             compose_with_branch(form, bad, 17)
+    # nor does a prefix compose past its own precision
+    with pytest.raises(ValueError, match="exceeds the expansion precision"):
+        valuations.compose(form, expansions[3], 5)
     # expand_branch's own expansions compose at every precision, also along
     # a branch built again after the cache was cleared
     for clear in (False, True):

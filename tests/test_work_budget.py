@@ -7,8 +7,10 @@ CycNum multiplications, 215 of which have a factor exactly 1 and return
 the other factor at once (42 of the 427 are in the 6 of its 19
 inversions that invert an irrational element, 7 each; the 13 rational
 ones make none; 35 solve the branches: one slope per point and one
-product per nonzero solved coefficient), and 509 products of row series
-in `valuations`: 936 counted operations against a budget of 3,000.
+product per nonzero solved coefficient; 6, each by 1, reduce the
+cocycle's two forms modulo the curve as products of forms), and 509
+products of row series in `valuations`, 158 of them empty: 936 counted
+operations against a budget of 3,000.
 Evaluating a form with a power list per axis and every variable raised,
 even to the power 0 or at the value 1, made 667 multiplications (431 by
 1), and multiplying the parameter axis's power table again at every new
