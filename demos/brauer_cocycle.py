@@ -19,8 +19,8 @@ from quartic_twist import (
     verify_e_identities,
 )
 from quartic_twist.brauer import U_TAU
-from quartic_twist.certificates import certificate_table, product
-from quartic_twist.curve import X, Y, Z
+from quartic_twist.certificates import certificate_table
+from quartic_twist.curve import X, Y, Z, product
 
 e = named_divisor("E")
 print("E =", e)

@@ -13,9 +13,9 @@ cocycle value comes out of exact polynomial normal forms.
 
 from __future__ import annotations
 
-from .certificates import E_IDENTITIES, Certificate, Table, check_certificates, product
+from .certificates import E_IDENTITIES, Certificate, Table, check_certificates
 from .cyclotomic import CycNum, ONE, TAU, zeta
-from .curve import HomogPoly, X, Z
+from .curve import CURVE, HomogPoly, X, Z, product
 from .valuations import CertificateCheck
 
 # the row whose function is u_tau: E + sigma_3(E) = E - tau(E) = div(u_tau)
@@ -25,8 +25,8 @@ GroupLabel = str  # "1" or "tau"
 
 _GROUP = ("1", "tau")
 
-# X^4 modulo the curve ideal
-_X4 = HomogPoly(4, {(0, 4, 0): -1, (0, 0, 4): -1})
+# X^4 modulo the curve ideal, -Y^4 - Z^4
+_X4 = HomogPoly.monomial((4, 0, 0)) - CURVE
 
 
 def _group_mul(s: GroupLabel, t: GroupLabel) -> GroupLabel:

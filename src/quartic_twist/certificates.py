@@ -27,13 +27,12 @@ enough to be Bezout-complete, so every check is an exact computation.
 from __future__ import annotations
 
 import functools
-import operator
 from collections import namedtuple
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .cyclotomic import MINUS_SQRT2, SIGMA3, zeta
-from .curve import HomogPoly, ProjPoint, X, Y, Z, catalog
+from .curve import HomogPoly, ProjPoint, X, Y, Z, catalog, product
 from .divisors import CUSP_SUPPORTS, Divisor, from_cusp_support, named_divisor
 from .valuations import CertificateCheck, verify_certificate
 
@@ -88,11 +87,6 @@ def certificate_table() -> Table:
         "E+sigma3(E)": Certificate(e + sigma3_e, (Y ** 2,), ((X - z8 * Z) * (X - z8 ** 3 * Z),), b),
         "E-sigma3(E)": Certificate(e - sigma3_e, (Y ** 2,), ((X - z8 * Z) * (X - z8 ** 7 * Z),), b),
     })
-
-
-def product(factors: Sequence[HomogPoly]) -> HomogPoly:
-    """The product of a nonempty tuple of factors."""
-    return functools.reduce(operator.mul, factors)
 
 
 @functools.cache

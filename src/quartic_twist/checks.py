@@ -258,11 +258,10 @@ def fault_space(target: str) -> list[dict]:
     return space
 
 
-CheckRecord = namedtuple("CheckRecord", "check_id section header label status detail",
-                         defaults=(None,))
+CheckRecord = namedtuple("CheckRecord", "check_id section header label status detail")
 CheckRecord.__doc__ = """One verified identity: its id, section key, header and
 label (each a str), its status (`STATUS_OK`, `STATUS_FAIL` or
-`STATUS_SKIPPED`) and a JSON-friendly detail ledger, None by default."""
+`STATUS_SKIPPED`) and a JSON-friendly detail ledger, or None."""
 
 
 class Report(namedtuple("Report", "checks")):

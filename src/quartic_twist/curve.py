@@ -7,7 +7,9 @@ throughout the verification, and the Galois action on points.
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+import functools
+import operator
+from typing import Iterable, Mapping, Union
 
 from .cyclotomic import Automorphism, CycNum, ONE, ZERO, Scalar, _lift, rational, zeta
 
@@ -88,10 +90,7 @@ class HomogPoly:
     def __pow__(self, n: int) -> HomogPoly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = HomogPoly(0, {(0, 0, 0): 1})
-        for _ in range(n):
-            result = result * self
-        return result
+        return product([self] * n) if n else HomogPoly.monomial((0, 0, 0))
 
     def partial(self, axis: int) -> HomogPoly:
         terms: dict[Triple, CycNum] = {}
@@ -145,6 +144,11 @@ class HomogPoly:
 
     def __repr__(self) -> str:
         return f"HomogPoly({self})"
+
+
+def product(factors: Iterable[HomogPoly]) -> HomogPoly:
+    """The product of a nonempty sequence of forms, left to right."""
+    return functools.reduce(operator.mul, factors)
 
 
 X = HomogPoly.monomial((1, 0, 0))
@@ -242,9 +246,9 @@ TANGENCY_NAMES = tuple(f"T{i}{j}" for i in range(4) for j in range(2))
 
 CUSP_BY_POINT = {CATALOG[name]: name for name in CUSP_NAMES}
 
-_POINT_NAME: dict[ProjPoint, str] = {}
-for _name in CUSP_NAMES + TANGENCY_NAMES + ("E+", "E-"):
-    _POINT_NAME.setdefault(CATALOG[_name], _name)
+# the first name of each point in the catalog: E+ and E- are the cusps
+# B2 and B0, written before them, so they print as B2 and B0
+_POINT_NAME = {point: name for name, point in reversed(CATALOG.items())}
 
 
 def catalog(name: str) -> ProjPoint:

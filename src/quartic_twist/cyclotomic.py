@@ -57,6 +57,19 @@ def _normalized(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(n // g for n in nums), den // g
 
 
+def signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """A sum of (sign, body) pairs, each body taking the sign of the number
+    sign: "-" or nothing before the first, "+ " or "- " before each later
+    one, and "0" for none.  Field, divisor and module elements print so."""
+    parts = []
+    for sign, body in terms:
+        if parts:
+            parts.append(f"- {body}" if sign < 0 else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if sign < 0 else body)
+    return " ".join(parts) or "0"
+
+
 class CycNum:
     """An element of Q(zeta_24) in canonical power-basis form."""
 
@@ -187,27 +200,18 @@ class CycNum:
         return result
 
     def __str__(self) -> str:
-        if not self:
-            return "0"
-        parts = []
+        terms = []
         for i in range(_N_COEFFS - 1, -1, -1):
             n = self.nums[i]
             if not n:
                 continue
             g = gcd(n, self.den)  # |n| / den in lowest terms, as str(Fraction) writes it
             c = str(abs(n) // g) if g == self.den else f"{abs(n) // g}/{self.den // g}"
-            mon = "" if i == 0 else ("d" if i == 1 else f"d^{i}")
-            if not mon:
-                body = c
-            elif c == "1":
-                body = mon
-            else:
-                body = f"{c}*{mon}"
-            if not parts:
-                parts.append(body if n > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if n > 0 else f"- {body}")
-        return " ".join(parts)
+            if i:
+                mon = "d" if i == 1 else f"d^{i}"
+                c = mon if c == "1" else f"{c}*{mon}"
+            terms.append((n, c))
+        return signed_sum(terms)
 
     def __repr__(self) -> str:
         return f"CycNum({str(self)!r})"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .cyclotomic import Automorphism
+from .cyclotomic import Automorphism, signed_sum
 from .curve import ProjPoint, catalog, on_curve, point_name
 
 
@@ -92,17 +92,11 @@ class Divisor:
         return Divisor(coeffs)
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        pieces = []
+        terms = []
         for point, n in self.items():
             name = point_name(point)
-            body = name if abs(n) == 1 else f"{abs(n)}*{name}"
-            if not pieces:
-                pieces.append(body if n > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if n > 0 else f"- {body}")
-        return " ".join(pieces)
+            terms.append((n, name if abs(n) == 1 else f"{abs(n)}*{name}"))
+        return signed_sum(terms)
 
     def __repr__(self) -> str:
         return f"Divisor({self})"

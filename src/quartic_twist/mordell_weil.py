@@ -37,6 +37,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .curve import CUSP_BY_POINT
+from .cyclotomic import signed_sum
 from .divisors import CUSP_SUPPORTS, Divisor
 
 MODULI = (4, 4, 4, 4, 4, 2)
@@ -89,13 +90,8 @@ class ModElement:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self:
-            return "0"
-        parts = []
-        for i, x in enumerate(self.c):
-            if x:
-                parts.append(f"e_{i + 1}" if x == 1 else f"{x}e_{i + 1}")
-        return " + ".join(parts)
+        return signed_sum((x, f"e_{i + 1}" if x == 1 else f"{x}e_{i + 1}")
+                          for i, x in enumerate(self.c) if x)
 
     def __repr__(self) -> str:
         return f"ModElement({self.c})"
@@ -123,12 +119,14 @@ _LOW_BITS = 0b01010101010  # the low bit of each Z/4 digit
 _HIGH_BITS = 0b10101010101  # the high bit of each Z/4 digit, and the e_6 bit
 
 
+def _pack(coords: Iterable[int]) -> int:
+    """The code whose digits are the coordinates, e_1 first."""
+    return sum(x << shift for x, shift in zip(coords, _SHIFTS))
+
+
 def encode(m: ModElement) -> int:
     """The code of m: its position in `all_elements()`."""
-    code = 0
-    for x, shift in zip(m.c, _SHIFTS):
-        code |= x << shift
-    return code
+    return _pack(m.c)
 
 
 @functools.cache
@@ -319,7 +317,7 @@ def image_table(s: ActionMatrix) -> array:
     callers must not modify it.  An unsigned-short array, not a list, so
     that the kept tables cost 4 KB each rather than one int object per
     entry."""
-    columns = [sum(s.rows[i][j] << _SHIFTS[i] for i in range(6)) for j in range(6)]
+    columns = [_pack(column) for column in zip(*s.rows)]
     # images of the one-bit codes, lowest bit first: e_6, e_5, 2e_5, ..., e_1, 2e_1
     images = [columns[5]]
     for column in reversed(columns[:5]):

@@ -367,7 +367,6 @@ CertificateCheck = namedtuple(
     "CertificateCheck",
     "claimed numerator denominator support ledger numerator_complete"
     " denominator_complete passed reason",
-    defaults=("",),
 )
 CertificateCheck.__doc__ = """Outcome of checking  claimed = div(numerator) -
 div(denominator): the claimed Divisor, the numerator and the denominator

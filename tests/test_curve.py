@@ -164,7 +164,7 @@ def test_galois_images_are_normalized_as_by_an_explicit_inversion():
             assert hash(image) == hash(ProjPoint(*expected)) == hash(expected), (name, k)
 
 
-def test_homog_poly_arithmetic():
+def test_homog_poly_arithmetic(monkeypatch):
     conic = X ** 2 + Y ** 2 + Z ** 2
     assert conic.degree == 2
     assert (X + Y) * (X - Y) == X ** 2 - Y ** 2
@@ -176,6 +176,20 @@ def test_homog_poly_arithmetic():
         HomogPoly(2, {(1, 0, 0): 1})
     with pytest.raises(ValueError, match="negative power"):
         X ** -1
+    assert X ** 0 == HomogPoly.monomial((0, 0, 0)) and (X ** 0).degree == 0
+    assert (X + Y) ** 3 == (X + Y) * (X + Y) * (X + Y)
+    # a power multiplies copies of its base, not the constant 1 first:
+    # 2 * 2 coefficient products for the square, then 3 * 2 for the cube
+    calls = [0]
+    multiply = CycNum.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(CycNum, "__mul__", counted)
+    (X + Y) ** 3
+    assert calls[0] == 10
 
 
 def test_partial_derivatives():

@@ -107,6 +107,9 @@ def test_items_deterministic():
     d = named_divisor("D2") + 3 * named_divisor("E")
     assert d.items() == d.items()
     assert str(d) == str(d)
+    assert str(Divisor.zero()) == "0"
+    assert str(named_divisor("D1-D0")) == "2*B2 + 2*B1 - 4*B0"
+    assert str(-named_divisor("E")) == "-2*B2 + 2*B0"
 
 
 def test_checked_entry_points_reject_off_curve_points(monkeypatch):

@@ -52,6 +52,8 @@ def test_mod_element_arithmetic():
     assert 2 * ModElement((0, 0, 0, 0, 0, 1)) == ZERO_ELEMENT
     assert -ModElement((1, 0, 0, 0, 0, 1)) == ModElement((3, 0, 0, 0, 0, 1))
     assert ModElement((5, 5, 5, 5, 5, 3)) == ModElement((1, 1, 1, 1, 1, 1))
+    assert str(ZERO_ELEMENT) == "0"
+    assert str(ModElement((1, 2, 0, 3, 0, 1))) == "e_1 + 2e_2 + 3e_4 + e_6"
     with pytest.raises(ValueError, match="at most 6 coordinates"):
         ModElement(range(7))
 

@@ -5,8 +5,7 @@ import json
 import random
 from pathlib import Path
 
-from quartic_twist.checks import build_report, load_fault
-from quartic_twist.mordell_weil import MODULI, PRINTED_SHIFTS
+from quartic_twist.checks import build_report, fault_space, load_fault
 from quartic_twist.theorems import (
     THEOREMS,
     certificate_suite_passes,
@@ -124,22 +123,10 @@ def test_views_are_the_clean_report_records():
         assert record == clean[record.check_id]
 
 
-def _corruptions(target: str, names) -> list[dict]:
-    """Every single-coordinate corruption of a table of classes, as the
-    payloads of fault files."""
-    return [
-        {"target": target, target: name, "index": index, "delta": delta}
-        for name in names
-        for index, modulus in enumerate(MODULI)
-        for delta in range(1, modulus)
-    ]
-
-
 def test_every_shift_and_class_corruption_reaches_the_theorems(tmp_path):
     # the torsor searches read the shifts, and every theorem but the torsor
     # theorem reads the classes [D_i - D_0] and [E]
-    shifts = _corruptions("shift", PRINTED_SHIFTS)
-    classes = _corruptions("class", ("D1-D0", "D2-D0", "D3-D0", "E"))
+    shifts, classes = fault_space("shift"), fault_space("class")
     assert (len(shifts), len(classes)) == (48, 64)
     every = {t.check_id for t in THEOREMS}
     expected = [every] * 48 + [every - {"theorem-odd-torsors"}] * 16
