@@ -20,7 +20,7 @@ from quartic_twist import (
 )
 from quartic_twist.brauer import U_TAU
 from quartic_twist.certificates import certificate_table
-from quartic_twist.curve import X, Y, Z, product
+from quartic_twist.curve import X, Y, Z
 
 e = named_divisor("E")
 print("E =", e)
@@ -38,7 +38,7 @@ for name, check in verify_e_identities(table):
     print(f"  {name:11s} = div({functions[name]}):", check.passed)
 
 row = table[U_TAU]
-num, den = product(row.numerator), product(row.denominator)
+num, den = row.numerator, row.denominator
 print("\nu_tau = Y^2 / ((X - z8 Z)(X - z8^3 Z)) and its conjugate multiply to")
 print("  numerators:  ", num * num.galois(TAU))
 print("  denominators:", den * den.galois(TAU))

@@ -82,7 +82,7 @@ def cocycle_tau_tau(u_tau: Certificate) -> CycNum:
     the numerators is Y^4; on the curve Y^4 = -(X^4 + Z^4), so the value
     is the scalar lam with Y^4 = lam (X^4 + Z^4) mod the curve ideal.
     """
-    num, den = product(u_tau.numerator), product(u_tau.denominator)
+    num, den = u_tau.numerator, u_tau.denominator
     num_product = num * num.galois(TAU)
     den_product = den * den.galois(TAU)
     if den_product != product_of_linear_forms():

@@ -2,10 +2,10 @@
 
 Every divisor identity the report certifies is a row of
 `certificate_table()`: claimed = div(G) - div(H), with the claimed
-divisor, the numerator G and the denominator H as tuples of factors (the
-empty tuple is the constant 1), and the support by point names.  One
-verifier, `valuations.verify_certificate`, checks every row; valuations
-add over factors.  The eleven rows:
+divisor, the numerator G and the denominator H as one form each (H is
+None when it is the constant 1), and the support by point names.  One
+verifier, `valuations.verify_certificate`, checks every row.  The eleven
+rows:
 
 * 2D_0..2D_3: the four rational bitangents cut out twice the contact
   divisors D_0..D_3, and the conic X^2 + Y^2 + Z^2 cuts out their sum;
@@ -18,7 +18,7 @@ add over factors.  The eleven rows:
 
 A certificate fault corrupts one of the eleven forms of
 `certificate_forms()`, the parts of the first eight rows, and replaces
-that part of a run's copy of the table with the single faulted form.
+that part of a run's copy of the table with the faulted form.
 
 All support sets are closed under the relevant Galois action and large
 enough to be Bezout-complete, so every check is an exact computation.
@@ -32,15 +32,15 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .cyclotomic import MINUS_SQRT2, SIGMA3, zeta
-from .curve import HomogPoly, ProjPoint, X, Y, Z, catalog, product
+from .curve import HomogPoly, ProjPoint, X, Y, Z, catalog
 from .divisors import CUSP_SUPPORTS, Divisor, from_cusp_support, named_divisor
 from .valuations import CertificateCheck, verify_certificate
 
 
 Certificate = namedtuple("Certificate", "claimed numerator denominator support")
-Certificate.__doc__ = """claimed = div(product of the numerator) - div(product of
-the denominator), checked on the named support points: the claimed
-Divisor, the numerator and the denominator as tuples of HomogPoly factors,
+Certificate.__doc__ = """claimed = div(numerator) - div(denominator), checked on
+the named support points: the claimed Divisor, the numerator as one
+HomogPoly, the denominator as one HomogPoly or None for the constant 1,
 and the support as a tuple of catalog names."""
 
 
@@ -68,12 +68,12 @@ def certificate_table() -> Table:
 
     def relation(i: int, g: HomogPoly, h: HomogPoly, cusps: tuple[str, ...]) -> Certificate:
         claimed = d[i] - d[0] - named_divisor(f"D{i}-D0")
-        return Certificate(claimed, (g,), (h,), contact(0, i) + cusps)
+        return Certificate(claimed, g, h, contact(0, i) + cusps)
 
     b = ("B0", "B1", "B2", "B3")
     return MappingProxyType({
-        **{f"2D{i}": Certificate(2 * d[i], (lines[i],), (), contact(i)) for i in range(4)},
-        "conic": Certificate(d[0] + d[1] + d[2] + d[3], (conic,), (), contact(0, 1, 2, 3)),
+        **{f"2D{i}": Certificate(2 * d[i], lines[i], None, contact(i)) for i in range(4)},
+        "conic": Certificate(d[0] + d[1] + d[2] + d[3], conic, None, contact(0, 1, 2, 3)),
         "D1-D0": relation(1, (X - z8 * Z) * lines[1], conic + c * (Y ** 2 - X * Z),
                           ("B0", "B1", "B2")),
         "D2-D0": relation(2, (X - z8 * Z) ** 2 * lines[2],
@@ -82,24 +82,23 @@ def certificate_table() -> Table:
         "D3-D0": relation(3, (X - z8 * Z) * lines[3],
                           (X ** 2 - Y ** 2 - 2 * Y * Z - Z ** 2) + c * (Y ** 2 + Y * Z + Z ** 2),
                           ("A1", "A2", "B0")),
-        "2E": Certificate(2 * e, (X - z8 ** 5 * Z,), (X - z8 * Z,), ("E+", "E-")),
+        "2E": Certificate(2 * e, X - z8 ** 5 * Z, X - z8 * Z, ("E+", "E-")),
         # u_tau = Y^2 / ((X - zeta_8 Z)(X - zeta_8^3 Z))
-        "E+sigma3(E)": Certificate(e + sigma3_e, (Y ** 2,), ((X - z8 * Z) * (X - z8 ** 3 * Z),), b),
-        "E-sigma3(E)": Certificate(e - sigma3_e, (Y ** 2,), ((X - z8 * Z) * (X - z8 ** 7 * Z),), b),
+        "E+sigma3(E)": Certificate(e + sigma3_e, Y ** 2, (X - z8 * Z) * (X - z8 ** 3 * Z), b),
+        "E-sigma3(E)": Certificate(e - sigma3_e, Y ** 2, (X - z8 * Z) * (X - z8 ** 7 * Z), b),
     })
 
 
 @functools.cache
 def certificate_forms() -> Forms:
     """The eleven forms a certificate fault may corrupt: each part of the
-    bitangent and relation rows that is not the constant 1, as the product
-    of its factors."""
+    bitangent and relation rows that is not the constant 1."""
     table = certificate_table()
     return MappingProxyType({
-        (name, part): product(getattr(table[name], part))
+        (name, part): form
         for name in BITANGENTS + RELATIONS
         for part in ("numerator", "denominator")
-        if getattr(table[name], part)
+        if (form := getattr(table[name], part)) is not None
     })
 
 
@@ -107,7 +106,7 @@ def faulted_table(name: str, part: str, monomial: tuple, delta: int) -> Table:
     """The table with delta times the monomial added to the form (name, part)
     of `certificate_forms()`: that part of its row becomes the faulted form."""
     form = certificate_forms()[name, part] + HomogPoly.monomial(monomial, delta)
-    row = certificate_table()[name]._replace(**{part: (form,)})
+    row = certificate_table()[name]._replace(**{part: form})
     return {**certificate_table(), name: row}
 
 
@@ -137,7 +136,7 @@ def verify_principal_divisor(
     claimed: Divisor, form: HomogPoly, support: Sequence[ProjPoint]
 ) -> CertificateCheck:
     """claimed = div(form): the certificate with the denominator 1."""
-    return verify_certificate(claimed, (form,), (), support)
+    return verify_certificate(claimed, form, None, support)
 
 
 def bitangent_checks(table: Table) -> list[tuple[str, CertificateCheck]]:

@@ -391,9 +391,9 @@ def _certificate(selection: Callable[[_RunData], dict], name: str, run: _RunData
     """A certificate row's verdict: the support, orders and completeness of a
     certificate with the denominator 1, the ledger of any other."""
     check = run.fact(selection)[name]
-    if not check.denominator:
+    if run.table("certificate")[name].denominator is None:
         return check.passed, {
-            "support": [point_name(p) for p in check.support],
+            "support": [point_name(row.point) for row in check.ledger],
             "orders": [row.numerator_order for row in check.ledger],
             "complete": check.numerator_complete,
         }

@@ -188,16 +188,15 @@ class CycNum:
         return self.inv().__mul__(other)
 
     def __pow__(self, exponent: int) -> CycNum:
+        """Square-and-multiply from the base itself, so no positive power
+        multiplies by ONE."""
         if exponent < 0:
             return self.inv() ** (-exponent)
-        result = ONE
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        if exponent <= 1:
+            return self if exponent else ONE
+        half = self ** (exponent >> 1)
+        square = half * half
+        return square * self if exponent & 1 else square
 
     def __str__(self) -> str:
         terms = []

@@ -10,8 +10,7 @@ Because a degree-m form meets the quartic with total intersection number
 the complete principal divisor of G: no zeros were missed.  That is the
 completeness criterion used by `verify_certificate` to check divisor
 identities of the shape  claimed = div(G) - div(H)  exactly, without any
-general linear-equivalence machinery; G and H are products of factors,
-each checked on its own, since valuations add over factors.
+general linear-equivalence machinery; G and H are one form each.
 
 Cost model.  A series along a branch is a list of integer rows over one
 positive denominator: for each nonzero t^n coefficient, in ascending n,
@@ -255,7 +254,7 @@ class _Branch:
         return state
 
     def composed(
-        self, form: HomogPoly, state: tuple, order: int, start: int = 0
+        self, form: HomogPoly, state: tuple, order: int, start: int
     ) -> tuple[Coefficients, int]:
         """The numerators of the coefficients of t^start..t^(order-1) of
         the form along a state of the table, and their one positive
@@ -364,36 +363,32 @@ orders (ints) of the numerator, of the denominator and of the claimed
 divisor there."""
 
 CertificateCheck = namedtuple(
-    "CertificateCheck",
-    "claimed numerator denominator support ledger numerator_complete"
-    " denominator_complete passed reason",
+    "CertificateCheck", "ledger numerator_complete denominator_complete passed reason"
 )
 CertificateCheck.__doc__ = """Outcome of checking  claimed = div(numerator) -
-div(denominator): the claimed Divisor, the numerator and the denominator
-as tuples of HomogPoly factors, the support as a tuple of ProjPoint, the
-ledger as a tuple of LedgerRow, whether each product's divisor is complete
-on the support and whether the certificate passed (bools), and the reason
-it failed (a str, empty when it passed)."""
+div(denominator): the ledger as a tuple of LedgerRow, one per support
+point, whether each form's divisor is complete on the support and whether
+the certificate passed (bools), and the reason it failed (a str, empty
+when it passed)."""
 
 
 def verify_certificate(
     claimed: Divisor,
-    numerator: Sequence[HomogPoly],
-    denominator: Sequence[HomogPoly],
+    numerator: HomogPoly,
+    denominator: Optional[HomogPoly],
     support: Sequence[ProjPoint],
 ) -> CertificateCheck:
     """Check a principal-divisor certificate exactly.
 
-    The numerator G and the denominator H are tuples of factors, the empty
-    tuple being the constant 1 (so a one-form certificate has the
-    denominator ()); each factor is checked on its own.  Any degrees with
-    deg(claimed) = 4 (deg G - deg H) are accepted.  The certificate passes
-    when both products have Bezout-complete divisors over the support and
-    their difference equals the claimed divisor pointwise (in particular it
-    vanishes off the claimed support).
+    The numerator G and the denominator H are one form each, H being None
+    when it is the constant 1, whose divisor is 0 and complete.  Any
+    degrees with deg(claimed) = 4 (deg G - deg H) are accepted.  The
+    certificate passes when both forms have Bezout-complete divisors over
+    the support and their difference equals the claimed divisor pointwise
+    (in particular it vanishes off the claimed support).
     """
-    numerator, denominator, support = tuple(numerator), tuple(denominator), tuple(support)
-    degree = sum(f.degree for f in numerator) - sum(f.degree for f in denominator)
+    support = tuple(support)
+    degree = numerator.degree - (0 if denominator is None else denominator.degree)
     if claimed.degree() != 4 * degree:
         raise ValueError("the claimed degree is not 4 (deg numerator - deg denominator)")
     support_set = set(support)
@@ -401,12 +396,11 @@ def verify_certificate(
         if point not in support_set:
             raise ValueError(f"claimed support point {point} missing from support")
 
-    # valuations add over factors; a product is complete when each factor is
-    products = []
-    for factors in (numerator, denominator):
-        parts = [principal_divisor_on_support(f, support) for f in factors]
-        products.append((sum((d for d, _ in parts), Divisor.zero()), all(c for _, c in parts)))
-    (div_num, num_complete), (div_den, den_complete) = products
+    div_num, num_complete = principal_divisor_on_support(numerator, support)
+    div_den, den_complete = (
+        (Divisor.zero(), True) if denominator is None
+        else principal_divisor_on_support(denominator, support)
+    )
     ledger = tuple(
         LedgerRow(point, div_num.coefficient(point), div_den.coefficient(point),
                   claimed.coefficient(point))
@@ -418,7 +412,4 @@ def verify_certificate(
         reason = "div(numerator) - div(denominator) differs from the claimed divisor"
     else:
         reason = ""
-    return CertificateCheck(
-        claimed, numerator, denominator, support, ledger,
-        num_complete, den_complete, not reason, reason,
-    )
+    return CertificateCheck(ledger, num_complete, den_complete, not reason, reason)

@@ -277,7 +277,7 @@ def _property_valuation_additivity(cases=1000) -> bool:
     rng = random.Random(202)
     z8 = zeta(8)
     # the four bitangent lines
-    forms = [certificate_table()[name].numerator[0] for name in BITANGENTS[:4]]
+    forms = [certificate_table()[name].numerator for name in BITANGENTS[:4]]
     forms.extend(X - z8 ** k * Z for k in (1, 3, 5, 7))
     forms.extend([X, Y, Z, X ** 2 + Y ** 2 + Z ** 2])
     points = sorted(set(CATALOG.values()), key=lambda p: p.sort_key())

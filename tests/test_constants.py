@@ -192,7 +192,7 @@ def test_u_tau_is_one_constant_for_both_records():
     data = checks._RunData()
     table = dict(data.table("certificate"))
     row = table["E+sigma3(E)"]
-    table["E+sigma3(E)"] = row._replace(numerator=(2 * row.numerator[0],))
+    table["E+sigma3(E)"] = row._replace(numerator=2 * row.numerator)
     data.tables["certificate"] = table
     assert data.record("brauer-e-plus").status == "OK"
     cocycle = data.record("brauer-cocycle")

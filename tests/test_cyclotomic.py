@@ -111,6 +111,29 @@ def test_zeta_multiplicative_orders():
             assert n == order // gcd(order, power)
 
 
+def test_powers_start_from_their_base(monkeypatch):
+    # square-and-multiply from the base itself: no positive power multiplies
+    # by ONE, and zeta_8^k takes 0, 1, 2, 2, 3, 3, 4 products for k = 1..7
+    z8 = zeta(8)
+    expected = [z8]
+    for _ in range(6):
+        expected.append(expected[-1] * z8)
+    factors = []
+    multiply = CycNum.__mul__
+
+    def recorded(self, other):
+        factors.append((self, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(CycNum, "__mul__", recorded)
+    monkeypatch.setattr(CycNum, "__rmul__", recorded)
+    assert [z8 ** k for k in range(1, 8)] == expected
+    assert not [pair for pair in factors if ONE in pair]
+    assert z8 ** 0 == ONE and len(factors) == 15
+    # a negative power inverts first, 7 products for the norm, then squares
+    assert z8 ** -3 == expected[4] and len(factors) == 15 + 7 + 2
+
+
 def test_automorphism_on_zeta8():
     z8 = d_power(3)
     # the lift d -> d^11 also sends zeta_8 to zeta_8^3 = d^9 = d^5 - d

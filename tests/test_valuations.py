@@ -10,14 +10,16 @@ import pytest
 
 from quartic_twist.certificates import (
     BITANGENTS,
+    E_IDENTITIES,
+    RELATIONS,
     bitangent_checks,
+    certificate_forms,
     certificate_table,
     cusp_relation_certificates,
     e_divisor_equality,
     verify_principal_divisor,
 )
 from quartic_twist import valuations
-from quartic_twist.brauer import verify_e_identities
 from quartic_twist.checks import Fault, _faulted, build_report, fault_space, load_fault
 from quartic_twist.cyclotomic import (
     MINUS_SQRT2, ONE, SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, TAU, ZERO, CycNum, d_power,
@@ -39,12 +41,17 @@ z8 = zeta(8)
 z3 = zeta(3)
 FIXTURES = Path(__file__).parent / "fixtures"
 # the four bitangent lines, the numerators of the rows 2D_0..2D_3
-BITANGENT_LINES = [certificate_table()[name].numerator[0] for name in BITANGENTS[:4]]
+BITANGENT_LINES = [certificate_table()[name].numerator for name in BITANGENTS[:4]]
 
 
 def _orders(check):
     """The numerator's order at each support point."""
     return tuple(row.numerator_order for row in check.ledger)
+
+
+def _forms(row):
+    """The numerator of a certificate row and its denominator, unless 1."""
+    return [row.numerator] + ([] if row.denominator is None else [row.denominator])
 
 
 def test_minus_sqrt2_squares_to_two():
@@ -169,10 +176,10 @@ def test_cusp_relation_ledger_d1():
 
 def test_negative_control_without_cusp_correction():
     # dropping the cusp-supported part must fail pointwise at B0, B1, B2
-    name, good = cusp_relation_certificates(certificate_table())[0]
+    good = certificate_table()["D1-D0"]
     wrong_claim = named_divisor("D1") - named_divisor("D0")
     check = verify_certificate(
-        wrong_claim, good.numerator, good.denominator, good.support
+        wrong_claim, good.numerator, good.denominator, map(catalog, good.support)
     )
     assert not check.passed
     assert check.numerator_complete and check.denominator_complete
@@ -180,8 +187,8 @@ def test_negative_control_without_cusp_correction():
 
 def test_perturbed_certificate_fails():
     table = _faulted(Fault("certificate", ("D1-D0", "numerator", (2, 0, 0)), 1))
-    clean = certificate_table()["D1-D0"].numerator[0]
-    assert table["D1-D0"].numerator == (clean + HomogPoly.monomial((2, 0, 0), 1),)
+    clean = certificate_table()["D1-D0"].numerator
+    assert table["D1-D0"].numerator == clean + HomogPoly.monomial((2, 0, 0), 1)
     results = dict(cusp_relation_certificates(table))
     assert not results["D1-D0"].passed
     assert results["D2-D0"].passed and results["D3-D0"].passed
@@ -191,7 +198,7 @@ def test_perturbed_certificate_fails():
 
 def test_certificate_degree_mismatch_rejected():
     with pytest.raises(ValueError):
-        verify_certificate(Divisor.zero(), (X,), (X ** 2,), [catalog("B0")])
+        verify_certificate(Divisor.zero(), X, X ** 2, [catalog("B0")])
 
 
 def test_certificate_degrees_must_fit_the_claimed_degree():
@@ -199,12 +206,12 @@ def test_certificate_degrees_must_fit_the_claimed_degree():
     support = [catalog("T00"), catalog("T01")]
     d0 = named_divisor("D0")
     with pytest.raises(ValueError):
-        verify_certificate(2 * d0, (BITANGENT_LINES[0],), (X - z8 * Z,), support)
+        verify_certificate(2 * d0, BITANGENT_LINES[0], X - z8 * Z, support)
     with pytest.raises(ValueError):
-        verify_certificate(d0, (BITANGENT_LINES[0],), (), support)
-    assert verify_certificate(2 * d0, (BITANGENT_LINES[0],), (), support).passed
+        verify_certificate(d0, BITANGENT_LINES[0], None, support)
+    assert verify_certificate(2 * d0, BITANGENT_LINES[0], None, support).passed
     assert verify_certificate(
-        2 * d0, (BITANGENT_LINES[0], X - z8 * Z), (X - z8 * Z,), support + [catalog("B0")]
+        2 * d0, BITANGENT_LINES[0] * (X - z8 * Z), X - z8 * Z, support + [catalog("B0")]
     ).passed
 
 
@@ -218,31 +225,34 @@ def test_empty_denominator_composes_nothing(monkeypatch):
 
     monkeypatch.setattr(valuations, "compose", recorded)
     row = certificate_table()["2D0"]
-    check = verify_certificate(row.claimed, row.numerator, (), map(catalog, row.support))
-    assert check.passed and check.denominator == ()
-    assert composed and set(map(str, composed)) == {str(row.numerator[0])}
+    assert row.denominator is None
+    check = verify_certificate(row.claimed, row.numerator, None, map(catalog, row.support))
+    assert check.passed and check.denominator_complete
+    assert composed and set(map(str, composed)) == {str(row.numerator)}
     assert all(r.denominator_order == 0 for r in check.ledger)
 
 
-def test_factored_numerator_gives_the_ledger_of_its_product():
-    # (X - z8 Z)^2 (X + Y - Z), the numerator of D_2 - D_0, factor by factor
-    row = certificate_table()["D2-D0"]
-    factors = (X - z8 * Z, X - z8 * Z, X + Y - Z)
-    support = [catalog(n) for n in row.support]
-    product = verify_certificate(row.claimed, row.numerator, row.denominator, support)
-    factored = verify_certificate(row.claimed, factors, row.denominator, support)
-    assert row.numerator == (factors[0] * factors[1] * factors[2],)
-    assert factored.numerator == factors
-    assert factored.ledger == product.ledger
-    assert factored[5:] == product[5:] and factored.passed
+def test_each_certificate_part_is_one_form():
+    # the numerator is a form, the denominator a form or None for 1, and
+    # the forms a fault may corrupt are the rows' own
+    table = certificate_table()
+    for name, row in table.items():
+        assert isinstance(row.numerator, HomogPoly), name
+        assert row.denominator is None or isinstance(row.denominator, HomogPoly), name
+    assert [name for name, row in table.items() if row.denominator is None] == list(BITANGENTS)
+    forms = certificate_forms()
+    assert len(forms) == 11
+    for (name, part), form in forms.items():
+        assert name in BITANGENTS + RELATIONS
+        assert form is getattr(table[name], part), (name, part)
 
 
 def test_certificate_requires_claimed_support():
     with pytest.raises(ValueError):
         verify_certificate(
             Divisor.point(catalog("B0")) - Divisor.point(catalog("B1")),
-            (X - z8 * Z,),
-            (X - z8 ** 3 * Z,),
+            X - z8 * Z,
+            X - z8 ** 3 * Z,
             [catalog("B0")],
         )
 
@@ -266,9 +276,8 @@ def _certificate_forms():
         forms.append(X ** 2 + Y ** 2 + Z ** 2)
         forms.extend([X - z8 ** k * Z for k in (1, 3, 5, 7)])
         forms.append(Y)
-        for _, check in cusp_relation_certificates(certificate_table()):
-            forms.extend(check.numerator)
-            forms.extend(check.denominator)
+        for name in RELATIONS:
+            forms.extend(_forms(certificate_table()[name]))
         CERT_FORMS = forms
     return CERT_FORMS
 
@@ -299,10 +308,11 @@ def test_valuation_additivity_random():
 
 def test_galois_equivariance_of_valuations():
     lifts = (SIGMA3, SIGMA3_ALT, SIGMA5, SIGMA5_ALT, TAU)
-    for _, check in cusp_relation_certificates(certificate_table()):
-        for form in check.numerator + check.denominator:
+    for name in RELATIONS:
+        row = certificate_table()[name]
+        for form in _forms(row):
             bound = 4 * form.degree + 1
-            for point in check.support:
+            for point in map(catalog, row.support):
                 v = valuation(form, point, bound)
                 for sigma in lifts:
                     assert (
@@ -569,11 +579,9 @@ def _assert_on_demand_matches(form, point):
 
 def test_on_demand_valuation_matches_full_composition_on_certificates():
     cases = []
-    table = certificate_table()
-    certified = bitangent_checks(table) + cusp_relation_certificates(table) + verify_e_identities(table)
-    for _, check in certified:
-        for form in check.numerator + check.denominator:
-            cases.extend((form, point) for point in check.support)
+    for row in certificate_table().values():
+        for form in _forms(row):
+            cases.extend((form, catalog(n)) for n in row.support)
     assert len(cases) == 82
     for form, point in cases:
         _assert_on_demand_matches(form, point)
@@ -668,8 +676,8 @@ def test_order_bound_exceeded_for_curve_times_line():
 def _reference_forms():
     """The curve, every certificate form and the forms of the E identities."""
     forms = [CURVE] + _certificate_forms()
-    for _, check in verify_e_identities(certificate_table()):
-        forms += [*check.numerator, *check.denominator]
+    for name in E_IDENTITIES:
+        forms += _forms(certificate_table()[name])
     return forms
 
 

@@ -2,16 +2,19 @@
 
 Field multiplications, row-series products, inversions, curve
 evaluations and element constructions are counted rather than timed, so
-the guard does not depend on the host.  A cold report makes 408
-CycNum multiplications, 196 of which have a factor exactly 1 and return
-the other factor at once (42 of the 408 are in the 6 of its 19
+the guard does not depend on the host.  A cold report makes 386
+CycNum multiplications, 185 of which have a factor exactly 1 and return
+the other factor at once (42 of the 386 are in the 6 of its 19
 inversions that invert an irrational element, 7 each; the 13 rational
 ones make none; 35 solve the branches: one slope per point and one
 product per nonzero solved coefficient; 4, each by 1, reduce the
-cocycle's two forms modulo the curve as products of forms), and 509
-products of row series in `valuations`, 158 of them empty: 917 counted
-operations against a budget of 3,000.  Powers of forms multiplied up
-from the constant form 1 made 427 multiplications (215 by 1).
+cocycle's two forms modulo the curve as products of forms; 27 raise
+zeta_8 to the 11 powers the report takes, by square-and-multiply from
+the base), and 509 products of row series in `valuations`, 158 of them
+empty: 895 counted operations against a budget of 3,000.  Powers of
+field elements squared up from 1, with one squaring past the top bit,
+made 408 multiplications (196 by 1), and powers of forms multiplied up
+from the constant form 1 made 427 (215 by 1).
 Evaluating a form with a power list per axis and every variable raised,
 even to the power 0 or at the value 1, made 667 multiplications (431 by
 1), and multiplying the parameter axis's power table again at every new
