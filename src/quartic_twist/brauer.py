@@ -47,7 +47,8 @@ def reduce_mod_curve(form: HomogPoly) -> HomogPoly:
     residue = HomogPoly.zero(form.degree)
     for (i, j, k), c in form.terms.items():
         q, r = divmod(i, 4)
-        residue = residue + _X4 ** q * HomogPoly.monomial((r, j, k), c)
+        term = HomogPoly.monomial((r, j, k), c)
+        residue = residue + (_X4 ** q * term if q else term)
     return residue
 
 

@@ -14,14 +14,15 @@ B_0 included.  Everything downstream - action matrices, fixed
 submodules, images, torsor searches - is recomputed from scratch by
 brute-force enumeration of all 2048 elements.
 
-The enumerations run over integer codes: element n of `all_elements()` has
-code n, the coordinates packed as two-bit digits (one bit for e_6).  Each
-linear map gets one image table, the codes of the images of all 2048
-elements, built by linearity from its six columns in 11 doublings of one
+An element is its code: the coordinates packed as two-bit digits (one
+bit for e_6), so that element n of `all_elements()` has code n, and its
+sums, negatives and multiples are computed on the digits.  Each linear
+map gets one image table, the codes of the images of all 2048 elements,
+built by linearity from its six columns in 11 doublings of one
 comprehension each, and kept per matrix value.  Fixed points, images and
 twisted fixed-point searches are scans of these tables, and 2M is read
-off the codes themselves; codes become `ModElement`s only on return, by
-lookup in one cached pass of `all_elements()`.
+off the codes themselves; a code found is wrapped as its element, with
+no lookup table.
 
 Four of the five fault tables live here, each beside its rule:
 `CUSP_DICTIONARY`, `PRINTED_SHIFTS` and `CLASSES` (`perturbed`) and
@@ -31,7 +32,6 @@ Four of the five fault tables live here, each beside its rule:
 from __future__ import annotations
 
 import functools
-import itertools
 from array import array
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -41,51 +41,83 @@ from .cyclotomic import signed_sum
 from .divisors import CUSP_SUPPORTS, Divisor
 
 MODULI = (4, 4, 4, 4, 4, 2)
+ORDER = 2048
+
+# Bit offset of each coordinate in an element's code: a two-bit digit per
+# Z/4 coordinate and one bit for e_6, e_1 most significant, so that codes
+# count through `all_elements()` in order.
+_SHIFTS = (9, 7, 5, 3, 1, 0)
+_LOW_BITS = 0b01010101010  # the low bit of each Z/4 digit
+_HIGH_BITS = 0b10101010101  # the high bit of each Z/4 digit, and the e_6 bit
+
+
+def _pack(coords: Iterable[int]) -> int:
+    """The code whose digits are the coordinates, e_1 first."""
+    return sum(x << shift for x, shift in zip(coords, _SHIFTS))
+
+
+def _add_codes(codes: list[int], y: int) -> list[int]:
+    """The codes of x + y for each code x.  Adding the low bits of the
+    digits carries at most into each digit's own high bit; the high bits
+    add modulo 2."""
+    low = y & _LOW_BITS
+    return [((x & _LOW_BITS) + low) ^ ((x ^ y) & _HIGH_BITS) for x in codes]
 
 
 class ModElement:
-    """Element of (Z/4)^5 + Z/2 in the basis e_1..e_6."""
+    """Element of (Z/4)^5 + Z/2 in the basis e_1..e_6, held as its code:
+    the coordinates packed as digits, so element n of `all_elements()` has
+    code n."""
 
-    __slots__ = ("c",)
+    __slots__ = ("code",)
 
     def __init__(self, coords: Iterable[int] = ()):
         coords = tuple(coords)
         if len(coords) > 6:
             raise ValueError("at most 6 coordinates")
-        coords = coords + (0,) * (6 - len(coords))
-        self.c = tuple(x % m for x, m in zip(coords, MODULI))
+        self.code = _pack(x % m for x, m in zip(coords, MODULI))
 
     @classmethod
-    def _raw(cls, coords: tuple[int, ...]) -> ModElement:
-        """The element of six coordinates already reduced modulo MODULI."""
+    def _raw(cls, code: int) -> ModElement:
+        """The element of a code in range(ORDER)."""
         self = object.__new__(cls)
-        self.c = coords
+        self.code = code
         return self
+
+    @property
+    def c(self) -> tuple[int, ...]:
+        """The six coordinates, e_1 first."""
+        return tuple((self.code >> shift) % m for shift, m in zip(_SHIFTS, MODULI))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModElement):
             return NotImplemented
-        return self.c == other.c
+        return self.code == other.code
 
     def __hash__(self) -> int:
-        return hash(self.c)
+        return hash(self.code)
 
     def __bool__(self) -> bool:
-        return any(self.c)
+        return bool(self.code)
 
     def __add__(self, other: ModElement) -> ModElement:
-        return ModElement(x + y for x, y in zip(self.c, other.c))
+        (code,) = _add_codes([self.code], other.code)
+        return ModElement._raw(code)
 
     def __neg__(self) -> ModElement:
-        return ModElement(-x for x in self.c)
+        # -x flips the high bit of each digit whose low bit is set
+        return ModElement._raw(self.code ^ ((self.code & _LOW_BITS) << 1))
 
     def __sub__(self, other: ModElement) -> ModElement:
-        return ModElement(x - y for x, y in zip(self.c, other.c))
+        return self + -other
 
     def __mul__(self, n: int) -> ModElement:
         if not isinstance(n, int):
             return NotImplemented
-        return ModElement(n * x for x in self.c)
+        n %= 4
+        if n == 2:  # 2x moves each digit's low bit up
+            return ModElement._raw((self.code & _LOW_BITS) << 1)
+        return -self if n == 3 else self if n else ZERO_ELEMENT
 
     __rmul__ = __mul__
 
@@ -105,46 +137,9 @@ E_BASIS = tuple(
 
 
 def all_elements() -> Iterator[ModElement]:
-    """All 2048 elements, in lexicographic coordinate order."""
-    yield from map(ModElement._raw, itertools.product(*(range(m) for m in MODULI)))
-
-
-ORDER = 2048
-
-# Bit offset of each coordinate in an element's code: a two-bit digit per
-# Z/4 coordinate and one bit for e_6, e_1 most significant, so that codes
-# count through `all_elements()` in order.
-_SHIFTS = (9, 7, 5, 3, 1, 0)
-_LOW_BITS = 0b01010101010  # the low bit of each Z/4 digit
-_HIGH_BITS = 0b10101010101  # the high bit of each Z/4 digit, and the e_6 bit
-
-
-def _pack(coords: Iterable[int]) -> int:
-    """The code whose digits are the coordinates, e_1 first."""
-    return sum(x << shift for x, shift in zip(coords, _SHIFTS))
-
-
-def encode(m: ModElement) -> int:
-    """The code of m: its position in `all_elements()`."""
-    return _pack(m.c)
-
-
-@functools.cache
-def _elements() -> tuple[ModElement, ...]:
-    return tuple(all_elements())
-
-
-def decode(code: int) -> ModElement:
-    """The element of a code: entry `code` of `all_elements()`."""
-    return _elements()[code]
-
-
-def _add_codes(codes: list[int], y: int) -> list[int]:
-    """The codes of x + y for each code x.  Adding the low bits of the
-    digits carries at most into each digit's own high bit; the high bits
-    add modulo 2."""
-    low = y & _LOW_BITS
-    return [((x & _LOW_BITS) + low) ^ ((x ^ y) & _HIGH_BITS) for x in codes]
+    """All 2048 elements, in order of their codes: lexicographic in the
+    coordinates."""
+    return map(ModElement._raw, range(ORDER))
 
 
 class ActionMatrix:
@@ -172,7 +167,7 @@ class ActionMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[ModElement]) -> ActionMatrix:
-        return cls(tuple(tuple(col.c[i] for col in columns) for i in range(6)))
+        return cls(tuple(zip(*(col.c for col in columns))))
 
     def column(self, j: int) -> ModElement:
         return ModElement(tuple(self.rows[i][j] for i in range(6)))
@@ -335,29 +330,31 @@ def _minus_identity(s: ActionMatrix) -> ActionMatrix:
 
 
 def fixed_submodule(matrices: Sequence[ActionMatrix]) -> tuple[ModElement, ...]:
-    """All elements fixed by every matrix, by a scan of all 2048 codes."""
+    """All elements fixed by every matrix, by a scan of all 2048 elements
+    against the codes that every table fixes."""
     codes: Iterable[int] = range(ORDER)
     for s in matrices:
         table = image_table(s)
         codes = [n for n in codes if table[n] == n]
-    return tuple(map(decode, codes))
+    fixed = set(codes)
+    return tuple(m for m in all_elements() if m.code in fixed)
 
 
 def image_submodule(s: ActionMatrix) -> frozenset[ModElement]:
     """The image of (s - 1): the distinct entries of its table."""
-    return frozenset(map(decode, set(image_table(_minus_identity(s)))))
+    return frozenset(map(ModElement._raw, set(image_table(_minus_identity(s)))))
 
 
 def two_torsion_multiples() -> frozenset[ModElement]:
     """The subgroup 2M, read off the codes: 2x moves each digit's low bit up."""
-    return frozenset(map(decode, {(n & _LOW_BITS) << 1 for n in range(ORDER)}))
+    return frozenset(map(ModElement._raw, {(n & _LOW_BITS) << 1 for n in range(ORDER)}))
 
 
 def pic1_has_fixed_point(s: ActionMatrix, shift: ModElement) -> bool:
     """Whether the twisted fixed-point equation (s - 1) m = -shift has a
     solution among all 2048 elements; `shift` is the class of
     (sigma - 1) applied to the chosen degree-1 base point."""
-    return encode(-shift) in image_table(_minus_identity(s))
+    return (-shift).code in image_table(_minus_identity(s))
 
 
 def subgroup_generated(generators: Iterable[ModElement]) -> frozenset[ModElement]:

@@ -3,6 +3,7 @@ exit codes, fault injection."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -551,3 +552,71 @@ def test_dictionary_faults_reach_the_theorems(entry, delta, upstream):
     failing = {r.check_id for r in report.checks if r.status == "FAIL"}
     assert {i for i in failing if not i.startswith("theorem-")} == upstream
     assert {"theorem-mordell-weil", "theorem-quadratic-points"} <= failing
+
+
+# ---------------------------------------------------------------------------
+# seeded malformed input: argument vectors and fault payloads
+
+_JUNK_VALUES = [-1, 0, 1, 2, 3, 5, 6, 2 ** 70, -(2 ** 70), 1.5, True, None, "", "x", "s3",
+                "alpha0", "D1-D0", [], [1], [2, 0, 0], [0, 0, 0, 4], {"a": 1}]
+
+
+def _random_payload_text(rng, bases) -> str:
+    """A fault file's text: a fixture, kept or with one field removed, added
+    or given a junk value, or text that is no fault object at all."""
+    payload = dict(rng.choice(bases))
+    kind = rng.randrange(6)
+    if kind == 1:
+        del payload[rng.choice(sorted(payload))]
+    elif kind == 2:
+        payload[rng.choice(["colum", "index", "row", "entry", "extra"])] = rng.choice(_JUNK_VALUES)
+    elif kind == 3:
+        payload[rng.choice(sorted(payload))] = rng.choice(_JUNK_VALUES)
+    elif kind == 4:
+        return json.dumps(payload)[:rng.randrange(40)]
+    elif kind == 5:
+        return json.dumps(rng.choice(_JUNK_VALUES))
+    return json.dumps(payload)
+
+
+def _random_argv(rng, fault_paths) -> list[str]:
+    options = ["--section", "--format", "--list", "--check", "--fault", "--sec", "--form",
+               "--f", "--li", "--ch", "--fa", "-h", "-hh", "-x", "--", "--list=1", "--check="]
+    values = [*checks.SECTIONS, "bogus", "text", "json", "xml", "", "-", "-1", "a b",
+              "dict-alpha0", "theorem-odd-torsors", "brauer-cocycle", "no-such-check",
+              "dict-*", *fault_paths]
+    argv = []
+    for _ in range(rng.randrange(5)):
+        argv.append(rng.choice(options if rng.random() < 0.6 else values))
+    return argv
+
+
+def test_seeded_malformed_input_exits_0_1_or_2_with_one_line_errors(tmp_path, capsys):
+    rng = random.Random(20260422)
+    bases = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(FIXTURES.glob("fault_*.json"))]
+    fault_paths = [str(tmp_path / "missing.json")]
+    for n in range(120):
+        path = tmp_path / f"fault_{n}.json"
+        path.write_text(_random_payload_text(rng, bases), encoding="utf-8")
+        fault_paths.append(str(path))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(bytes(rng.randrange(256) for _ in range(64)))
+    fault_paths.append(str(binary))
+    exits = {0: 0, 1: 0, 2: 0}
+    for _ in range(400):
+        argv = _random_argv(rng, fault_paths)
+        if rng.random() < 0.3:
+            argv += ["--fault", rng.choice(fault_paths)]
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+        captured = capsys.readouterr()
+        assert code in exits, argv
+        exits[code] += 1
+        if code == 2:
+            assert captured.err.startswith("quartic-twist: "), argv
+            assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), argv
+        else:
+            assert captured.err == "", argv
+    assert min(exits.values()) > 0, exits

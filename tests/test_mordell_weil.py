@@ -1,6 +1,7 @@
 """The divisor-class module: dictionary consistency, derived matrices,
 fixed submodule, images, and the torsor searches."""
 
+import itertools
 import random
 
 import pytest
@@ -32,9 +33,7 @@ from quartic_twist.mordell_weil import (
     all_elements,
     class_of,
     cusp_class,
-    decode,
     derive_action_matrix,
-    encode,
     fixed_submodule,
     image_submodule,
     image_table,
@@ -71,8 +70,7 @@ def test_enumeration_count_and_order():
 
 
 def test_enumerated_elements_match_the_validating_constructor():
-    # all_elements builds its elements from already reduced coordinates,
-    # without the reducing constructor
+    # all_elements wraps the codes 0..2047, without the reducing constructor
     for m in all_elements():
         rebuilt = ModElement(m.c)
         assert type(m.c) is tuple and len(m.c) == 6
@@ -348,9 +346,55 @@ def test_moduli():
 
 
 # ---------------------------------------------------------------------------
-# the image tables against plain per-element application of the matrices
+# the arithmetic on codes against coordinate tuples reduced mod MODULI
 
 ELEMENTS = tuple(all_elements())
+COORDINATES = list(itertools.product(*(range(m) for m in MODULI)))
+POSITION = {coords: n for n, coords in enumerate(COORDINATES)}
+
+
+def _reference_code(coords) -> int:
+    """The position in lexicographic order of the coordinates padded to
+    six and reduced mod MODULI: the code the element must have."""
+    coords = tuple(coords)
+    coords += (0,) * (6 - len(coords))
+    return POSITION[tuple(x % m for x, m in zip(coords, MODULI))]
+
+
+def test_all_elements_run_through_the_coordinates_in_order():
+    # ModElement(m.c) == m is tested against the constructor above
+    assert [m.c for m in ELEMENTS] == COORDINATES
+
+
+def test_the_constructor_pads_and_reduces_the_coordinates():
+    rng = random.Random(4096)
+    for n, coords in enumerate(COORDINATES):
+        lifted = [x + m * rng.randint(-3, 3) for x, m in zip(coords, MODULI)]
+        assert ModElement(lifted).code == n
+        kept = max((i + 1 for i, x in enumerate(coords) if x), default=0)
+        assert ModElement(lifted[:kept]).code == n
+        assert ModElement(iter(lifted[:kept])).code == n
+        with pytest.raises(ValueError, match="at most 6 coordinates"):
+            ModElement(lifted + [rng.randint(-3, 3)])
+
+
+def test_code_arithmetic_agrees_with_the_coordinates():
+    rng = random.Random(1024)
+    for m, a in zip(ELEMENTS, COORDINATES):
+        assert bool(m) is any(a)
+        assert (-m).code == _reference_code(-x for x in a)
+        for n in range(-5, 6):
+            product = _reference_code(n * x for x in a)
+            assert (n * m).code == (m * n).code == product
+        for other in rng.sample(ELEMENTS, 4):
+            b = other.c
+            assert (m + other).code == _reference_code(x + y for x, y in zip(a, b))
+            assert (m - other).code == _reference_code(x - y for x, y in zip(a, b))
+            assert (m == other) is (a == b)
+
+
+# ---------------------------------------------------------------------------
+# the image tables against plain per-element application of the matrices
 
 
 def _random_matrix(rng):
@@ -378,13 +422,13 @@ def _differential_matrices():
 
 
 def test_codes_follow_the_enumeration():
-    assert [encode(m) for m in ELEMENTS] == list(range(ORDER))
-    assert tuple(decode(n) for n in range(ORDER)) == ELEMENTS
+    assert [m.code for m in ELEMENTS] == list(range(ORDER))
+    assert tuple(ModElement._raw(n) for n in range(ORDER)) == ELEMENTS
 
 
 @pytest.mark.parametrize("s", _differential_matrices())
 def test_tables_agree_with_per_element_maps(s):
-    assert list(image_table(s)) == [encode(s(m)) for m in ELEMENTS]
+    assert list(image_table(s)) == [s(m).code for m in ELEMENTS]
     assert fixed_submodule([s]) == tuple(m for m in ELEMENTS if s(m) == m)
     image = frozenset(s(m) - m for m in ELEMENTS)
     assert image_submodule(s) == image
@@ -405,7 +449,8 @@ def test_joint_fixed_submodules_agree_with_per_element_maps():
 
 
 def test_two_torsion_multiples_agree_with_doubling():
-    assert two_torsion_multiples() == frozenset(2 * m for m in ELEMENTS)
+    # doubled in coordinates: 2 * m is computed on codes as 2M is
+    assert two_torsion_multiples() == frozenset(ModElement(2 * x for x in m.c) for m in ELEMENTS)
 
 
 def test_tables_are_kept_per_matrix_value():
@@ -416,4 +461,4 @@ def test_tables_are_kept_per_matrix_value():
     rows[0][0] += 1
     corrupted = ActionMatrix(rows)
     assert image_table(corrupted) != image_table(PRINTED_S3)
-    assert list(image_table(corrupted)) == [encode(corrupted(m)) for m in ELEMENTS]
+    assert list(image_table(corrupted)) == [corrupted(m).code for m in ELEMENTS]

@@ -1,20 +1,22 @@
 """A deterministic guard on the arithmetic one full report costs.
 
 Field multiplications, row-series products, inversions, curve
-evaluations and element constructions are counted rather than timed, so
-the guard does not depend on the host.  A cold report makes 386
-CycNum multiplications, 185 of which have a factor exactly 1 and return
-the other factor at once (42 of the 386 are in the 6 of its 19
+evaluations, element constructions and new branch states are counted
+rather than timed, so the guard does not depend on the host.  A cold report makes 384
+CycNum multiplications, 183 of which have a factor exactly 1 and return
+the other factor at once (42 of the 384 are in the 6 of its 19
 inversions that invert an irrational element, 7 each; the 13 rational
 ones make none; 35 solve the branches: one slope per point and one
-product per nonzero solved coefficient; 4, each by 1, reduce the
-cocycle's two forms modulo the curve as products of forms; 27 raise
-zeta_8 to the 11 powers the report takes, by square-and-multiply from
-the base), and 509 products of row series in `valuations`, 158 of them
-empty: 895 counted operations against a budget of 3,000.  Powers of
-field elements squared up from 1, with one squaring past the top bit,
-made 408 multiplications (196 by 1), and powers of forms multiplied up
-from the constant form 1 made 427 (215 by 1).
+product per nonzero solved coefficient; 2, each by 1, reduce the
+cocycle's two forms modulo the curve as products of forms, one per
+monomial divisible by X^4; 27 raise zeta_8 to the 11 powers the report
+takes, by square-and-multiply from the base), and 509 products of row
+series in `valuations`, 158 of them empty: 893 counted operations
+against a budget of 3,000.  Multiplying the monomials below X^4 by
+(X^4)^0, the constant form 1, made 386 multiplications (185 by 1).
+Powers of field elements squared up from 1, with one squaring past the
+top bit, made 408 multiplications (196 by 1), and powers of forms
+multiplied up from the constant form 1 made 427 (215 by 1).
 Evaluating a form with a power list per axis and every variable raised,
 even to the power 0 or at the value 1, made 667 multiplications (431 by
 1), and multiplying the parameter axis's power table again at every new
@@ -36,17 +38,19 @@ A cold report builds 14 branches, one per point it expands, each
 holding the point's one power table (48 tables, one per expansion, with
 precision doubling), and solves, tables and gates each branch no further
 than the largest v + 1 of the valuations v that read it: 9 orders at
-most (14 with doubling).  It inverts 19 field elements: F_dep(P) once at each of
-the 14 points expanded beyond precision 1, and 5 divisions in the Brauer
-cocycle, which is computed once.  Inverting per precision and
-normalizing the Galois images of normalized points again costs 157.  It
-constructs 244 elements of the divisor-class module through the
-reducing constructor, 34 of them reading the six basis divisors from the
-cusp dictionary, B_0 included (22 when the basis classes left out the
-B_0 term); the 2048 of the enumeration are built from coordinates
-already reduced (2,304 before), and each `action-*` row forms each of
-its two columns once (280 in all when it formed the derived and
-printed columns twice).  Every divisor goes through
+most (14 with doubling).  It grows a new state of a branch 95 times,
+and 222 more requests find the state already grown.  It inverts 19
+field elements: F_dep(P) once at each of the 14 points expanded beyond
+precision 1, and 5 divisions in the Brauer cocycle, which is computed
+once.  Inverting per precision and normalizing the Galois images of
+normalized points again costs 157.  It constructs 26 elements of the
+divisor-class module through the reducing constructor: the two columns
+of each `action-*` row and the two images of the `dict-orbit-*` rows.
+Every other element is computed on its code, the 2048 of the
+enumeration among them; when an element kept its coordinates and
+reduced every sum and multiple through the constructor, a report built
+244 (2,304 when the enumeration reduced its elements too, and 280 when
+each `action-*` row formed its columns twice).  Every divisor goes through
 the one constructor, which tests its support on the curve: a cold report
 builds 180 divisors, 98 of them sums, differences and multiples, and
 still evaluates the curve at 16 points, since a point already tested is
@@ -77,7 +81,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from quartic_twist import cli, curve, mordell_weil, valuations
+from quartic_twist import brauer, cli, curve, mordell_weil, valuations
 from quartic_twist.checks import build_report, list_check_ids, run_single
 from quartic_twist.curve import CATALOG, HomogPoly, X, Y, Z
 from quartic_twist.cyclotomic import CycNum, rational, zeta
@@ -90,6 +94,10 @@ EMPTY_PRODUCTS = 158
 INVERSION_BUDGET = 30
 # ModElement constructions through the reducing constructor per cold report
 ELEMENT_CONSTRUCTION_BUDGET = 400
+# CycNum multiplications per cold report inside `brauer.reduce_mod_curve`
+REDUCTION_MULTIPLICATIONS = 2
+# branch states grown anew per cold report
+GROWN_STATES = 95
 # the distinct points one report tests against the curve equation
 CURVE_EVALUATIONS = 16
 
@@ -153,9 +161,8 @@ def _counted(monkeypatch, owner, name) -> list[int]:
 
 
 def _cold_report():
-    """A full report with the expansion and element caches emptied."""
+    """A full report with the expansion cache and image tables emptied."""
     valuations._EXPANSION_CACHE.clear()
-    mordell_weil._elements.cache_clear()
     mordell_weil.image_table.cache_clear()
     report = build_report()
     assert report.exit_code == 0
@@ -171,6 +178,42 @@ def test_full_report_element_construction_budget(monkeypatch):
     calls = _counted(monkeypatch, mordell_weil.ModElement, "__init__")
     _cold_report()
     assert calls[0] <= ELEMENT_CONSTRUCTION_BUDGET, calls[0]
+
+
+def test_reduction_modulo_the_curve_multiplies_only_divisible_monomials(monkeypatch):
+    # a monomial below X^4 is its own normal form: multiplying it by
+    # (X^4)^0, the constant form 1, made 4 in all
+    calls = _count_multiplications(monkeypatch)
+    reduce_mod_curve = brauer.reduce_mod_curve
+    inside = [0]
+
+    def counted(form):
+        before = calls[0]
+        try:
+            return reduce_mod_curve(form)
+        finally:
+            inside[0] += calls[0] - before
+
+    monkeypatch.setattr(brauer, "reduce_mod_curve", counted)
+    _cold_report()
+    assert inside[0] == REDUCTION_MULTIPLICATIONS, inside[0]
+
+
+def test_full_report_grows_each_branch_state_once(monkeypatch):
+    # a request the state already holds returns it unchanged; growing a
+    # state the branch already holds, or not publishing a grown one, builds
+    # more
+    grown = [0]
+    grow = valuations._Branch._grown
+
+    def counted(self, state, *args):
+        new = grow(self, state, *args)
+        grown[0] += new is not state
+        return new
+
+    monkeypatch.setattr(valuations._Branch, "_grown", counted)
+    _cold_report()
+    assert grown[0] == GROWN_STATES, grown[0]
 
 
 def test_rational_inverse_makes_no_multiplication(monkeypatch):
